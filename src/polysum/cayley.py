@@ -68,22 +68,13 @@ class PartitionedPointSet:
 
 @dataclass(frozen=True)
 class CayleyConfig:
-    """Affine basis prefix dimension and (combinatorially inert) weights."""
+    """Affine basis prefix dimension."""
 
     r: int
-    weights: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         if self.r < 2:
             raise ValueError("need r >= 2")
-        if not self.weights:
-            object.__setattr__(self, "weights", tuple([Fraction(1, self.r)] * self.r))
-        if len(self.weights) != self.r:
-            raise ValueError("need one weight per part")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
-        if sum(self.weights) != 1:
-            raise ValueError("weights must sum to 1")
 
     def basis_vector(self, part: int) -> tuple[Fraction, ...]:
         """Prefix for a part: zero vector for part 0, then standard basis vectors."""
@@ -157,22 +148,23 @@ def minksum_direct(pps: PartitionedPointSet) -> tuple[int, ...]:
     return minksum_direct_lattice(pps).f_vector
 
 
+def sum_f_vector(g: Sequence[int], lifted_dim: int, r: int) -> tuple[int, ...]:
+    """Minkowski-sum f-vector from the spanning face counts ``g`` of its
+    Cayley polytope: a spanning (j+r-1)-face is a j-face of the sum."""
+    # the lifted hull always contains the (r-1)-simplex of prefixes, so its
+    # dimension exceeds the sum's by exactly r-1
+    sum_dim = lifted_dim - (r - 1)
+    if sum_dim < 0:
+        raise AssertionError("lifted hull dimension below r-1")
+    return tuple(g[r - 1 + j] for j in range(sum_dim))
+
+
 def minksum_via_cayley(
     pps: PartitionedPointSet, cfg: Optional[CayleyConfig] = None
 ) -> tuple[int, ...]:
     """f-vector of the Minkowski sum read off the lifted hull's spanning faces."""
-    if cfg is None:
-        cfg = CayleyConfig(pps.r)
-    embedded = cayley_embed(pps, cfg)
-    lattice = convex_hull(embedded)
-    g = spanning_face_counts(lattice, pps)
-    r = pps.r
-    # the lifted hull always contains the (r-1)-simplex of prefixes, so its
-    # dimension exceeds the sum's by exactly r-1
-    sum_dim = lattice.polytope_dim - (r - 1)
-    if sum_dim < 0:
-        raise AssertionError("lifted hull dimension below r-1")
-    return tuple(g[r - 1 + j] for j in range(sum_dim))
+    lattice = cayley_lattice(pps, cfg)
+    return sum_f_vector(spanning_face_counts(lattice, pps), lattice.polytope_dim, pps.r)
 
 
 def cayley_lattice(

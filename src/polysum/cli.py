@@ -20,16 +20,17 @@ from typing import Optional, Sequence
 from . import bounds as bnd
 from . import detasym
 from .cayley import PartitionedPointSet, minksum_direct, minksum_via_cayley
-from .construction import ConstructionParams, find_tau_star, find_zeta_diamond, generate_family, verify_tightness
-from .exact import rat
-from .hull import PointSet, convex_hull, scale_translate, verify_supporting
-from .jsonio import (
-    dump_json,
-    fraction_str,
-    lattice_to_dict,
-    load_pointset,
-    pointset_to_dict,
+from .construction import (
+    ConstructionParams,
+    SearchExhausted,
+    find_tau_star,
+    find_zeta_diamond,
+    generate_family,
+    verify_tightness,
 )
+from .exact import rat, rat_to_str
+from .hull import PointSet, convex_hull, scale_translate, verify_supporting
+from .jsonio import dump_json, lattice_to_dict, load_pointset, pointset_to_dict, read_json
 
 DEFAULT_SEED = 20240809
 
@@ -94,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull", help="face lattice of a polytope JSON file")
     p.add_argument("--inputs", nargs=1, required=True)
-    p.add_argument("--method", choices=["auto", "exhaustive", "guided"])
     p.add_argument("--out")
 
     p = sub.add_parser("minksum", help="f-vector of a Minkowski sum")
@@ -131,10 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_delta_spec(path: str) -> detasym.DeltaSpec:
-    import json
-
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     return detasym.DeltaSpec(
         kappa=tuple(int(k) for k in data["kappa"]),
         beta=tuple(int(b) for b in data["beta"]),
@@ -189,7 +186,7 @@ def _cmd_bound(args, report: RunReport) -> None:
 
 def _cmd_hull(args, report: RunReport) -> None:
     ps = load_pointset(args.inputs[0])
-    lat = convex_hull(ps, method=args.method)
+    lat = convex_hull(ps)
     report.outputs["lattice"] = lattice_to_dict(lat)
     euler = sum((-1) ** k * fk for k, fk in enumerate(lat.f_vector))
     report.check("euler_relation", 1 - (-1) ** lat.polytope_dim if lat.polytope_dim >= 1 else 0, euler)
@@ -226,8 +223,8 @@ def _cmd_construct(args, report: RunReport) -> None:
     family = generate_family(params, lifted=True)
     report.outputs.update(
         {
-            "tau_star": fraction_str(tau_cert.value),
-            "zeta_diamond": fraction_str(zeta_cert.value),
+            "tau_star": rat_to_str(tau_cert.value),
+            "zeta_diamond": rat_to_str(zeta_cert.value),
             "certificates": {
                 "tau": {
                     "halvings": tau_cert.halvings,
@@ -256,7 +253,7 @@ def _cmd_delta(args, report: RunReport) -> None:
     report.inputs["spec"] = {
         "kappa": list(spec.kappa),
         "beta": list(spec.beta),
-        "x": [[fraction_str(v) for v in row] for row in spec.x],
+        "x": [[rat_to_str(v) for v in row] for row in spec.x],
     }
     pos = detasym.certify_positivity(spec, args.max_halvings)
     report.outputs["positivity"] = pos.to_dict()
@@ -270,8 +267,8 @@ def _cmd_delta(args, report: RunReport) -> None:
         report.check("brute_force_lowest_degree", lt.theta, low)
         report.check(
             "brute_force_leading_coefficient",
-            fraction_str(lt.coefficient),
-            fraction_str(poly[low]),
+            rat_to_str(lt.coefficient),
+            rat_to_str(poly[low]),
         )
 
 
@@ -398,7 +395,7 @@ def run_command(argv: Sequence[str]) -> tuple[int, Optional[RunReport]]:
     started = time.perf_counter()
     try:
         _HANDLERS[args.command](args, report)
-    except (ValueError, IndexError, OSError, KeyError) as exc:
+    except (ValueError, IndexError, OSError, KeyError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
     if args.timing:

@@ -28,10 +28,10 @@ from .cayley import (
     PartitionedPointSet,
     cayley_lattice,
     minksum_direct,
-    minksum_via_cayley,
     spanning_face_counts,
+    sum_f_vector,
 )
-from .exact import det_rows, det_sign_rows, rat
+from .exact import det_rows, det_sign_rows, rat, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
 
 
@@ -404,14 +404,12 @@ class TightnessReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        from .jsonio import fraction_str
-
         return {
             "d": self.d,
             "r": self.r,
             "n": list(self.n),
-            "tau_star": fraction_str(self.tau_star),
-            "zeta_diamond": fraction_str(self.zeta_diamond),
+            "tau_star": rat_to_str(self.tau_star),
+            "zeta_diamond": rat_to_str(self.zeta_diamond),
             "tau_certificate": {
                 "halvings": self.tau_certificate.halvings,
                 "determinants_checked": self.tau_certificate.determinants_checked,
@@ -443,7 +441,7 @@ def verify_tightness(
     family = generate_family(params, lifted=True)
     lifted_lat = cayley_lattice(family)
     g = spanning_face_counts(lifted_lat, family)
-    f_cayley = minksum_via_cayley(family)
+    f_cayley = sum_f_vector(g, lifted_lat.polytope_dim, r)
     f_direct = minksum_direct(family)
 
     checks: list[dict] = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import ExactMatrix, determinant, rat
+from .exact import ExactMatrix, determinant, rat, rat_to_str
 
 BRUTE_FORCE_SIZE_CAP = 8
 
@@ -296,15 +296,13 @@ class PositivityReport:
     certified: bool
 
     def to_dict(self) -> dict:
-        from .jsonio import fraction_str
-
         return {
-            "tau0": fraction_str(self.tau0),
+            "tau0": rat_to_str(self.tau0),
             "halvings": self.halvings,
             "theta": self.theta,
-            "coefficient": fraction_str(self.coefficient),
+            "coefficient": rat_to_str(self.coefficient),
             "ratio_points": [
-                {"tau": fraction_str(t), "deviation": fraction_str(d)}
+                {"tau": rat_to_str(t), "deviation": rat_to_str(d)}
                 for t, d in self.ratio_points
             ],
             "deviation_decreasing": self.deviation_decreasing,

@@ -4,33 +4,22 @@ Points are rational; every predicate is decided with exact integer
 determinants after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
-Facet enumeration has two interchangeable backends:
-
-* ``exhaustive`` -- scan all affinely independent ``dim``-subsets for
-  supporting hyperplanes.  Complete by construction; the default whenever
-  the candidate count is modest.
-* ``guided`` -- take candidate facets from a floating-point qhull run, then
-  verify each exactly (rational hyperplane, full side test) and certify
-  completeness by checking that every ridge lies in exactly two facets.
-  Any verification failure falls back to the exhaustive scan.
-
-Either way the returned lattice is exact.  Select with the ``method``
-argument or the ``POLYSUM_HULL`` environment variable
-(``auto``/``exhaustive``/``guided``).
+Facets come from an exact gift-wrap: start on one facet, cross every ridge
+to its neighbour by rotating a hyperplane about it, and certify completeness
+by checking that every ridge lies in exactly two facets.  No floating point
+is used anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import int_det, int_row_space_pivots, rat
-
-EXHAUSTIVE_CANDIDATE_LIMIT = 120_000
 
 
 @dataclass(frozen=True)
@@ -215,6 +204,7 @@ def _side_scan(coeffs, pts) -> Optional[frozenset]:
 
 
 def _facets_exhaustive(pts: Sequence[tuple[int, ...]], k: int) -> list[frozenset]:
+    """Scan every k-subset for a supporting hyperplane (test oracle only)."""
     seen = set()
     facets = []
     for subset in itertools.combinations(range(len(pts)), k):
@@ -231,103 +221,127 @@ def _facets_exhaustive(pts: Sequence[tuple[int, ...]], k: int) -> list[frozenset
     return facets
 
 
-def _scaled_floats(pts: Sequence[tuple[int, ...]]) -> list[list[float]]:
-    """Translate/scale each integer column into well-conditioned [0,1] floats."""
-    dim = len(pts[0])
-    cols = []
-    for c in range(dim):
-        vals = [p[c] for p in pts]
-        mn = min(vals)
-        shifted = [v - mn for v in vals]
-        mx = max(shifted)
-        bits = mx.bit_length()
-        if bits > 50:
-            sh = bits - 50
-            shifted = [v >> sh for v in shifted]
-            mx = max(shifted)
-        denom = float(mx) if mx else 1.0
-        cols.append([float(v) / denom for v in shifted])
-    return [[cols[c][i] for c in range(dim)] for i in range(len(pts))]
+def _rotate(pts, flat, away, start) -> tuple[tuple[int, ...], frozenset]:
+    """Turn a supporting hyperplane about the (k-2)-flat through ``flat``.
+
+    ``away`` lies on the current supporting hyperplane but off the flat, and
+    ``pts[start]`` lies off that hyperplane.  Seen along the flat, every
+    point sits at an angle in [0, pi) from ``away``, so "strictly on the far
+    side of the candidate" is a total order and one pass that replaces the
+    candidate with each such point ends on the next supporting hyperplane.
+    Returns its coefficients (``away`` on the positive side) and on-set.
+    """
+
+    def through(p):
+        h = _hyperplane(flat + [p])
+        if h[0] + sum(map(operator.mul, h[1:], away)) < 0:
+            h = tuple(-c for c in h)
+        return h[0], h[1:]
+
+    c0, normal = through(pts[start])
+    for p in pts:
+        if c0 + sum(map(operator.mul, normal, p)) < 0:
+            c0, normal = through(p)
+    coeffs = (c0, *normal)
+    on = _side_scan(coeffs, pts)
+    if on is None:
+        raise AssertionError("gift-wrap step ended on a non-supporting hyperplane")
+    return coeffs, on
 
 
-def _facets_guided(pts: Sequence[tuple[int, ...]], k: int) -> Optional[list[frozenset]]:
-    try:
-        import numpy as np
-        from scipy.spatial import ConvexHull, QhullError
-    except ImportError:
-        return None
-    arr = np.array(_scaled_floats(pts), dtype=float)
-    options = "Qt" if k <= 4 else "Qt Qx"
-    try:
-        qh = ConvexHull(arr, qhull_options=options)
-    except (QhullError, ValueError):
-        return None
-    seen = set()
-    facets = []
-    for simplex in qh.simplices:
-        subset = [int(i) for i in simplex]
-        coeffs = _hyperplane([pts[i] for i in subset])
-        if coeffs is None:
-            continue
-        key = _canonical_key(coeffs)
-        if key in seen:
-            continue
-        seen.add(key)
-        on = _side_scan(key, pts)
-        if on is not None:
-            facets.append(on)
-    if not facets:
-        return None
-    # Completeness certificate: in a polytope boundary every ridge belongs to
-    # exactly two facets, and the facet-ridge graph is connected, so a strict
-    # subset of the facets would expose a ridge of degree one.
-    ridge_degree: dict[frozenset, int] = {}
-    for f in facets:
-        local = sorted(f)
-        sub = PointSet.from_rows([pts[i] for i in local], ambient_dim=k)
-        try:
-            sub_lat = convex_hull(sub)
-        except ValueError:
-            return None
-        if sub_lat.polytope_dim != k - 1:
-            return None
-        for face in sub_lat.facets():
-            key = frozenset(local[j] for j in face.vertices)
-            ridge_degree[key] = ridge_degree.get(key, 0) + 1
-    if any(d != 2 for d in ridge_degree.values()):
-        return None
+def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> frozenset:
+    """Rotate the supporting hyperplane x_0 = min until it holds a facet."""
+    coeffs = (-min(p[0] for p in pts), 1) + (0,) * (k - 1)
+    on = _side_scan(coeffs, pts)
+    while _int_affine_rank([pts[i] for i in sorted(on)]) < k - 1:
+        # pick k-1 independent directions inside the hyperplane, the on-set's
+        # own first: the flat spans the first k-2, ``away`` steps along the last
+        base = pts[min(on)]
+        normal = coeffs[1:]
+        j0 = next(j for j, a in enumerate(normal) if a)
+        candidates = [[x - b for x, b in zip(pts[i], base)] for i in sorted(on)]
+        for j in range(k):
+            if j != j0:
+                v = [0] * k
+                v[j], v[j0] = normal[j0], -normal[j]
+                candidates.append(v)
+        chosen: list[list[int]] = []
+        for v in candidates:
+            if int_row_space_pivots(chosen + [v])[0] > len(chosen):
+                chosen.append(v)
+        shifted = [tuple(b + x for b, x in zip(base, v)) for v in chosen]
+        start = next(i for i in range(len(pts)) if i not in on)
+        coeffs, on = _rotate(pts, [base] + shifted[:-1], shifted[-1], start)
+    return on
+
+
+def _spanning(points: list[tuple[int, ...]], count: int) -> list[tuple[int, ...]]:
+    """Greedily pick ``count`` affinely independent points, or as many as exist."""
+    if len(points) == count:
+        return points
+    chosen = [points[0]]
+    for p in points[1:]:
+        if _int_affine_rank(chosen + [p]) == len(chosen):
+            chosen.append(p)
+            if len(chosen) == count:
+                break
+    return chosen
+
+
+def _ridges(pts, facet: frozenset, k: int):
+    """Yield (on-set, k-1 spanning points) for each ridge of a facet."""
+    idx = sorted(facet)
+    if len(idx) == k:
+        for i in idx:
+            yield facet - {i}, [pts[j] for j in idx if j != i]
+        return
+    sub = [pts[i] for i in idx]
+    _, pivots = _pivots(sub)
+    for local in _facets_wrap([tuple(p[c] for c in pivots) for p in sub], k - 1):
+        ridge = frozenset(idx[j] for j in local)
+        yield ridge, _spanning([pts[i] for i in sorted(ridge)], k - 1)
+
+
+def _facets_wrap(pts: Sequence[tuple[int, ...]], k: int) -> list[frozenset]:
+    """Facet on-sets of the hull of distinct, full-dimensional points in Z^k.
+
+    Gift-wrapping (Chand & Kapur 1970; Swart 1985): from one facet, cross
+    each ridge to its neighbour with an exact rotation.  A non-simplicial
+    facet finds its ridges by wrapping its own rank-reduced points.  Every
+    ridge must end in exactly two facets, which certifies completeness.
+    """
+    if k == 1:
+        vals = [p[0] for p in pts]
+        return [frozenset([vals.index(min(vals))]), frozenset([vals.index(max(vals))])]
+    first = _first_facet(pts, k)
+    facets = [first]
+    known = {first}
+    degree: dict[frozenset, int] = {}
+    for facet in facets:  # grows while it is walked
+        start = next(i for i in range(len(pts)) if i not in facet)
+        for ridge, flat in _ridges(pts, facet, k):
+            degree[ridge] = degree.get(ridge, 0) + 1
+            if degree[ridge] > 1:
+                continue
+            _, neighbour = _rotate(pts, flat, pts[min(facet - ridge)], start)
+            if neighbour not in known:
+                known.add(neighbour)
+                facets.append(neighbour)
+    if any(d != 2 for d in degree.values()):
+        raise AssertionError("gift-wrap left a ridge outside exactly two facets")
     return facets
 
 
-def _resolve_method(method: Optional[str]) -> str:
-    if method:
-        return method
-    env = os.environ.get("POLYSUM_HULL", "").strip().lower()
-    if env in ("exhaustive", "guided", "auto"):
-        return env or "auto"
-    return "auto"
-
-
-def _enumerate_facets(pts, k, method) -> list[frozenset]:
-    method = _resolve_method(method)
-    if method == "exhaustive":
-        return _facets_exhaustive(pts, k)
-    if method == "guided":
-        res = _facets_guided(pts, k)
-        return res if res is not None else _facets_exhaustive(pts, k)
-    if math.comb(len(pts), k) <= EXHAUSTIVE_CANDIDATE_LIMIT:
-        return _facets_exhaustive(pts, k)
-    res = _facets_guided(pts, k)
-    return res if res is not None else _facets_exhaustive(pts, k)
+def _pivots(pts: Sequence[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """Affine rank of integer points and pivot columns that keep it."""
+    if len(pts) <= 1:
+        return 0, ()
+    base = pts[0]
+    return int_row_space_pivots([[x - b for x, b in zip(p, base)] for p in pts[1:]])
 
 
 def _int_affine_rank(pts: Sequence[tuple[int, ...]]) -> int:
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    rank, _ = int_row_space_pivots(diffs)
-    return rank
+    return _pivots(pts)[0]
 
 
 class _Prepared:
@@ -349,21 +363,16 @@ class _Prepared:
                 self.members.append([i])
             self.rep_of.append(did)
         self.int_pts = _integerize_columns(distinct)
-        if len(self.int_pts) > 1:
-            base = self.int_pts[0]
-            diffs = [[x - b for x, b in zip(p, base)] for p in self.int_pts[1:]]
-            self.rank, pivots = int_row_space_pivots(diffs)
-        else:
-            self.rank, pivots = 0, ()
+        self.rank, pivots = _pivots(self.int_pts)
         self.reduced = [tuple(p[c] for c in pivots) for p in self.int_pts]
 
 
-def convex_hull(points: PointSet, method: Optional[str] = None) -> FaceLattice:
+def convex_hull(points: PointSet) -> FaceLattice:
     """Complete face lattice of the convex hull of a rational point set.
 
-    Facets come from supporting-hyperplane enumeration (see module docs);
-    every lower face is an intersection of facets, so the lattice is closed
-    under vertex-set intersection by construction.  Points interior to the
+    Facets come from the gift-wrap (see module docs); every lower face is an
+    intersection of facets, so the lattice is closed under vertex-set
+    intersection by construction.  Points interior to the
     hull never appear in any vertex set.
     """
     if len(points) == 0:
@@ -377,13 +386,7 @@ def convex_hull(points: PointSet, method: Optional[str] = None) -> FaceLattice:
         faces = (Face(-1, ()), Face(0, tuple(range(n))))
         return FaceLattice(points.ambient_dim, 0, n, faces, ())
 
-    if k == 1:
-        vals = [p[0] for p in prep.reduced]
-        lo = vals.index(min(vals))
-        hi = vals.index(max(vals))
-        facet_sets = [frozenset([lo]), frozenset([hi])]
-    else:
-        facet_sets = _enumerate_facets(prep.reduced, k, method)
+    facet_sets = _facets_wrap(prep.reduced, k)
 
     # close the facet vertex sets under intersection (bitmask arithmetic)
     facet_masks = [sum(1 << i for i in f) for f in facet_sets]
@@ -444,13 +447,7 @@ def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:
             if len(dids) != 1:
                 return False
             continue
-        # greedily pick k affinely independent points spanning the facet
-        chosen = [pts[0]]
-        for p in pts[1:]:
-            if _int_affine_rank(chosen + [p]) > _int_affine_rank(chosen):
-                chosen.append(p)
-            if len(chosen) == k:
-                break
+        chosen = _spanning(pts, k)
         if len(chosen) != k:
             return False
         coeffs = _hyperplane(chosen)

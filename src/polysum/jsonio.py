@@ -3,15 +3,9 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .exact import rat, rat_to_str
 from .hull import FaceLattice, PointSet
-from .cayley import PartitionedPointSet
-
-
-def fraction_str(q: Fraction) -> str:
-    return rat_to_str(q)
 
 
 def pointset_to_dict(ps: PointSet) -> dict:
@@ -42,17 +36,18 @@ def lattice_to_dict(lat: FaceLattice) -> dict:
     }
 
 
-def partitioned_to_dict(pps: PartitionedPointSet) -> dict:
-    return {"parts": [pointset_to_dict(p) for p in pps.parts]}
+def _reject_float(text: str):
+    raise ValueError(f"JSON number {text} is a float; write rationals as \"p/q\" strings")
 
 
-def partitioned_from_dict(data: dict) -> PartitionedPointSet:
-    return PartitionedPointSet(tuple(pointset_from_dict(p) for p in data["parts"]))
+def read_json(path: str):
+    """Parse a JSON input file, rejecting floats since they are not exact."""
+    with open(path) as fh:
+        return json.load(fh, parse_float=_reject_float)
 
 
 def load_pointset(path: str) -> PointSet:
-    with open(path) as fh:
-        return pointset_from_dict(json.load(fh))
+    return pointset_from_dict(read_json(path))
 
 
 def dump_json(data: dict, path: str | None) -> str:

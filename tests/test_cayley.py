@@ -1,7 +1,8 @@
 """Tests for the Cayley-embedding route and the direct Minkowski oracle."""
 
+import itertools
+import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from polysum.cayley import (
     minksum_via_cayley,
     spanning_face_counts,
 )
-from polysum.hull import PointSet, convex_hull
+from polysum.hull import PointSet, convex_hull, verify_supporting
 
 
 def test_cayley_embed_definition():
@@ -42,11 +43,7 @@ def test_cayley_embed_injective_and_partition_preserving():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        CayleyConfig(2, (Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        CayleyConfig(2, (Fraction(3, 2), Fraction(-1, 2)))
-    cfg = CayleyConfig(3)
-    assert cfg.weights == (Fraction(1, 3),) * 3
+        CayleyConfig(1)
     with pytest.raises(ValueError):
         cayley_embed(PartitionedPointSet.from_rows([[[0]], [[1]]]), CayleyConfig(3))
 
@@ -154,14 +151,6 @@ def test_spanning_vertex_count_equals_sum_vertices():
         assert g_r_minus_1 == f0
 
 
-def test_weights_do_not_affect_counts():
-    t1 = [[0, 0], [4, 0], [0, 4]]
-    t2 = [[0, 0], [-1, 3], [-3, -2]]
-    pps = PartitionedPointSet.from_rows([t1, t2])
-    skew = CayleyConfig(2, (Fraction(1, 7), Fraction(6, 7)))
-    assert minksum_via_cayley(pps, skew) == minksum_via_cayley(pps)
-
-
 def oracle_instances(seed, count):
     rng = random.Random(seed)
     out = []
@@ -184,16 +173,24 @@ def test_oracle_equivalence_small_suite():
         assert via == direct
 
 
-def test_oracle_equivalence_forces_guided_direct_hull():
-    # 5x5x5 = 125 summed points in R^3: the direct oracle's hull exceeds the
-    # exhaustive candidate budget and must take the verified guided path
+def test_oracle_equivalence_large_direct_hull():
+    # three 5-point summands in R^3: the direct hull has over 120,000
+    # candidate 3-subsets
     rng = random.Random(777)
     parts = []
     for _ in range(3):
         pts = {tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(5)}
         parts.append([list(p) for p in sorted(pts)])
     pps = PartitionedPointSet.from_rows(parts)
-    assert minksum_via_cayley(pps) == minksum_direct(pps)
+    sums = {
+        tuple(a + b + c for a, b, c in zip(*triple))
+        for triple in itertools.product(*(p.points for p in pps.parts))
+    }
+    assert math.comb(len(sums), 3) > 120_000
+    ps = PointSet.from_rows(sorted(sums))
+    lat = convex_hull(ps)
+    assert verify_supporting(lat, ps)
+    assert minksum_via_cayley(pps) == minksum_direct(pps) == lat.f_vector
 
 
 def test_trivial_upper_bound_property():

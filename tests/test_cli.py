@@ -1,7 +1,13 @@
 """Tests for the command-line interface and run reports."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import polysum
 from polysum.cli import run_command
 from polysum.jsonio import dump_json
 
@@ -146,6 +152,55 @@ def test_delta_command(tmp_path, capsys):
     assert saved["outputs"]["positivity"]["tau0"] == "1"
     names = [c["name"] for c in saved["checks"]]
     assert "brute_force_lowest_degree" in names
+
+
+def test_hull_method_flag_is_gone(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}))
+    code, _ = run(["hull", "--inputs", str(path), "--method", "guided"])
+    assert code == 2
+
+
+def test_float_coordinate_exit_2(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "points": [[0.5, 0], [1, 0], [0, 1]]}))
+    code, report = run(["hull", "--inputs", str(path)])
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_exhausted_halving_budget_exit_2(capsys):
+    code, report = run(["verify-tight", "--d", "5", "--r", "2", "--n", "5,5", "--max-halvings", "1"])
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: tau search: no certificate after 1 halvings"]
+
+
+def test_minksum_runs_without_numpy_or_scipy(tmp_path):
+    # the instance of test_oracle_equivalence_large_direct_hull: its direct
+    # hull has over 120,000 candidate 3-subsets
+    rng = random.Random(777)
+    files = []
+    for i in range(3):
+        pts = sorted({tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(5)})
+        path = tmp_path / f"part{i}.json"
+        path.write_text(json.dumps({"ambient_dim": 3, "points": [[str(x) for x in p] for p in pts]}))
+        files.append(str(path))
+    out = tmp_path / "fvec.json"
+    argv = ["minksum", "--inputs", *files, "--method", "both", "--out", str(out)]
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['numpy'] = sys.modules['scipy'] = None",
+            "from polysum.cli import run_command",
+            f"sys.exit(run_command({argv!r})[0])",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(polysum.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_selftest_runs(capsys):

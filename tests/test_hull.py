@@ -1,6 +1,7 @@
 """Tests for exact convex hulls and face lattices."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 from polysum.hull import (
     PointSet,
+    _facets_exhaustive,
+    _facets_wrap,
+    _Prepared,
     convex_hull,
     is_face,
     neighborliness,
@@ -171,56 +175,67 @@ def test_random_hulls_supporting_and_facet_count(seed):
         assert lat.f_vector[-1] >= lat.polytope_dim + 1
 
 
-def test_guided_matches_exhaustive():
+def wrap_and_oracle(ps: PointSet):
+    prep = _Prepared(ps)
+    wrapped = _facets_wrap(prep.reduced, prep.rank)
+    assert len(set(wrapped)) == len(wrapped)
+    return set(wrapped), set(_facets_exhaustive(prep.reduced, prep.rank))
+
+
+def test_wrap_matches_exhaustive():
     rng = random.Random(987)
+    cases = []
     for _ in range(12):
         d = rng.randint(2, 4)
         n = rng.randint(d + 2, 12)
-        ps = PointSet.from_rows(
-            [[rng.randint(-6, 6) for _ in range(d)] for _ in range(n)]
-        )
-        lat_e = convex_hull(ps, method="exhaustive")
-        lat_g = convex_hull(ps, method="guided")
-        assert lat_e.faces == lat_g.faces
-        assert lat_e.f_vector == lat_g.f_vector
+        cases.append([[rng.randint(-6, 6) for _ in range(d)] for _ in range(n)])
+    cube = [list(p) for p in itertools.product([0, 2], repeat=3)]
+    cases += [
+        # duplicate points
+        [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3], [3, 0, 0], [0, 0, 3], [1, 1, 1]],
+        # non-simplicial facets, with points inside facets, edges and the body
+        cube + [[1, 1, 0], [1, 0, 0], [1, 1, 1]],
+        [list(p) for p in itertools.product([0, 1], repeat=4)],
+        [[0, 0], [1, 0], [2, 0], [2, 1], [2, 2], [1, 2], [0, 2], [0, 1]],
+        # lower-dimensional than the ambient space
+        [[1, 0, 2, 3], [2, 1, 2, 3], [1, 1, 2, 3], [3, 3, 2, 3], [2, 2, 2, 3]],
+        [[t, t * t, 2 * t, 5] for t in range(5)],
+    ]
+    for rows in cases:
+        wrapped, oracle = wrap_and_oracle(PointSet.from_rows(rows))
+        assert wrapped == oracle
 
 
-def test_guided_handles_tiny_coordinates():
-    # coordinates spanning wildly different scales (poorly conditioned floats)
+def test_wrap_handles_tiny_coordinates():
+    # coordinates spanning wildly different scales
     t = Fraction(1, 2**40)
     rows = [[i * t, (i * i) * t * t, Fraction(i % 3)] for i in range(1, 8)]
-    ps = PointSet.from_rows(rows)
-    lat_e = convex_hull(ps, method="exhaustive")
-    lat_g = convex_hull(ps, method="guided")
-    assert lat_e.faces == lat_g.faces
+    wrapped, oracle = wrap_and_oracle(PointSet.from_rows(rows))
+    assert wrapped == oracle
 
 
-def test_env_var_selects_method(monkeypatch):
-    ps = PointSet.from_rows([[0, 0], [3, 0], [0, 3], [3, 3], [1, 1]])
-    monkeypatch.setenv("POLYSUM_HULL", "guided")
-    lat_g = convex_hull(ps)
-    monkeypatch.setenv("POLYSUM_HULL", "exhaustive")
-    lat_e = convex_hull(ps)
-    assert lat_g.faces == lat_e.faces
-
-
-def test_auto_uses_guided_beyond_candidate_limit():
-    # 3 summand-style clouds of 40 points in R^3: comb(40, 3) is small, so
-    # push to a size where comb(n, dim) crosses the exhaustive limit
-    import math as _math
-
-    import polysum.hull as hull_mod
+def test_wrap_beyond_old_candidate_limit():
+    # hulls with more than 120,000 candidate 3-subsets; the exhaustive oracle
+    # is too slow here, so the expected facets are known in closed form
+    grid = [list(p) for p in itertools.product(range(-2, 3), repeat=3)]
+    assert math.comb(len(grid), 3) > 120_000
+    ps = PointSet.from_rows(grid)
+    lat = convex_hull(ps)
+    assert lat.f_vector == (8, 12, 6)
+    assert verify_supporting(lat, ps)
+    prep = _Prepared(ps)
+    expected = {
+        frozenset(i for i, p in enumerate(grid) if p[axis] == side)
+        for axis in range(3)
+        for side in (-2, 2)
+    }
+    assert set(_facets_wrap(prep.reduced, 3)) == expected
 
     rng = random.Random(31337)
-    pts = {tuple(rng.randint(-30, 30) for _ in range(3)) for _ in range(140)}
-    ps = PointSet.from_rows(sorted(pts))
-    assert _math.comb(len(pts), 3) > hull_mod.EXHAUSTIVE_CANDIDATE_LIMIT
-    lat_auto = convex_hull(ps)  # auto routes to guided
-    assert verify_supporting(lat_auto, ps)
-    sample = convex_hull(
-        PointSet.from_rows(sorted(pts)[:40]), method="exhaustive"
-    )
-    assert sample.polytope_dim == 3  # sanity on the exhaustive reference path
+    pts = sorted({tuple(rng.randint(-30, 30) for _ in range(3)) for _ in range(140)})
+    assert math.comb(len(pts), 3) > 120_000
+    cloud = PointSet.from_rows(pts)
+    assert verify_supporting(convex_hull(cloud), cloud)
 
 
 def test_duplicated_points_share_faces():
