@@ -62,9 +62,6 @@ class PartitionedPointSet:
             index -= len(p)
         raise IndexError("point index out of range")
 
-    def part_sizes(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
-
 
 @dataclass(frozen=True)
 class CayleyConfig:

@@ -23,13 +23,12 @@ from .cayley import PartitionedPointSet, minksum_direct, minksum_via_cayley
 from .construction import (
     ConstructionParams,
     SearchExhausted,
-    find_tau_star,
-    find_zeta_diamond,
+    certify_family,
     generate_family,
     verify_tightness,
 )
 from .exact import rat, rat_to_str
-from .hull import PointSet, convex_hull, scale_translate, verify_supporting
+from .hull import PointSet, convex_hull, verify_supporting
 from .jsonio import dump_json, lattice_to_dict, load_pointset, pointset_to_dict, read_json
 
 DEFAULT_SEED = 20240809
@@ -216,10 +215,7 @@ def _cmd_construct(args, report: RunReport) -> None:
     params = ConstructionParams.defaults(args.d, args.r, args.n)
     if args.alpha:
         params = dataclasses.replace(params, alpha=_parse_alpha(args.alpha))
-    tau_cert = find_tau_star(params, args.max_halvings)
-    params = dataclasses.replace(params, tau=tau_cert.value)
-    zeta_cert = find_zeta_diamond(params, args.max_halvings)
-    params = dataclasses.replace(params, zeta=zeta_cert.value)
+    params, tau_cert, zeta_cert = certify_family(params, args.max_halvings)
     family = generate_family(params, lifted=True)
     report.outputs.update(
         {
@@ -290,7 +286,8 @@ def _cmd_selftest(args, report: RunReport) -> None:
             supporting_ok = False
         s = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         shift = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)]
-        lat2 = convex_hull(scale_translate(ps, s, shift))
+        moved = PointSet(d, tuple(tuple(s * x + dx for x, dx in zip(p, shift)) for p in ps.points))
+        lat2 = convex_hull(moved)
         if lat.faces != lat2.faces:
             invariance_ok = False
     report.check_that("euler_relation_on_random_hulls", euler_ok)

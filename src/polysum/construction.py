@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -31,7 +32,7 @@ from .cayley import (
     spanning_face_counts,
     sum_f_vector,
 )
-from .exact import det_rows, det_sign_rows, rat, rat_to_str
+from .exact import clear_denominators, det_rows, hyperplane, rat, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
 
 
@@ -274,11 +275,6 @@ def witness_determinant(
     return sign * det_rows(rows)
 
 
-def _witness_sign(subset, x, params, zeta) -> int:
-    cols, sign = _witness_columns(subset, x, params, zeta)
-    return sign * det_sign_rows(list(zip(*cols)))
-
-
 def expected_check_count(params: ConstructionParams) -> int:
     """Number of witness determinants a full certification sweep evaluates."""
     total_pts = sum(params.n)
@@ -288,20 +284,47 @@ def expected_check_count(params: ConstructionParams) -> int:
 
 
 def _sweep_all_positive(params: ConstructionParams, zeta: Optional[Fraction]) -> tuple[bool, int]:
-    """Evaluate every (subset, outside vertex) witness sign; early exit on failure."""
-    r = params.r
+    """Evaluate every (subset, outside vertex) witness sign; early exit on failure.
+
+    Expanding the witness determinant along its (1, x) column gives
+    sign * (c0 + c.x), where (c0, c) are the cofactors of the subset's fixed
+    columns.  Every column is scaled to integers by a positive factor, which
+    keeps each sign, so a subset costs one ``hyperplane`` and an outside
+    vertex one integer dot product.
+    """
+    d, r, n = params.d, params.r, params.n
+
+    def columns(points) -> list[list[int]]:
+        """The columns (1, point), each scaled by the lcm of its denominators."""
+        return clear_denominators([(1, *p) for p in points])[0]
+
+    # per part and j: the vertex column, then its epsilon-companion's
+    pairs = [
+        [
+            columns(
+                lifted_curve_point(i + 1, params.curve_parameter(i, j, e), params, zeta)
+                for e in (False, True)
+            )
+            for j in range(n[i])
+        ]
+        for i in range(r)
+    ]
+    tails = columns(
+        lifted_curve_point(r, lam * params.m_tail, params, zeta) for lam in range(1, d - r)
+    )
+    sign = (-1) ** (r * (r - 1) // 2)
     checked = 0
     for k in range(r, params.k_max + 1):
-        for subset in spanning_subsets(params.n, k):
-            for i in range(1, r + 1):
-                for j in range(params.n[i - 1]):
-                    if subset.contains(i - 1, j):
-                        continue
-                    t = params.curve_parameter(i - 1, j)
-                    x = lifted_curve_point(i, t, params, zeta)
-                    checked += 1
-                    if _witness_sign(subset, x, params, zeta) <= 0:
-                        return False, checked
+        for subset in spanning_subsets(n, k):
+            fixed = [c for i, js in enumerate(subset.per_part) for j in js for c in pairs[i][j]]
+            # dependent fixed columns make every witness vanish
+            h = hyperplane(fixed + tails[: d + r - 1 - 2 * k]) or (0,) * (d + r)
+            for i, js in enumerate(subset.per_part):
+                for j, (x, _) in enumerate(pairs[i]):
+                    if j not in js:
+                        checked += 1
+                        if sign * sum(map(operator.mul, h, x)) <= 0:
+                            return False, checked
     return True, checked
 
 
@@ -311,6 +334,10 @@ class SearchCertificate:
     halvings: int
     determinants_checked: int
     expected_checks: int
+
+    def counts(self) -> dict:
+        """Everything but the value: halvings and witness determinant counts."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if k != "value"}
 
 
 def find_tau_star(params: ConstructionParams, max_halvings: int = 64) -> SearchCertificate:
@@ -340,6 +367,16 @@ def find_zeta_diamond(params: ConstructionParams, max_halvings: int = 64) -> Sea
             assert checked == expected
             return SearchCertificate(z, h, checked, expected)
     raise SearchExhausted("zeta search", max_halvings)
+
+
+def certify_family(
+    params: ConstructionParams, max_halvings: int = 64
+) -> tuple[ConstructionParams, SearchCertificate, SearchCertificate]:
+    """Certify tau, then zeta at that tau; return the params carrying both."""
+    tau_cert = find_tau_star(params, max_halvings)
+    params = dataclasses.replace(params, tau=tau_cert.value)
+    zeta_cert = find_zeta_diamond(params, max_halvings)
+    return dataclasses.replace(params, zeta=zeta_cert.value), tau_cert, zeta_cert
 
 
 @dataclass(frozen=True)
@@ -410,16 +447,8 @@ class TightnessReport:
             "n": list(self.n),
             "tau_star": rat_to_str(self.tau_star),
             "zeta_diamond": rat_to_str(self.zeta_diamond),
-            "tau_certificate": {
-                "halvings": self.tau_certificate.halvings,
-                "determinants_checked": self.tau_certificate.determinants_checked,
-                "expected_checks": self.tau_certificate.expected_checks,
-            },
-            "zeta_certificate": {
-                "halvings": self.zeta_certificate.halvings,
-                "determinants_checked": self.zeta_certificate.determinants_checked,
-                "expected_checks": self.zeta_certificate.expected_checks,
-            },
+            "tau_certificate": self.tau_certificate.counts(),
+            "zeta_certificate": self.zeta_certificate.counts(),
             "f_via_cayley": list(self.f_via_cayley),
             "f_direct": list(self.f_direct),
             "checks": self.checks,
@@ -432,11 +461,9 @@ def verify_tightness(
 ) -> TightnessReport:
     """Full pipeline: certify tau and zeta, build the family, compare both
     Minkowski oracles, and assert f_k = phi(k+r) on the tight range."""
-    params = ConstructionParams.defaults(d, r, n)
-    tau_cert = find_tau_star(params, max_halvings)
-    params = dataclasses.replace(params, tau=tau_cert.value)
-    zeta_cert = find_zeta_diamond(params, max_halvings)
-    params = dataclasses.replace(params, zeta=zeta_cert.value)
+    params, tau_cert, zeta_cert = certify_family(
+        ConstructionParams.defaults(d, r, n), max_halvings
+    )
 
     family = generate_family(params, lifted=True)
     lifted_lat = cayley_lattice(family)

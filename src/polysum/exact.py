@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 class DimensionError(ValueError):
@@ -115,8 +115,25 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _clear_row_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; return (int rows, product of the scale factors)."""
+def hyperplane(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """Cofactors (c0..ck) of k integer rows of length k+1.
+
+    Stacking any y on top of the rows gives a square matrix whose
+    determinant is sum(c[j] * y[j]).  For rows (1, p_i) this is the
+    hyperplane c0 + sum(c[j+1] * x[j]) = 0 through the points p_i.  Returns
+    None when the rows are linearly dependent (every cofactor vanishes).
+    """
+    coeffs = []
+    for j in range(len(rows) + 1):
+        d = int_det([row[:j] + row[j + 1 :] for row in rows])
+        coeffs.append(d if j % 2 == 0 else -d)
+    if not any(coeffs):
+        return None
+    return tuple(coeffs)
+
+
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators; return (int rows, product of the scales)."""
     out = []
     scale = 1
     for r in rows:
@@ -132,7 +149,7 @@ def determinant(m: ExactMatrix) -> Fraction:
     """Exact determinant of a square rational matrix (fraction-free core)."""
     if not m.is_square:
         raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    int_rows, scale = _clear_row_denominators(m.row_lists())
+    int_rows, scale = clear_denominators(m.row_lists())
     return Fraction(int_det(int_rows), scale)
 
 
@@ -142,13 +159,8 @@ def det_rows(rows: Sequence[Sequence]) -> Fraction:
 
 
 def det_sign_rows(rows: Sequence[Sequence]) -> int:
-    """Sign (-1/0/1) of the determinant; skips the final rational division."""
-    frac_rows = [[rat(x) for x in r] for r in rows]
-    n = len(frac_rows)
-    if any(len(r) != n for r in frac_rows):
-        raise DimensionError("non-square matrix")
-    int_rows, _ = _clear_row_denominators(frac_rows)
-    d = int_det(int_rows)
+    """Sign (-1/0/1) of the determinant of a square matrix given as rows."""
+    d = det_rows(rows)
     return (d > 0) - (d < 0)
 
 
@@ -223,6 +235,6 @@ def affine_rank(points) -> int:
     diffs = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
     if not diffs:
         return 0
-    int_rows, _ = _clear_row_denominators(diffs)
+    int_rows, _ = clear_denominators(diffs)
     rank, _ = int_row_space_pivots(int_rows)
     return rank

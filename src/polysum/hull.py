@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import int_det, int_row_space_pivots, rat
+from .exact import clear_denominators, hyperplane, int_row_space_pivots, rat
 
 
 @dataclass(frozen=True)
@@ -138,39 +138,6 @@ def neighborliness(lattice: FaceLattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _integerize_columns(pts: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    """Scale each coordinate by a positive integer so all entries are ints."""
-    if not pts:
-        return []
-    dim = len(pts[0])
-    scales = []
-    for c in range(dim):
-        l = 1
-        for p in pts:
-            d = p[c].denominator
-            l = l * d // math.gcd(l, d)
-        scales.append(l)
-    return [tuple(int(p[c] * scales[c]) for c in range(dim)) for p in pts]
-
-
-def _hyperplane(points: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """Coefficients (c0, c1..ck) of the hyperplane through k points in Z^k.
-
-    Returns None when the points are affinely dependent.  The hyperplane is
-    the zero set of c0 + sum(c[j+1] * x[j]).
-    """
-    k = len(points)
-    mat = [[1] + list(p) for p in points]  # k x (k+1)
-    coeffs = []
-    for j in range(k + 1):
-        minor = [row[:j] + row[j + 1 :] for row in mat]
-        d = int_det(minor)
-        coeffs.append(d if j % 2 == 0 else -d)
-    if all(c == 0 for c in coeffs):
-        return None
-    return tuple(coeffs)
-
-
 def _canonical_key(coeffs: Sequence[int]) -> tuple[int, ...]:
     g = 0
     for c in coeffs:
@@ -208,7 +175,7 @@ def _facets_exhaustive(pts: Sequence[tuple[int, ...]], k: int) -> list[frozenset
     seen = set()
     facets = []
     for subset in itertools.combinations(range(len(pts)), k):
-        coeffs = _hyperplane([pts[i] for i in subset])
+        coeffs = hyperplane([(1, *pts[i]) for i in subset])
         if coeffs is None:
             continue
         key = _canonical_key(coeffs)
@@ -232,8 +199,10 @@ def _rotate(pts, flat, away, start) -> tuple[tuple[int, ...], frozenset]:
     Returns its coefficients (``away`` on the positive side) and on-set.
     """
 
+    rows = [(1, *q) for q in flat]
+
     def through(p):
-        h = _hyperplane(flat + [p])
+        h = hyperplane(rows + [(1, *p)])
         if h[0] + sum(map(operator.mul, h[1:], away)) < 0:
             h = tuple(-c for c in h)
         return h[0], h[1:]
@@ -362,7 +331,9 @@ class _Prepared:
                 distinct.append(p)
                 self.members.append([i])
             self.rep_of.append(did)
-        self.int_pts = _integerize_columns(distinct)
+        # scale each coordinate to integers: an affine map, so faces are kept
+        coords, _ = clear_denominators(list(zip(*distinct)))
+        self.int_pts = [tuple(c[i] for c in coords) for i in range(len(distinct))]
         self.rank, pivots = _pivots(self.int_pts)
         self.reduced = [tuple(p[c] for c in pivots) for p in self.int_pts]
 
@@ -450,19 +421,10 @@ def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:
         chosen = _spanning(pts, k)
         if len(chosen) != k:
             return False
-        coeffs = _hyperplane(chosen)
+        coeffs = hyperplane([(1, *p) for p in chosen])
         if coeffs is None:
             return False
         if _side_scan(_canonical_key(coeffs), prep.reduced) is None:
             return False
     return True
 
-
-def scale_translate(ps: PointSet, scale: Fraction, shift: Sequence) -> PointSet:
-    """Apply p -> scale*p + shift to every point (test helper for invariance)."""
-    s = rat(scale)
-    t = [rat(x) for x in shift]
-    if len(t) != ps.ambient_dim:
-        raise ValueError("shift dimension mismatch")
-    pts = tuple(tuple(s * x + dx for x, dx in zip(p, t)) for p in ps.points)
-    return PointSet(ps.ambient_dim, pts, ps.labels)

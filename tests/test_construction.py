@@ -1,6 +1,7 @@
 """Tests for the lower-bound construction and its certificates."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from polysum.construction import (
     verify_tightness,
     witness_determinant,
 )
+from polysum.exact import hyperplane
 from polysum.hull import convex_hull, is_face
 
 
@@ -265,6 +267,77 @@ def test_find_tau_star_and_hull_agreement():
     smaller = dataclasses.replace(p, tau=cert.value / 2)
     ok, checked = _sweep_all_positive(smaller, zeta=None)
     assert ok and checked == 36
+
+
+def _reference_sweep(params, zeta):
+    """Fraction oracle for the sweep: one witness_determinant per pair, same order."""
+    checked = 0
+    for k in range(params.r, params.k_max + 1):
+        for subset in spanning_subsets(params.n, k):
+            for i in range(params.r):
+                for j in range(params.n[i]):
+                    if subset.contains(i, j):
+                        continue
+                    x = lifted_curve_point(i + 1, params.curve_parameter(i, j), params, zeta)
+                    checked += 1
+                    if witness_determinant(subset, x, params, zeta) <= 0:
+                        return False, checked
+    return True, checked
+
+
+@pytest.mark.parametrize("d, r, n", [(3, 2, (4, 4)), (4, 3, (3, 3, 3)), (5, 2, (5, 5))])
+def test_integer_sweep_matches_fraction_oracle(d, r, n):
+    # every halving up to two past the certified one, failing halvings included
+    p = ConstructionParams.defaults(d, r, n)
+    tau_cert = find_tau_star(p)
+    for h in range(tau_cert.halvings + 3):
+        candidate = dataclasses.replace(p, tau=Fraction(1, 2**h))
+        assert _sweep_all_positive(candidate, None) == _reference_sweep(candidate, None), h
+    p = dataclasses.replace(p, tau=tau_cert.value)
+    zeta_cert = find_zeta_diamond(p)
+    for h in range(zeta_cert.halvings + 3):
+        z = Fraction(1, 2**h)
+        assert _sweep_all_positive(p, z) == _reference_sweep(p, z), h
+
+
+def _integer_column(point):
+    """(1, point) times the lcm of its denominators; the head entry is the scale."""
+    scale = math.lcm(*(Fraction(v).denominator for v in point))
+    return (scale, *(int(v * scale) for v in point))
+
+
+def test_hyperplane_expands_witness_determinant():
+    # with integer-scaled fixed columns, sign * (c0 + c.x) is the witness
+    # determinant times the product of the scales
+    rng = random.Random(19)
+    cases = [
+        (ConstructionParams.defaults(5, 2, (5, 5)), Fraction(1, 4), None),
+        (ConstructionParams.defaults(5, 2, (5, 5)), Fraction(1, 4), Fraction(1, 8192)),
+        (ConstructionParams.defaults(4, 3, (3, 3, 3)), Fraction(1), Fraction(1, 64)),
+    ]
+    for base, tau, zeta in cases:
+        p = dataclasses.replace(base, tau=tau)
+        sign = (-1) ** (p.r * (p.r - 1) // 2)
+        for k in range(p.r, p.k_max + 1):
+            subsets = list(spanning_subsets(p.n, k))
+            for subset in rng.sample(subsets, min(4, len(subsets))):
+                fixed = [
+                    _integer_column(
+                        lifted_curve_point(i + 1, p.curve_parameter(i, j, shifted), p, zeta)
+                    )
+                    for i, js in enumerate(subset.per_part)
+                    for j in js
+                    for shifted in (False, True)
+                ] + [
+                    _integer_column(lifted_curve_point(p.r, lam * p.m_tail, p, zeta))
+                    for lam in range(1, p.d + p.r - 2 * k)
+                ]
+                c0, *c = hyperplane(fixed)
+                scale = math.prod(col[0] for col in fixed)
+                for _ in range(3):
+                    x = [rng.randint(-9, 9) for _ in range(p.d + p.r - 1)]
+                    value = c0 + sum(a * b for a, b in zip(c, x))
+                    assert sign * value == witness_determinant(subset, x, p, zeta) * scale
 
 
 def test_witness_sign_matches_hull_face_membership():

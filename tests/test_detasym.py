@@ -1,6 +1,5 @@
 """Tests for the block-determinant asymptotics module."""
 
-import os
 import random
 from fractions import Fraction
 
@@ -237,10 +236,6 @@ def test_ratio_deviation_decreases():
         assert d2 < d1 or (d1 == 0 and d2 == 0)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("POLYSUM_SIGMA_CHECK"),
-    reason="transcribed sign-exponent formula; enable with POLYSUM_SIGMA_CHECK=1",
-)
 def test_sigma_closed_form_parity():
     rng = random.Random(12)
     for _ in range(50):

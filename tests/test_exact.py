@@ -15,6 +15,7 @@ from polysum.exact import (
     det_sign_rows,
     determinant,
     determinant_cofactor,
+    hyperplane,
     int_det,
     rat,
     rat_to_str,
@@ -61,6 +62,20 @@ def test_determinant_rational_entries():
     expected = Fraction(1, 2) * Fraction(1, 7) - Fraction(1, 3) * Fraction(1, 5)
     assert det_rows(rows) == expected
     assert det_sign_rows(rows) == (expected > 0) - (expected < 0)
+
+
+def test_hyperplane_is_the_first_row_expansion():
+    rng = random.Random(73)
+    for _ in range(100):
+        k = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(k + 1)) for _ in range(k)]
+        y = [rng.randint(-6, 6) for _ in range(k + 1)]
+        coeffs = hyperplane(rows)
+        expected = int_det([y, *rows])
+        assert sum(c * v for c, v in zip(coeffs or (0,) * (k + 1), y)) == expected
+    assert hyperplane([(1, 2, 3), (2, 4, 6)]) is None
+    # the line through (0,0) and (1,1): x1 - x0 = 0
+    assert hyperplane([(1, 0, 0), (1, 1, 1)]) == (0, -1, 1)
 
 
 def test_bareiss_agrees_with_cofactor_oracle():

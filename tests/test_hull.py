@@ -17,9 +17,14 @@ from polysum.hull import (
     convex_hull,
     is_face,
     neighborliness,
-    scale_translate,
     verify_supporting,
 )
+
+
+def scale_translate(ps: PointSet, scale: Fraction, shift) -> PointSet:
+    """Apply p -> scale*p + shift to every point."""
+    pts = tuple(tuple(scale * x + dx for x, dx in zip(p, shift)) for p in ps.points)
+    return PointSet(ps.ambient_dim, pts, ps.labels)
 
 
 def square() -> PointSet:
