@@ -152,8 +152,20 @@ def _cmd_phi(args, report: RunReport) -> None:
     print(value)
 
 
+_BOUND_OPTIONS = {
+    "trivial": ("k", "d", "n"),
+    "three": ("n",),
+    "two": ("k", "d", "n"),
+    "zonotope": ("ell", "d", "n"),
+    "f0-many": ("d", "n"),
+}
+
+
 def _cmd_bound(args, report: RunReport) -> None:
     kind = args.kind
+    missing = [f"--{name}" for name in _BOUND_OPTIONS[kind] if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"bound --kind {kind} requires {' '.join(missing)}")
     if kind == "trivial":
         profile = bnd.VertexProfile(tuple(args.n), args.d)
         value = bnd.trivial_upper_bound(args.k, profile)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .construction import SearchExhausted
 from .exact import ExactMatrix, determinant, rat, rat_to_str
 
 BRUTE_FORCE_SIZE_CAP = 8
@@ -322,7 +323,7 @@ def certify_positivity(spec: DeltaSpec, max_halvings: int = 64) -> PositivityRep
             tau0, halvings = t, h
             break
     if tau0 is None:
-        raise RuntimeError(f"no positivity threshold found in {max_halvings} halvings")
+        raise SearchExhausted("tau0 search", max_halvings)
 
     def deviation(t: Fraction) -> Fraction:
         return abs(delta_value(spec, t) / (lt.coefficient * t**lt.theta) - 1)

@@ -4,10 +4,14 @@ Points are rational; every predicate is decided with exact integer
 determinants after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
-Facets come from an exact gift-wrap: start on one facet, cross every ridge
-to its neighbour by rotating a hyperplane about it, and certify completeness
-by checking that every ridge lies in exactly two facets.  No floating point
-is used anywhere.
+The face lattice comes from one descent.  The polytope's facets are found
+by an exact gift-wrap: start on one facet, cross every ridge to its
+neighbour by rotating a hyperplane about it, and certify completeness by
+checking that every ridge lies in exactly two facets.  The ridges are the
+facets' own facets, found the same way one dimension down.  A memo keyed by
+the set of points on a face hands its facets both to the wrap above it and
+to the lattice, so each face is wrapped once.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -257,47 +261,47 @@ def _spanning(points: list[tuple[int, ...]], count: int) -> list[tuple[int, ...]
     return chosen
 
 
-def _ridges(pts, facet: frozenset, k: int):
-    """Yield (on-set, k-1 spanning points) for each ridge of a facet."""
-    idx = sorted(facet)
-    if len(idx) == k:
-        for i in idx:
-            yield facet - {i}, [pts[j] for j in idx if j != i]
-        return
-    sub = [pts[i] for i in idx]
-    _, pivots = _pivots(sub)
-    for local in _facets_wrap([tuple(p[c] for c in pivots) for p in sub], k - 1):
-        ridge = frozenset(idx[j] for j in local)
-        yield ridge, _spanning([pts[i] for i in sorted(ridge)], k - 1)
+def _facets_of(pts, face: frozenset, j: int, memo: dict) -> list[frozenset]:
+    """Facet on-sets of the j-face whose on-set (indices into ``pts``) is ``face``.
 
-
-def _facets_wrap(pts: Sequence[tuple[int, ...]], k: int) -> list[frozenset]:
-    """Facet on-sets of the hull of distinct, full-dimensional points in Z^k.
-
-    Gift-wrapping (Chand & Kapur 1970; Swart 1985): from one facet, cross
-    each ridge to its neighbour with an exact rotation.  A non-simplicial
-    facet finds its ridges by wrapping its own rank-reduced points.  Every
-    ridge must end in exactly two facets, which certifies completeness.
+    A simplex's facets are its j-subsets and a segment's are its endpoints.
+    Any other face is gift-wrapped once (Chand & Kapur 1970; Swart 1985) in
+    its own rank-reduced coordinates: from a first facet, cross each ridge to
+    its neighbour with an exact rotation.  The ridges are the facets' own
+    facets, taken from ``memo`` (keyed by on-set) or computed one level down.
+    Every ridge must end in exactly two facets, which certifies completeness.
     """
-    if k == 1:
-        vals = [p[0] for p in pts]
-        return [frozenset([vals.index(min(vals))]), frozenset([vals.index(max(vals))])]
-    first = _first_facet(pts, k)
-    facets = [first]
-    known = {first}
-    degree: dict[frozenset, int] = {}
-    for facet in facets:  # grows while it is walked
-        start = next(i for i in range(len(pts)) if i not in facet)
-        for ridge, flat in _ridges(pts, facet, k):
-            degree[ridge] = degree.get(ridge, 0) + 1
-            if degree[ridge] > 1:
-                continue
-            _, neighbour = _rotate(pts, flat, pts[min(facet - ridge)], start)
-            if neighbour not in known:
-                known.add(neighbour)
-                facets.append(neighbour)
-    if any(d != 2 for d in degree.values()):
-        raise AssertionError("gift-wrap left a ridge outside exactly two facets")
+    if face in memo:
+        return memo[face]
+    idx = sorted(face)
+    if len(idx) == j + 1:
+        facets = [face - {i} for i in idx]
+    elif j == 1:
+        c = next(c for c, (a, b) in enumerate(zip(pts[idx[0]], pts[idx[1]])) if a != b)
+        ends = sorted(idx, key=lambda i: pts[i][c])
+        facets = [frozenset([ends[0]]), frozenset([ends[-1]])]
+    else:
+        _, pivots = _pivots([pts[i] for i in idx])
+        sub = [tuple(pts[i][c] for c in pivots) for i in idx]
+        local = {i: n for n, i in enumerate(idx)}
+        facets = [frozenset(idx[n] for n in _first_facet(sub, j))]
+        known = set(facets)
+        degree: dict[frozenset, int] = {}
+        for facet in facets:  # grows while it is walked
+            start = next(n for n, i in enumerate(idx) if i not in facet)
+            for ridge in _facets_of(pts, facet, j - 1, memo):
+                degree[ridge] = degree.get(ridge, 0) + 1
+                if degree[ridge] > 1:
+                    continue
+                flat = _spanning([sub[local[i]] for i in sorted(ridge)], j - 1)
+                _, on = _rotate(sub, flat, sub[local[min(facet - ridge)]], start)
+                neighbour = frozenset(idx[n] for n in on)
+                if neighbour not in known:
+                    known.add(neighbour)
+                    facets.append(neighbour)
+        if any(d != 2 for d in degree.values()):
+            raise AssertionError("gift-wrap left a ridge outside exactly two facets")
+    memo[face] = facets
     return facets
 
 
@@ -341,66 +345,38 @@ class _Prepared:
 def convex_hull(points: PointSet) -> FaceLattice:
     """Complete face lattice of the convex hull of a rational point set.
 
-    Facets come from the gift-wrap (see module docs); every lower face is an
-    intersection of facets, so the lattice is closed under vertex-set
-    intersection by construction.  Points interior to the
-    hull never appear in any vertex set.
+    Walks down from the polytope one dimension at a time: the (j-1)-faces
+    are the facets of the j-faces (see ``_facets_of``), so a face's dimension
+    is its level and the vertices are the 0-faces.  One memo serves every
+    level, so each non-simplicial face is wrapped exactly once.  Points
+    interior to the hull never appear in any vertex set.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
     prep = _Prepared(points)
     k = prep.rank
     n = len(points)
-    m = len(prep.int_pts)
 
     if k == 0:
         faces = (Face(-1, ()), Face(0, tuple(range(n))))
         return FaceLattice(points.ambient_dim, 0, n, faces, ())
 
-    facet_sets = _facets_wrap(prep.reduced, k)
-
-    # close the facet vertex sets under intersection (bitmask arithmetic)
-    facet_masks = [sum(1 << i for i in f) for f in facet_sets]
-    all_masks = set(facet_masks)
-    frontier = set(facet_masks)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in facet_masks:
-                c = a & b
-                if c and c not in all_masks and c not in new:
-                    new.add(c)
-        all_masks |= new
-        frontier = new
-
-    mask_ids = {mask: [i for i in range(m) if (mask >> i) & 1] for mask in all_masks}
-    dims = {
-        mask: _int_affine_rank([prep.reduced[i] for i in ids])
-        for mask, ids in mask_ids.items()
-    }
-    vertex_dids = {ids[0] for mask, ids in mask_ids.items() if dims[mask] == 0}
+    memo: dict[frozenset, list[frozenset]] = {}
+    levels = [{frozenset(range(len(prep.int_pts)))}]
+    for j in range(k, 0, -1):
+        levels.append({g for f in levels[-1] for g in _facets_of(prep.reduced, f, j, memo)})
+    levels.reverse()
+    vertex_dids = {did for (did,) in levels[0]}
 
     def expand(dids) -> tuple[int, ...]:
-        out = []
-        for did in dids:
-            if did in vertex_dids:
-                out.extend(prep.members[did])
-        return tuple(sorted(out))
+        return tuple(sorted(i for did in dids if did in vertex_dids for i in prep.members[did]))
 
-    faces = [Face(-1, ())]
-    seen_vsets = {(): -1}
-    counts = [0] * k
-    for mask, ids in mask_ids.items():
-        vset = expand(ids)
-        d = dims[mask]
-        if vset in seen_vsets:
-            raise AssertionError(f"two faces share vertex set {vset}")
-        seen_vsets[vset] = d
-        faces.append(Face(d, vset))
-        counts[d] += 1
-    faces.append(Face(k, expand(sorted(vertex_dids))))
+    faces = [Face(-1, ())] + [Face(j, expand(f)) for j, level in enumerate(levels) for f in level]
+    if len({f.vertices for f in faces}) != len(faces):
+        raise AssertionError("two faces share a vertex set")
     faces.sort(key=lambda f: (f.dim, f.vertices))
-    return FaceLattice(points.ambient_dim, k, n, tuple(faces), tuple(counts))
+    f_vector = tuple(len(level) for level in levels[:k])
+    return FaceLattice(points.ambient_dim, k, n, tuple(faces), f_vector)
 
 
 def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:

@@ -18,10 +18,25 @@ def pointset_to_dict(ps: PointSet) -> dict:
     return out
 
 
+def _list_of_scalars(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, (int, str)) for x in value)
+
+
 def pointset_from_dict(data: dict) -> PointSet:
-    points = tuple(tuple(rat(x) for x in row) for row in data["points"])
-    labels = tuple(data["labels"]) if "labels" in data and data["labels"] else None
-    return PointSet(int(data["ambient_dim"]), points, labels)
+    fields = data if isinstance(data, dict) else {}
+    dim, rows, labels = fields.get("ambient_dim"), fields.get("points"), fields.get("labels")
+    if not (
+        isinstance(dim, (int, str))
+        and isinstance(rows, list)
+        and all(_list_of_scalars(row) for row in rows)
+        and (labels is None or _list_of_scalars(labels))
+    ):
+        raise ValueError(
+            'a point set is {"ambient_dim": int, "points": [[int or "p/q", ...], ...]}'
+            ' with optional "labels": [...]'
+        )
+    points = tuple(tuple(rat(x) for x in row) for row in rows)
+    return PointSet(int(dim), points, tuple(labels) if labels else None)
 
 
 def lattice_to_dict(lat: FaceLattice) -> dict:

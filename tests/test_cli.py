@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import polysum
 from polysum.cli import run_command
 from polysum.jsonio import dump_json
@@ -175,6 +177,53 @@ def test_exhausted_halving_budget_exit_2(capsys):
     assert (code, report) == (2, None)
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: tau search: no certificate after 1 halvings"]
+
+
+def test_delta_exhausted_halving_budget_exit_2(tmp_path, capsys):
+    spec = {"kappa": [3, 3], "beta": [4, 0], "x": [["3/2", "5/2", "3"], ["3/2", "2", "5/2"]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(["delta", "--spec", str(path), "--find-tau0", "--max-halvings", "0"])
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err.splitlines() == ["error: tau0 search: no certificate after 0 halvings"]
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["--kind", "trivial", "--d", "5", "--n", "5,5"], "--k"),
+        (["--kind", "three"], "--n"),
+        (["--kind", "two", "--d", "3", "--n", "4,4"], "--k"),
+        (["--kind", "zonotope", "--d", "2", "--n", "3"], "--ell"),
+        (["--kind", "f0-many", "--n", "4,4,4"], "--d"),
+    ],
+)
+def test_bound_missing_option_exit_2(argv, missing, capsys):
+    code, report = run(["bound", *argv])
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(f"requires {missing}")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ambient_dim": 2, "points": 5},
+        {"ambient_dim": None, "points": [["0", "0"], ["1", "0"]]},
+        {"points": [["0", "0"], ["1", "0"]]},
+        {"ambient_dim": 2, "points": [["0", None], ["1", "0"]]},
+        {"ambient_dim": 2, "points": [["0", "0"], ["1", "0"]], "labels": [["a"], ["b"]]},
+        [["0", "0"], ["1", "0"]],
+    ],
+)
+@pytest.mark.parametrize("command", ["hull", "minksum"])
+def test_malformed_point_file_exit_2(tmp_path, capsys, doc, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, report = run([command, "--inputs", str(path)])
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_minksum_runs_without_numpy_or_scipy(tmp_path):

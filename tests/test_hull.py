@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysum.hull as hull
+from polysum.exact import affine_rank
 from polysum.hull import (
     PointSet,
     _facets_exhaustive,
-    _facets_wrap,
+    _facets_of,
     _Prepared,
     convex_hull,
     is_face,
@@ -125,8 +127,6 @@ def test_lattice_closure_under_intersection():
 
 
 def test_face_dims_match_affine_rank():
-    from polysum.exact import affine_rank
-
     ps = moment_points(3, range(1, 6))
     lat = convex_hull(ps)
     for f in lat.faces:
@@ -180,14 +180,38 @@ def test_random_hulls_supporting_and_facet_count(seed):
         assert lat.f_vector[-1] >= lat.polytope_dim + 1
 
 
+def wrap(prep: _Prepared) -> list[frozenset]:
+    return _facets_of(prep.reduced, frozenset(range(len(prep.reduced))), prep.rank, {})
+
+
 def wrap_and_oracle(ps: PointSet):
     prep = _Prepared(ps)
-    wrapped = _facets_wrap(prep.reduced, prep.rank)
+    wrapped = wrap(prep)
     assert len(set(wrapped)) == len(wrapped)
     return set(wrapped), set(_facets_exhaustive(prep.reduced, prep.rank))
 
 
-def test_wrap_matches_exhaustive():
+def lattice_oracle(ps: PointSet) -> set[tuple[int, tuple[int, ...]]]:
+    """(dim, vertices) of every face: the exhaustive facets closed under
+    intersection, each face ranked from its points."""
+    prep = _Prepared(ps)
+    facets = _facets_exhaustive(prep.reduced, prep.rank)
+    faces = set(facets)
+    frontier = set(facets)
+    while frontier:
+        frontier = {a & b for a in frontier for b in facets} - faces - {frozenset()}
+        faces |= frontier
+    dims = {f: affine_rank([prep.reduced[i] for i in f]) for f in faces}
+    vertices = {i for f in faces if dims[f] == 0 for i in f}
+
+    def expand(f):
+        return tuple(sorted(i for d in f if d in vertices for i in prep.members[d]))
+
+    top = (prep.rank, expand(range(len(prep.reduced))))
+    return {(dims[f], expand(f)) for f in faces} | {(-1, ()), top}
+
+
+def wrap_cases() -> list[list[list[int]]]:
     rng = random.Random(987)
     cases = []
     for _ in range(12):
@@ -195,7 +219,7 @@ def test_wrap_matches_exhaustive():
         n = rng.randint(d + 2, 12)
         cases.append([[rng.randint(-6, 6) for _ in range(d)] for _ in range(n)])
     cube = [list(p) for p in itertools.product([0, 2], repeat=3)]
-    cases += [
+    return cases + [
         # duplicate points
         [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3], [3, 0, 0], [0, 0, 3], [1, 1, 1]],
         # non-simplicial facets, with points inside facets, edges and the body
@@ -206,9 +230,33 @@ def test_wrap_matches_exhaustive():
         [[1, 0, 2, 3], [2, 1, 2, 3], [1, 1, 2, 3], [3, 3, 2, 3], [2, 2, 2, 3]],
         [[t, t * t, 2 * t, 5] for t in range(5)],
     ]
-    for rows in cases:
+
+
+def test_wrap_matches_exhaustive():
+    for rows in wrap_cases():
         wrapped, oracle = wrap_and_oracle(PointSet.from_rows(rows))
         assert wrapped == oracle
+
+
+def test_lattice_matches_intersection_closure():
+    for rows in wrap_cases():
+        ps = PointSet.from_rows(rows)
+        assert {(f.dim, f.vertices) for f in convex_hull(ps).faces} == lattice_oracle(ps)
+
+
+def test_each_face_is_wrapped_once(monkeypatch):
+    calls = []
+    first_facet = hull._first_facet
+
+    def counted(pts, k):
+        calls.append(k)
+        return first_facet(pts, k)
+
+    monkeypatch.setattr(hull, "_first_facet", counted)
+    lat = convex_hull(PointSet.from_rows(list(itertools.product([0, 1], repeat=4))))
+    assert lat.f_vector == (16, 32, 24, 8)
+    # one wrap per face of dimension >= 2: 24 squares, 8 cubes, the 4-cube
+    assert len(calls) == 33 == sum(lat.f_vector[2:]) + 1
 
 
 def test_wrap_handles_tiny_coordinates():
@@ -234,7 +282,7 @@ def test_wrap_beyond_old_candidate_limit():
         for axis in range(3)
         for side in (-2, 2)
     }
-    assert set(_facets_wrap(prep.reduced, 3)) == expected
+    assert set(wrap(prep)) == expected
 
     rng = random.Random(31337)
     pts = sorted({tuple(rng.randint(-30, 30) for _ in range(3)) for _ in range(140)})
