@@ -14,7 +14,6 @@ from .bounds import (
     zonotope_bound,
 )
 from .cayley import (
-    CayleyConfig,
     PartitionedPointSet,
     cayley_embed,
     minksum_direct,
@@ -42,14 +41,12 @@ from .detasym import (
     leading_term,
     vandermonde,
 )
-from .exact import ExactMatrix, affine_rank, determinant, rat, rat_to_str
+from .exact import affine_rank, determinant, rat, rat_to_str
 from .hull import FaceLattice, PointSet, convex_hull, is_face, neighborliness
 
 __all__ = [
-    "CayleyConfig",
     "ConstructionParams",
     "DeltaSpec",
-    "ExactMatrix",
     "FaceLattice",
     "PartitionedPointSet",
     "PointSet",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .hull import FaceLattice, PointSet, convex_hull
 
@@ -63,44 +63,25 @@ class PartitionedPointSet:
         raise IndexError("point index out of range")
 
 
-@dataclass(frozen=True)
-class CayleyConfig:
-    """Affine basis prefix dimension."""
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("need r >= 2")
-
-    def basis_vector(self, part: int) -> tuple[Fraction, ...]:
-        """Prefix for a part: zero vector for part 0, then standard basis vectors."""
-        if not 0 <= part < self.r:
-            raise IndexError(part)
-        return tuple(
-            Fraction(1 if (part >= 1 and j == part - 1) else 0)
-            for j in range(self.r - 1)
-        )
+def cayley_prefix(part: int, r: int) -> tuple[Fraction, ...]:
+    """Affine-basis prefix of part ``part`` (0-based) of r: the zero vector
+    for part 0, then the standard basis vectors of R^{r-1}."""
+    return tuple(Fraction(int(j == part - 1)) for j in range(r - 1))
 
 
-def cayley_embed(pps: PartitionedPointSet, cfg: Optional[CayleyConfig] = None) -> PointSet:
+def cayley_embed(pps: PartitionedPointSet) -> PointSet:
     """Lift all parts into R^{r-1} x R^d with per-part affine prefixes."""
-    if cfg is None:
-        cfg = CayleyConfig(pps.r)
-    if cfg.r != pps.r:
-        raise ValueError(f"config is for r={cfg.r}, partition has r={pps.r}")
-    d = pps.ambient_dim
     rows = []
     labels = []
     for i, part in enumerate(pps.parts):
-        prefix = cfg.basis_vector(i)
+        prefix = cayley_prefix(i, pps.r)
         for j, p in enumerate(part.points):
             rows.append(prefix + p)
             if part.labels is not None:
                 labels.append(f"{i}:{part.labels[j]}")
             else:
                 labels.append(f"{i}:{j}")
-    return PointSet.from_rows(rows, labels=labels, ambient_dim=cfg.r - 1 + d)
+    return PointSet.from_rows(rows, labels=labels, ambient_dim=pps.r - 1 + pps.ambient_dim)
 
 
 def spanning_face_counts(lattice: FaceLattice, pps: PartitionedPointSet) -> tuple[int, ...]:
@@ -156,16 +137,12 @@ def sum_f_vector(g: Sequence[int], lifted_dim: int, r: int) -> tuple[int, ...]:
     return tuple(g[r - 1 + j] for j in range(sum_dim))
 
 
-def minksum_via_cayley(
-    pps: PartitionedPointSet, cfg: Optional[CayleyConfig] = None
-) -> tuple[int, ...]:
+def minksum_via_cayley(pps: PartitionedPointSet) -> tuple[int, ...]:
     """f-vector of the Minkowski sum read off the lifted hull's spanning faces."""
-    lattice = cayley_lattice(pps, cfg)
+    lattice = cayley_lattice(pps)
     return sum_f_vector(spanning_face_counts(lattice, pps), lattice.polytope_dim, pps.r)
 
 
-def cayley_lattice(
-    pps: PartitionedPointSet, cfg: Optional[CayleyConfig] = None
-) -> FaceLattice:
+def cayley_lattice(pps: PartitionedPointSet) -> FaceLattice:
     """Face lattice of the lifted (Cayley) polytope itself."""
-    return convex_hull(cayley_embed(pps, cfg if cfg is not None else CayleyConfig(pps.r)))
+    return convex_hull(cayley_embed(pps))

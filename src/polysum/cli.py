@@ -27,9 +27,9 @@ from .construction import (
     generate_family,
     verify_tightness,
 )
-from .exact import rat, rat_to_str
+from .exact import determinant, rat, rat_to_str
 from .hull import PointSet, convex_hull, verify_supporting
-from .jsonio import dump_json, lattice_to_dict, load_pointset, pointset_to_dict, read_json
+from .jsonio import delta_spec_from_dict, dump_json, lattice_to_dict, load_pointset, pointset_to_dict, read_json
 
 DEFAULT_SEED = 20240809
 
@@ -127,15 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     return parser
-
-
-def _load_delta_spec(path: str) -> detasym.DeltaSpec:
-    data = read_json(path)
-    return detasym.DeltaSpec(
-        kappa=tuple(int(k) for k in data["kappa"]),
-        beta=tuple(int(b) for b in data["beta"]),
-        x=tuple(tuple(rat(v) for v in row) for row in data["x"]),
-    )
 
 
 def _parse_alpha(text: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -257,7 +248,7 @@ def _cmd_verify_tight(args, report: RunReport) -> None:
 
 
 def _cmd_delta(args, report: RunReport) -> None:
-    spec = _load_delta_spec(args.spec)
+    spec = delta_spec_from_dict(read_json(args.spec))
     report.inputs["spec"] = {
         "kappa": list(spec.kappa),
         "beta": list(spec.beta),
@@ -344,14 +335,10 @@ def _cmd_selftest(args, report: RunReport) -> None:
     report.check_that("phi_subset_count_identity_sum_le_12", phi_ok)
 
     # Laplace expansion recovers determinants
-    from polysum.exact import ExactMatrix, determinant
-
     laplace_ok = True
     for _ in range(20):
         size = rng.randint(2, 6)
-        m = ExactMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
-        )
+        m = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
         block = sorted(rng.sample(range(size), rng.randint(1, size)))
         if sum(t.value for t in detasym.laplace_expand(m, block)) != determinant(m):
             laplace_ok = False

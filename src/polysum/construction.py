@@ -25,14 +25,14 @@ from typing import Iterator, Optional, Sequence
 
 from .bounds import phi
 from .cayley import (
-    CayleyConfig,
     PartitionedPointSet,
     cayley_lattice,
+    cayley_prefix,
     minksum_direct,
     spanning_face_counts,
     sum_f_vector,
 )
-from .exact import clear_denominators, det_rows, hyperplane, rat, rat_to_str
+from .exact import clear_denominators, determinant, hyperplane, rat, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
 
 
@@ -162,8 +162,7 @@ def lifted_curve_point(
     part: int, t: Fraction, params: ConstructionParams, zeta: Optional[Fraction] = None
 ) -> tuple[Fraction, ...]:
     """Cayley embedding of the curve point: affine prefix + curve coordinates."""
-    cfg = CayleyConfig(params.r)
-    return cfg.basis_vector(part - 1) + moment_curve_point(part, t, params, zeta)
+    return cayley_prefix(part - 1, params.r) + moment_curve_point(part, t, params, zeta)
 
 
 def generate_family(params: ConstructionParams, lifted: bool = False) -> PartitionedPointSet:
@@ -271,8 +270,7 @@ def witness_determinant(
     for the lifted variant, the lift) is below its certified threshold.
     """
     cols, sign = _witness_columns(subset, x, params, zeta)
-    rows = list(zip(*cols))
-    return sign * det_rows(rows)
+    return sign * determinant(list(zip(*cols)))
 
 
 def expected_check_count(params: ConstructionParams) -> int:

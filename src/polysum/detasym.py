@@ -1,13 +1,15 @@
 """Block-determinant asymptotics: the scaled family Delta(tau) and its sign.
 
-Delta is a K x K determinant built from n blocks of columns: an indicator
-row and a linear row per block, then shared power rows; block i is scaled
-by tau^{beta_i}.  As tau -> 0+ the determinant is dominated by a single
-product of generalized Vandermonde determinants with a known exponent, so
-it is strictly positive for all small tau.  This module evaluates the
-family exactly, finds a certified positivity threshold by halving, computes
-the predicted leading term, and cross-checks everything against brute-force
-expansions that know nothing about the block structure.
+Delta is a K x K determinant built from n blocks of columns, block i
+holding kappa_i columns with abscissas x_i.  With 0-based rows, the column
+of abscissa x in block i has 1 in indicator row i, x * tau^beta_i in linear
+row n + i, and x^p * tau^(p * beta_i) in power row 2n + p - 2 for
+p = 2..K-2n+1; every other entry is 0.  As tau -> 0+ the determinant is
+dominated by a single product of generalized Vandermonde determinants with
+a known exponent, so it is strictly positive for all small tau.  This module
+evaluates the family exactly, finds a certified positivity threshold by
+halving, computes the predicted leading term, and cross-checks everything
+against brute-force expansions that know nothing about the block structure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .construction import SearchExhausted
-from .exact import ExactMatrix, determinant, rat, rat_to_str
+from .exact import determinant, rat, rat_to_str
 
 BRUTE_FORCE_SIZE_CAP = 8
 
@@ -75,13 +77,6 @@ class DeltaSpec:
             out.append(out[-1] + k)
         return tuple(out)
 
-    def block_of_column(self, col: int) -> int:
-        ps = self.partial_sums()
-        for i in range(self.n):
-            if ps[i] <= col < ps[i + 1]:
-                return i
-        raise IndexError(col)
-
 
 def vandermonde(x: Sequence[Fraction]) -> Fraction:
     """prod_{i<j} (x_j - x_i); equals the determinant of the power matrix."""
@@ -100,8 +95,7 @@ def gvd(x: Sequence[Fraction], mu: Sequence[int]) -> Fraction:
         raise ValueError("x and mu must have the same length")
     if any(m < 0 for m in mu) or any(a >= b for a, b in zip(mu, mu[1:])):
         raise ValueError("exponents must be strictly increasing and nonnegative")
-    rows = [[v**m for v in xs] for m in mu]
-    return determinant(ExactMatrix.from_rows(rows))
+    return determinant([[v**m for v in xs] for m in mu])
 
 
 @dataclass(frozen=True)
@@ -117,15 +111,15 @@ class LaplaceTerm:
         return self.sign * self.minor * self.complement_minor
 
 
-def laplace_expand(m: ExactMatrix, column_block: Sequence[int]) -> list[LaplaceTerm]:
-    """Expansion of det(m) along a block of columns.
+def laplace_expand(m: Sequence[Sequence], column_block: Sequence[int]) -> list[LaplaceTerm]:
+    """Expansion of det(m) along a block of columns of the square rows m.
 
     Sums, over all row subsets of matching size, the signed products of the
     selected minor and its complementary minor; the total recovers det(m).
     """
-    if not m.is_square:
+    size = len(m)
+    if any(len(row) != size for row in m):
         raise ValueError("square matrix required")
-    size = m.rows
     cols = tuple(sorted(column_block))
     if not cols or any(c < 0 or c >= size for c in cols) or len(set(cols)) != len(cols):
         raise ValueError("column block must be distinct in-range indices")
@@ -133,10 +127,8 @@ def laplace_expand(m: ExactMatrix, column_block: Sequence[int]) -> list[LaplaceT
     terms = []
     for rows in itertools.combinations(range(size), len(cols)):
         other_rows = [r for r in range(size) if r not in rows]
-        sub = ExactMatrix.from_rows([[m.at(r, c) for c in cols] for r in rows])
-        comp = ExactMatrix.from_rows(
-            [[m.at(r, c) for c in other_cols] for r in other_rows]
-        )
+        sub = [[m[r][c] for c in cols] for r in rows]
+        comp = [[m[r][c] for c in other_cols] for r in other_rows]
         sign = -1 if (sum(rows) + sum(cols)) % 2 else 1
         terms.append(
             LaplaceTerm(tuple(rows), cols, sign, determinant(sub), determinant(comp))
@@ -144,38 +136,27 @@ def laplace_expand(m: ExactMatrix, column_block: Sequence[int]) -> list[LaplaceT
     return terms
 
 
-def _entry(spec: DeltaSpec, row: int, col: int, tau: Fraction) -> Fraction:
-    """Matrix entry (row, col) of the block determinant at a concrete tau."""
-    coef, exp = _entry_monomial(spec, row, col)
-    if coef == 0:
-        return Fraction(0)
-    return coef * tau**exp
-
-
-def _entry_monomial(spec: DeltaSpec, row: int, col: int) -> tuple[Fraction, int]:
-    """Entry as (coefficient, tau-exponent); zero entries return (0, 0)."""
+def _monomials(spec: DeltaSpec) -> list[list[tuple[Fraction, int]]]:
+    """The K x K entries of Delta (module docstring) as (coefficient,
+    tau-exponent) pairs, built block by block; zero entries are (0, 0)."""
     n = spec.n
-    i = spec.block_of_column(col)
-    ps = spec.partial_sums()
-    j = col - ps[i]
-    if row < n:
-        return (Fraction(1), 0) if row == i else (Fraction(0), 0)
-    if row < 2 * n:
-        if row - n == i:
-            return spec.x[i][j], spec.beta[i]
-        return (Fraction(0), 0)
-    p = row - 2 * n + 2  # power rows carry exponents 2..m
-    return spec.x[i][j] ** p, p * spec.beta[i]
+    one, zero = (Fraction(1), 0), (Fraction(0), 0)
+    table: list[list[tuple[Fraction, int]]] = [[] for _ in range(spec.K)]
+    for i, (xs, b) in enumerate(zip(spec.x, spec.beta)):
+        for r in range(n):
+            table[r] += [one if r == i else zero] * len(xs)
+            table[n + r] += [(x, b) if r == i else zero for x in xs]
+        for p in range(2, spec.power_row_count + 2):
+            table[2 * n + p - 2] += [(x**p, p * b) for x in xs]
+    return table
 
 
-def build_delta(spec: DeltaSpec, tau: Fraction) -> ExactMatrix:
-    """The K x K matrix of the block determinant at a concrete tau > 0."""
+def build_delta(spec: DeltaSpec, tau: Fraction) -> list[list[Fraction]]:
+    """The K x K matrix of the block determinant at a concrete tau > 0, as rows."""
     tau = rat(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    K = spec.K
-    rows = [[_entry(spec, r, c, tau) for c in range(K)] for r in range(K)]
-    return ExactMatrix.from_rows(rows)
+    return [[coef * tau**exp if exp else coef for coef, exp in row] for row in _monomials(spec)]
 
 
 def delta_value(spec: DeltaSpec, tau: Fraction) -> Fraction:
@@ -193,14 +174,10 @@ def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
     K = spec.K
     if K > BRUTE_FORCE_SIZE_CAP:
         raise ValueError(f"brute-force expansion capped at K <= {BRUTE_FORCE_SIZE_CAP}")
-    row_entries: list[list[tuple[int, Fraction, int]]] = []
-    for r in range(K):
-        entries = []
-        for c in range(K):
-            coef, exp = _entry_monomial(spec, r, c)
-            if coef != 0:
-                entries.append((c, coef, exp))
-        row_entries.append(entries)
+    row_entries = [
+        [(c, coef, exp) for c, (coef, exp) in enumerate(row) if coef != 0]
+        for row in _monomials(spec)
+    ]
     poly: dict[int, Fraction] = defaultdict(Fraction)
 
     def dfs(row: int, used: int, coef: Fraction, exp: int, parity: int):
@@ -221,7 +198,7 @@ def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
 def block_row_choices(spec: DeltaSpec) -> Iterator[tuple[tuple[tuple[int, ...], ...], Fraction]]:
     """Iterated block expansion: every way to assign row sets to the column
     blocks, with the product of the corresponding minors (sign ignored)."""
-    K = spec.K
+    table = _monomials(spec)
     ps = spec.partial_sums()
 
     def rec(i: int, remaining: tuple[int, ...], chosen, prod):
@@ -230,14 +207,11 @@ def block_row_choices(spec: DeltaSpec) -> Iterator[tuple[tuple[tuple[int, ...], 
             return
         cols = range(ps[i], ps[i + 1])
         for rows in itertools.combinations(remaining, spec.kappa[i]):
-            sub = ExactMatrix.from_rows(
-                [[_entry(spec, r, c, Fraction(1)) for c in cols] for r in rows]
-            )
-            minor = determinant(sub)
+            minor = determinant([[table[r][c][0] for c in cols] for r in rows])
             rest = tuple(r for r in remaining if r not in rows)
             yield from rec(i + 1, rest, chosen + [rows], prod * minor)
 
-    yield from rec(0, tuple(range(K)), [], Fraction(1))
+    yield from rec(0, tuple(range(spec.K)), [], Fraction(1))
 
 
 @dataclass(frozen=True)

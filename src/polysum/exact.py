@@ -1,16 +1,16 @@
 """Exact rational scalars, matrices, determinants, and affine rank.
 
 Every geometric predicate in this package bottoms out here.  Scalars are
-``fractions.Fraction`` (arbitrary precision, always canonical); matrices are
-immutable row-major tuples.  Determinants run fraction-free (Bareiss) on
-integer rows after clearing denominators, with a plain cofactor expansion
-kept as an independent cross-check.  No floating point anywhere.
+``fractions.Fraction`` (arbitrary precision, always canonical); a matrix is
+a plain sequence of rows whose entries are ints, Fractions or "p/q" strings.
+Determinants run fraction-free (Bareiss) on integer rows after clearing
+denominators, with a plain cofactor expansion kept as an independent
+cross-check.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -25,7 +25,10 @@ def rat(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact arithmetic; pass a Fraction, int or 'p/q' string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
 
 
 def rat_to_str(q: Fraction) -> str:
@@ -34,49 +37,6 @@ def rat_to_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable rational matrix, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"entry count {len(self.entries)} != rows*cols {self.rows * self.cols}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise DimensionError("ragged rows")
-        return cls(n, m, tuple(rat(x) for r in rows for x in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -145,29 +105,28 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[in
     return out, scale
 
 
-def determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix (fraction-free core)."""
-    if not m.is_square:
-        raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    int_rows, scale = clear_denominators(m.row_lists())
+def _square_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Rows as Fractions, raising DimensionError unless they form a square matrix."""
+    out = [[rat(x) for x in r] for r in rows]
+    if any(len(r) != len(out) for r in out):
+        raise DimensionError(f"determinant of {len(out)} rows of lengths {sorted({len(r) for r in out})}")
+    return out
+
+
+def determinant(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square matrix given as rows (fraction-free core)."""
+    int_rows, scale = clear_denominators(_square_rows(rows))
     return Fraction(int_det(int_rows), scale)
-
-
-def det_rows(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix given as rows of rationals/ints."""
-    return determinant(ExactMatrix.from_rows(rows))
 
 
 def det_sign_rows(rows: Sequence[Sequence]) -> int:
     """Sign (-1/0/1) of the determinant of a square matrix given as rows."""
-    d = det_rows(rows)
+    d = determinant(rows)
     return (d > 0) - (d < 0)
 
 
-def determinant_cofactor(m: ExactMatrix) -> Fraction:
+def determinant_cofactor(rows: Sequence[Sequence]) -> Fraction:
     """Independent determinant oracle: recursive cofactor expansion."""
-    if not m.is_square:
-        raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
 
     def rec(rows: list[list[Fraction]]) -> Fraction:
         n = len(rows)
@@ -184,7 +143,7 @@ def determinant_cofactor(m: ExactMatrix) -> Fraction:
             total += term if j % 2 == 0 else -term
         return total
 
-    return rec(m.row_lists())
+    return rec(_square_rows(rows))
 
 
 def int_row_space_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:

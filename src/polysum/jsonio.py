@@ -1,9 +1,11 @@
-"""JSON interchange: rationals as "p/q" strings, point sets, lattices."""
+"""JSON interchange: rationals as "p/q" strings, point sets, lattices and
+block-determinant specs."""
 
 from __future__ import annotations
 
 import json
 
+from .detasym import DeltaSpec
 from .exact import rat, rat_to_str
 from .hull import FaceLattice, PointSet
 
@@ -37,6 +39,21 @@ def pointset_from_dict(data: dict) -> PointSet:
         )
     points = tuple(tuple(rat(x) for x in row) for row in rows)
     return PointSet(int(dim), points, tuple(labels) if labels else None)
+
+
+def delta_spec_from_dict(data: dict) -> DeltaSpec:
+    fields = data if isinstance(data, dict) else {}
+    kappa, beta, x = fields.get("kappa"), fields.get("beta"), fields.get("x")
+    if not (
+        all(isinstance(v, list) and all(isinstance(k, int) for k in v) for v in (kappa, beta))
+        and isinstance(x, list)
+        and all(_list_of_scalars(row) for row in x)
+    ):
+        raise ValueError(
+            'a delta spec is {"kappa": [int, ...], "beta": [int, ...],'
+            ' "x": [[int or "p/q", ...], ...]}'
+        )
+    return DeltaSpec(tuple(kappa), tuple(beta), tuple(tuple(rat(v) for v in row) for row in x))
 
 
 def lattice_to_dict(lat: FaceLattice) -> dict:

@@ -8,7 +8,6 @@ import pytest
 
 from polysum.bounds import VertexProfile, trivial_upper_bound
 from polysum.cayley import (
-    CayleyConfig,
     PartitionedPointSet,
     cayley_embed,
     cayley_lattice,
@@ -43,9 +42,7 @@ def test_cayley_embed_injective_and_partition_preserving():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        CayleyConfig(1)
-    with pytest.raises(ValueError):
-        cayley_embed(PartitionedPointSet.from_rows([[[0]], [[1]]]), CayleyConfig(3))
+        PartitionedPointSet.from_rows([[[0], [1]]])
 
 
 def test_spanning_counts_same_segment_square():

@@ -189,6 +189,25 @@ def test_delta_exhausted_halving_budget_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc",
+    [
+        {"kappa": 5, "beta": [1, 0], "x": [["1", "2"], ["3", "5"]]},
+        {"kappa": [2, 2], "beta": [1, 0], "x": [["1", None], ["3", "5"]]},
+        [[2, 2], [1, 0]],
+        {"kappa": [2, 2], "beta": [1, 0]},
+        {"kappa": [2, 2], "beta": "1", "x": [["1", "2"], ["3", "5"]]},
+    ],
+)
+def test_malformed_delta_spec_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["delta", "--spec", str(path), "--find-tau0"])
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith('error: a delta spec is {"kappa"')
+
+
+@pytest.mark.parametrize(
     "argv, missing",
     [
         (["--kind", "trivial", "--d", "5", "--n", "5,5"], "--k"),
@@ -212,6 +231,7 @@ def test_bound_missing_option_exit_2(argv, missing, capsys):
         {"ambient_dim": None, "points": [["0", "0"], ["1", "0"]]},
         {"points": [["0", "0"], ["1", "0"]]},
         {"ambient_dim": 2, "points": [["0", None], ["1", "0"]]},
+        {"ambient_dim": 2, "points": [["0", "1/0"], ["1", "0"]]},
         {"ambient_dim": 2, "points": [["0", "0"], ["1", "0"]], "labels": [["a"], ["b"]]},
         [["0", "0"], ["1", "0"]],
     ],

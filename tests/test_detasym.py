@@ -19,7 +19,7 @@ from polysum.detasym import (
     sigma_closed_form,
     vandermonde,
 )
-from polysum.exact import ExactMatrix, determinant
+from polysum.exact import determinant
 
 
 def hand_spec():
@@ -43,7 +43,7 @@ def test_vandermonde_equals_power_matrix():
         if len(xs) < 2:
             continue
         rows = [[x**p for x in xs] for p in range(len(xs))]
-        assert vandermonde(xs) == determinant(ExactMatrix.from_rows(rows))
+        assert vandermonde(xs) == determinant(rows)
         assert vandermonde(xs) > 0
 
 
@@ -83,14 +83,12 @@ def test_laplace_expansion_identities():
     rng = random.Random(5)
     for _ in range(25):
         size = rng.randint(2, 5)
-        m = ExactMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
-        )
+        m = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
         block = sorted(rng.sample(range(size), rng.randint(1, size)))
         terms = laplace_expand(m, block)
         assert sum(t.value for t in terms) == determinant(m)
     # single-column block degenerates to a cofactor expansion
-    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    m = [[1, 2], [3, 4]]
     terms = laplace_expand(m, [0])
     assert sum(t.value for t in terms) == -2
     assert len(terms) == 2
@@ -103,10 +101,52 @@ def test_build_delta_shape_and_hand_value():
     spec = hand_spec()
     tau = Fraction(1, 3)
     mat = build_delta(spec, tau)
-    assert mat.rows == mat.cols == spec.K == 4
+    assert spec.K == 4 and len(mat) == 4 and all(len(row) == 4 for row in mat)
     assert spec.n + spec.n + spec.power_row_count == spec.K
     # hand expansion: Delta(tau) = tau * (x12-x11) * (x22-x21)
     assert delta_value(spec, tau) == tau * (2 - 1) * (5 - 3)
+
+
+def delta_by_definition(spec, tau):
+    """Delta(tau) column by column, straight from the module docstring."""
+    n, K = spec.n, spec.K
+    columns = []
+    for i in range(n):
+        for x in spec.x[i]:
+            indicator = [1 if r == i else 0 for r in range(n)]
+            linear = [x * tau ** spec.beta[i] if r == i else 0 for r in range(n)]
+            powers = [x**p * tau ** (p * spec.beta[i]) for p in range(2, K - 2 * n + 2)]
+            columns.append(indicator + linear + powers)
+    return [[col[r] for col in columns] for r in range(K)]
+
+
+def wide_delta_spec(rng, K):
+    """Spec of size exactly K: 2..5 blocks of 2..6 columns."""
+    while True:
+        n = rng.randint(2, min(5, K // 2))
+        kappa = [2] * n
+        for _ in range(K - 2 * n):
+            kappa[rng.randrange(n)] += 1
+        if max(kappa) <= 6:
+            break
+    beta = sorted(rng.sample(range(0, 8), n), reverse=True)
+    xs = []
+    for k in kappa:
+        vals = [Fraction(rng.randint(1, 4), rng.randint(1, 3))]
+        for _ in range(k - 1):
+            vals.append(vals[-1] + Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        xs.append(tuple(vals))
+    return DeltaSpec(tuple(kappa), tuple(beta), tuple(xs))
+
+
+def test_build_delta_matches_the_definition():
+    rng = random.Random(13)
+    specs = [hand_spec()] + [random_delta_spec(rng) for _ in range(20)]
+    specs += [wide_delta_spec(rng, K) for K in range(4, 19) for _ in range(2)]
+    assert max(spec.K for spec in specs) == 18
+    for spec in specs:
+        for tau in (Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(5, 2)):
+            assert build_delta(spec, tau) == delta_by_definition(spec, tau)
 
 
 def test_delta_positive_below_threshold():
