@@ -169,18 +169,6 @@ def zonotope_bound(l: int, n: int, d: int) -> int:
     return 2 * binom(n, l) * sum(binom(n - l - 1, j) for j in range(d - l))
 
 
-def zonotope_points(generators) -> PointSet:
-    """All subset sums of the generator segments [0, g]; contains every vertex."""
-    gens = [[Fraction(x) for x in g] for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    d = len(gens[0])
-    rows = []
-    for picks in itertools.product((0, 1), repeat=len(gens)):
-        rows.append([sum(e * g[c] for e, g in zip(picks, gens)) for c in range(d)])
-    return PointSet.from_rows(rows, ambient_dim=d)
-
-
 def many_summand_f0_bounds(profile: VertexProfile) -> tuple[int, int]:
     """Vertex-count bounds for r >= d summands: (Sanyal's bound, Weibel's tight bound)."""
     r, d, n = profile.r, profile.d, profile.n

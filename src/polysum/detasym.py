@@ -249,17 +249,6 @@ def leading_term(spec: DeltaSpec) -> LeadingTerm:
     return LeadingTerm(tuple(rho), tuple(alpha), theta, coeff)
 
 
-def sigma_closed_form(spec: DeltaSpec) -> int:
-    """Transcribed sign-exponent of the minimal term (optional cross-check)."""
-    n = spec.n
-    total = 0
-    for i in range(1, n):
-        k_i = spec.kappa[i - 1]
-        total += sum(range(1, k_i + 1))
-        total += 1 + (n + 2 - i) + sum(2 * (n + 1 - i) + j for j in range(1, k_i - 1))
-    return total
-
-
 @dataclass
 class PositivityReport:
     tau0: Fraction
@@ -319,22 +308,3 @@ def certify_positivity(spec: DeltaSpec, max_halvings: int = 64) -> PositivityRep
         deviation_decreasing=decreasing,
         certified=decreasing,
     )
-
-
-def random_delta_spec(rng, max_total: int = 10) -> DeltaSpec:
-    """Random spec with n in {2,3}, kappa_i in {2,3,4}, K <= max_total."""
-    while True:
-        n = rng.choice([2, 3])
-        kappa = tuple(rng.choice([2, 3, 4]) for _ in range(n))
-        if sum(kappa) <= max_total:
-            break
-    exps = sorted(rng.sample(range(0, 6), n), reverse=True)
-    if rng.random() < 0.5:
-        exps[-1] = 0
-    xs = []
-    for k in kappa:
-        vals = [Fraction(rng.randint(1, 4), 2)]
-        for _ in range(k - 1):
-            vals.append(vals[-1] + Fraction(rng.randint(1, 4), 2))
-        xs.append(tuple(vals))
-    return DeltaSpec(kappa=kappa, beta=tuple(exps), x=tuple(xs))

@@ -5,7 +5,9 @@ Every geometric predicate in this package bottoms out here.  Scalars are
 a plain sequence of rows whose entries are ints, Fractions or "p/q" strings.
 Determinants run fraction-free (Bareiss) on integer rows after clearing
 denominators, with a plain cofactor expansion kept as an independent
-cross-check.  No floating point anywhere.
+cross-check.  A hyperplane through k integer points (its k+1 cofactors)
+comes from one fraction-free Gauss-Jordan pass over the k rows rather than
+k+1 separate determinants.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -76,19 +78,57 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def hyperplane(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """Cofactors (c0..ck) of k integer rows of length k+1.
+    """Cofactors (c0..ck) of k integer rows of length k+1, by one elimination.
 
     Stacking any y on top of the rows gives a square matrix whose
-    determinant is sum(c[j] * y[j]).  For rows (1, p_i) this is the
-    hyperplane c0 + sum(c[j+1] * x[j]) = 0 through the points p_i.  Returns
-    None when the rows are linearly dependent (every cofactor vanishes).
+    determinant is sum(c[j] * y[j]), so c[j] = (-1)^j det(rows without
+    column j).  For rows (1, p_i) this is the hyperplane
+    c0 + sum(c[j+1] * x[j]) = 0 through the points p_i.  Returns None when
+    the rows are linearly dependent (every cofactor vanishes).
+
+    One fraction-free Gauss-Jordan pass (Bareiss 1968) takes pivot columns
+    left to right, swapping rows as needed.  Full rank leaves one free
+    column f, and the reduced rows read D x_{pivot i} + a[i][f] x_f = 0 with
+    D the last pivot, so (D at f, -a[i][f] at the i-th pivot column) spans
+    the kernel.  Since D = det(rows without column f) up to the sign of the
+    row swaps, multiplying by (-1)^f and that sign gives the cofactors
+    exactly.  Each pivot column is dropped once used; the free one, once
+    found, stays at the front.
     """
-    coeffs = []
-    for j in range(len(rows) + 1):
-        d = int_det([row[:j] + row[j + 1 :] for row in rows])
-        coeffs.append(d if j % 2 == 0 else -d)
-    if not any(coeffs):
-        return None
+    a = [list(row) for row in rows]
+    k = len(a)
+    sign = 1
+    prev = 1
+    free = k
+    pos = 0  # where the next pivot column sits: behind the free one, once found
+    for r in range(k):
+        ar = a[r]
+        if not ar[pos]:
+            piv = next((i for i in range(r + 1, k) if a[i][pos]), None)
+            if piv is None and not pos:
+                free, pos = r, 1
+                piv = next((i for i in range(r, k) if a[i][pos]), None)
+            if piv is None:
+                return None
+            if piv != r:
+                a[r], a[piv] = a[piv], ar
+                ar = a[r]
+                sign = -sign
+        p = ar[pos]
+        for i in range(k):
+            if i != r:
+                ai = a[i]
+                m = ai[pos]
+                # exact division: every entry is a minor of the input (Sylvester)
+                ai = [(p * x - m * y) // prev for x, y in zip(ai, ar)]
+                del ai[pos]
+                a[i] = ai
+        del ar[pos]
+        prev = p
+    if free % 2:
+        sign = -sign
+    coeffs = [-sign * row[0] for row in a]
+    coeffs.insert(free, sign * prev)
     return tuple(coeffs)
 
 

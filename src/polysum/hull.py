@@ -162,7 +162,7 @@ def _side_scan(coeffs, pts) -> Optional[frozenset]:
     on = []
     has_pos = has_neg = False
     for i, p in enumerate(pts):
-        v = c0 + sum(a * x for a, x in zip(rest, p))
+        v = c0 + sum(map(operator.mul, rest, p))
         if v > 0:
             has_pos = True
         elif v < 0:

@@ -20,15 +20,20 @@ def pointset_to_dict(ps: PointSet) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not, though bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _list_of_scalars(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, (int, str)) for x in value)
+    return isinstance(value, list) and all(isinstance(x, str) or _is_int(x) for x in value)
 
 
 def pointset_from_dict(data: dict) -> PointSet:
     fields = data if isinstance(data, dict) else {}
     dim, rows, labels = fields.get("ambient_dim"), fields.get("points"), fields.get("labels")
     if not (
-        isinstance(dim, (int, str))
+        (isinstance(dim, str) or _is_int(dim))
         and isinstance(rows, list)
         and all(_list_of_scalars(row) for row in rows)
         and (labels is None or _list_of_scalars(labels))
@@ -45,7 +50,7 @@ def delta_spec_from_dict(data: dict) -> DeltaSpec:
     fields = data if isinstance(data, dict) else {}
     kappa, beta, x = fields.get("kappa"), fields.get("beta"), fields.get("x")
     if not (
-        all(isinstance(v, list) and all(isinstance(k, int) for k in v) for v in (kappa, beta))
+        all(isinstance(v, list) and all(_is_int(k) for k in v) for v in (kappa, beta))
         and isinstance(x, list)
         and all(_list_of_scalars(row) for row in x)
     ):

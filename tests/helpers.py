@@ -1,0 +1,50 @@
+"""Test-only builders: zonotope vertex candidates, random delta specs and the
+transcribed sign exponent of the minimal Delta term."""
+
+import itertools
+from fractions import Fraction
+
+from polysum.detasym import DeltaSpec
+from polysum.hull import PointSet
+
+
+def zonotope_points(generators) -> PointSet:
+    """All subset sums of the generator segments [0, g]; contains every vertex."""
+    gens = [[Fraction(x) for x in g] for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    d = len(gens[0])
+    rows = []
+    for picks in itertools.product((0, 1), repeat=len(gens)):
+        rows.append([sum(e * g[c] for e, g in zip(picks, gens)) for c in range(d)])
+    return PointSet.from_rows(rows, ambient_dim=d)
+
+
+def sigma_closed_form(spec: DeltaSpec) -> int:
+    """Transcribed sign-exponent of the minimal term (optional cross-check)."""
+    n = spec.n
+    total = 0
+    for i in range(1, n):
+        k_i = spec.kappa[i - 1]
+        total += sum(range(1, k_i + 1))
+        total += 1 + (n + 2 - i) + sum(2 * (n + 1 - i) + j for j in range(1, k_i - 1))
+    return total
+
+
+def random_delta_spec(rng, max_total: int = 10) -> DeltaSpec:
+    """Random spec with n in {2,3}, kappa_i in {2,3,4}, K <= max_total."""
+    while True:
+        n = rng.choice([2, 3])
+        kappa = tuple(rng.choice([2, 3, 4]) for _ in range(n))
+        if sum(kappa) <= max_total:
+            break
+    exps = sorted(rng.sample(range(0, 6), n), reverse=True)
+    if rng.random() < 0.5:
+        exps[-1] = 0
+    xs = []
+    for k in kappa:
+        vals = [Fraction(rng.randint(1, 4), 2)]
+        for _ in range(k - 1):
+            vals.append(vals[-1] + Fraction(rng.randint(1, 4), 2))
+        xs.append(tuple(vals))
+    return DeltaSpec(kappa=kappa, beta=tuple(exps), x=tuple(xs))

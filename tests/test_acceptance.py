@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from polysum.bounds import cyclic_fvector_hull, phi, two_polytope_bound, zonotope_bound, zonotope_points
+from polysum.bounds import cyclic_fvector_hull, phi, two_polytope_bound, zonotope_bound
 from polysum.cayley import PartitionedPointSet, minksum_direct, minksum_via_cayley
 from polysum.cli import run_command
 from polysum.construction import ConstructionParams, generate_family, verify_tightness
@@ -19,10 +19,11 @@ from polysum.detasym import (
     delta_value,
     laplace_expand,
     leading_term,
-    random_delta_spec,
 )
 from polysum.exact import determinant
 from polysum.hull import convex_hull, is_face
+
+from helpers import random_delta_spec, zonotope_points
 
 TIGHT_INSTANCES = {
     1: dict(d=3, r=2, n=(4, 4), budget=30.0),

@@ -18,9 +18,10 @@ from polysum.bounds import (
     trivial_upper_bound,
     two_polytope_bound,
     zonotope_bound,
-    zonotope_points,
 )
 from polysum.hull import convex_hull
+
+from helpers import zonotope_points
 
 
 def test_binom_conventions():

@@ -196,6 +196,9 @@ def test_delta_exhausted_halving_budget_exit_2(tmp_path, capsys):
         [[2, 2], [1, 0]],
         {"kappa": [2, 2], "beta": [1, 0]},
         {"kappa": [2, 2], "beta": "1", "x": [["1", "2"], ["3", "5"]]},
+        {"kappa": [True, 2], "beta": [1, 0], "x": [["1", "2"], ["3", "5"]]},
+        {"kappa": [2, 2], "beta": [False, 0], "x": [["1", "2"], ["3", "5"]]},
+        {"kappa": [2, 2], "beta": [1, 0], "x": [["1", True], ["3", "5"]]},
     ],
 )
 def test_malformed_delta_spec_exit_2(tmp_path, capsys, doc):
@@ -244,6 +247,23 @@ def test_malformed_point_file_exit_2(tmp_path, capsys, doc, command):
     assert (code, report) == (2, None)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ambient_dim": True, "points": [["0"], ["1"]]},
+        {"ambient_dim": 2, "points": [["0", False], ["1", "0"]]},
+        {"ambient_dim": 2, "points": [["0", "0"], ["1", "0"]], "labels": [True, False]},
+    ],
+)
+def test_json_booleans_are_not_integers_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["hull", "--inputs", str(path)])
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith('error: a point set is {"ambient_dim"')
 
 
 def test_minksum_runs_without_numpy_or_scipy(tmp_path):

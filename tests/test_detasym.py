@@ -15,11 +15,11 @@ from polysum.detasym import (
     gvd,
     laplace_expand,
     leading_term,
-    random_delta_spec,
-    sigma_closed_form,
     vandermonde,
 )
 from polysum.exact import determinant
+
+from helpers import random_delta_spec, sigma_closed_form
 
 
 def hand_spec():

@@ -86,6 +86,50 @@ def test_hyperplane_is_the_first_row_expansion():
     assert hyperplane([(1, 0, 0), (1, 1, 1)]) == (0, -1, 1)
 
 
+def _hyperplane_cofactor(rows):
+    """Oracle: the k+1 cofactors as separate determinants of the k x k minors."""
+    coeffs = []
+    for j in range(len(rows) + 1):
+        d = int_det([row[:j] + row[j + 1 :] for row in rows])
+        coeffs.append(d if j % 2 == 0 else -d)
+    if not any(coeffs):
+        return None
+    return tuple(coeffs)
+
+
+def _hyperplane_case(rng, k):
+    """k random rows of length k+1, sometimes degenerate in the ways the callers see."""
+    bits = rng.choice((2, 4, 20, 70, 130))  # 70 and 130: entries above 2**64
+    rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(k + 1)] for _ in range(k)]
+    if rng.random() < 0.4:  # the (1, p) rows of the hull
+        for row in rows:
+            row[0] = 1
+    for _ in range(rng.choice((0, 0, 1, 2))):  # all-zero columns
+        j = rng.randrange(k + 1)
+        for row in rows:
+            row[j] = 0
+    if k >= 2 and rng.random() < 0.3:  # one row a combination of the others
+        m = rng.randrange(k)
+        others = rows[:m] + rows[m + 1 :]
+        coefs = [rng.randint(-3, 3) for _ in others]
+        rows[m] = [sum(c * row[j] for c, row in zip(coefs, others)) for j in range(k + 1)]
+    if rng.random() < 0.05:
+        rows[rng.randrange(k)] = [0] * (k + 1)
+    return [tuple(row) for row in rows]
+
+
+def test_hyperplane_matches_cofactor_oracle():
+    rng = random.Random(74)
+    dependent = 0
+    for n in range(2400):
+        k = 1 + n % 8
+        rows = _hyperplane_case(rng, k)
+        expected = _hyperplane_cofactor(rows)
+        assert hyperplane(rows) == expected, rows
+        dependent += expected is None
+    assert 300 < dependent < 2000  # both outcomes are well covered
+
+
 def test_bareiss_agrees_with_cofactor_oracle():
     rng = random.Random(71)
     for _ in range(200):
