@@ -10,6 +10,7 @@ check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -71,6 +72,7 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+@functools.cache  # one parser per process: a dead one leaves ~400 objects for the cyclic GC
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polysum",
@@ -150,6 +152,7 @@ _BOUND_OPTIONS = {
     "zonotope": ("ell", "d", "n"),
     "f0-many": ("d", "n"),
 }
+_BOUND_N_LENGTH = {"three": 2, "two": 2, "zonotope": 1}
 
 
 def _cmd_bound(args, report: RunReport) -> None:
@@ -157,6 +160,10 @@ def _cmd_bound(args, report: RunReport) -> None:
     missing = [f"--{name}" for name in _BOUND_OPTIONS[kind] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"bound --kind {kind} requires {' '.join(missing)}")
+    want = _BOUND_N_LENGTH.get(kind)
+    if want is not None and len(args.n) != want:
+        values = "1 value" if want == 1 else f"{want} values"
+        raise ValueError(f"bound --kind {kind} requires --n with {values}, got {len(args.n)}")
     if kind == "trivial":
         profile = bnd.VertexProfile(tuple(args.n), args.d)
         value = bnd.trivial_upper_bound(args.k, profile)
@@ -406,3 +413,7 @@ def run_command(argv: Sequence[str]) -> tuple[int, Optional[RunReport]]:
 def main() -> None:
     code, _ = run_command(sys.argv[1:])
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -10,18 +10,27 @@ a known exponent, so it is strictly positive for all small tau.  This module
 evaluates the family exactly, finds a certified positivity threshold by
 halving, computes the predicted leading term, and cross-checks everything
 against brute-force expansions that know nothing about the block structure.
+
+Delta(tau) is evaluated on integers: each row of the (coefficient,
+tau-exponent) table is cleared of denominators once per spec (the product
+of the row scales is S), and at tau = p/q row r is also multiplied by
+q^top_r, top_r its largest exponent.  The entries c p^e q^(top_r - e) are
+integers, so one Bareiss determinant divided by S q^(sum of top_r) gives
+Delta exactly.  ``build_delta`` and ``determinant`` stay as the Fraction
+oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .construction import SearchExhausted
-from .exact import determinant, rat, rat_to_str
+from .exact import clear_denominators, determinant, int_det, rat, rat_to_str
 
 BRUTE_FORCE_SIZE_CAP = 8
 
@@ -159,9 +168,31 @@ def build_delta(spec: DeltaSpec, tau: Fraction) -> list[list[Fraction]]:
     return [[coef * tau**exp if exp else coef for coef, exp in row] for row in _monomials(spec)]
 
 
+def _evaluator(spec: DeltaSpec) -> Callable[[Fraction], Fraction]:
+    """tau -> Delta(tau) from one integer table, cleared once per spec as
+    the module docstring describes."""
+    table = _monomials(spec)
+    coefs, scale = clear_denominators([[c for c, _ in row] for row in table])
+    rows = [[(c, e) for c, (_, e) in zip(cs, row)] for cs, row in zip(coefs, table)]
+    tops = [max(e for _, e in row) for row in table]
+    sign = (-1) ** spec.sign_exponent
+    powers = range(max(tops) + 1)
+
+    def value(tau: Fraction) -> Fraction:
+        tau = rat(tau)
+        if tau <= 0:
+            raise ValueError("tau must be positive")
+        p, q = tau.numerator, tau.denominator
+        p_pow, q_pow = [p**e for e in powers], [q**e for e in powers]
+        m = [[c * p_pow[e] * q_pow[top - e] for c, e in row] for row, top in zip(rows, tops)]
+        return Fraction(sign * int_det(m), scale * q ** sum(tops))
+
+    return value
+
+
 def delta_value(spec: DeltaSpec, tau: Fraction) -> Fraction:
     """Value of the signed block determinant: (-1)^{n(n-1)/2} det."""
-    return (-1) ** spec.sign_exponent * determinant(build_delta(spec, tau))
+    return _evaluator(spec)(tau)
 
 
 def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
@@ -278,18 +309,19 @@ def certify_positivity(spec: DeltaSpec, max_halvings: int = 64) -> PositivityRep
     """Find tau0 with Delta(tau0) > 0 and Delta(tau0/2) > 0 by halving from 1,
     then check that Delta(tau)/(coeff * tau^theta) approaches 1 as tau halves."""
     lt = leading_term(spec)
+    delta = functools.cache(_evaluator(spec))  # each distinct tau is evaluated once
     tau0 = None
     halvings = 0
     for h in range(max_halvings + 1):
         t = Fraction(1, 2**h)
-        if delta_value(spec, t) > 0 and delta_value(spec, t / 2) > 0:
+        if delta(t) > 0 and delta(t / 2) > 0:
             tau0, halvings = t, h
             break
     if tau0 is None:
         raise SearchExhausted("tau0 search", max_halvings)
 
     def deviation(t: Fraction) -> Fraction:
-        return abs(delta_value(spec, t) / (lt.coefficient * t**lt.theta) - 1)
+        return abs(delta(t) / (lt.coefficient * t**lt.theta) - 1)
 
     t_probe = tau0 / 2
     d1, d2 = deviation(t_probe), deviation(t_probe / 2)

@@ -137,10 +137,8 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[in
     out = []
     scale = 1
     for r in rows:
-        l = 1
-        for x in r:
-            l = l * x.denominator // math.gcd(l, x.denominator)
-        out.append([int(x * l) for x in r])
+        l = math.lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (l // x.denominator) for x in r])
         scale *= l
     return out, scale
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polysum
-from polysum.cli import run_command
+from polysum.cli import _build_parser, run_command
 from polysum.jsonio import dump_json
 
 
@@ -228,6 +228,23 @@ def test_bound_missing_option_exit_2(argv, missing, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, want, got",
+    [
+        (["--kind", "three", "--n", "4,5,6"], "2 values", 3),
+        (["--kind", "two", "--k", "1", "--d", "3", "--n", "4"], "2 values", 1),
+        (["--kind", "zonotope", "--ell", "0", "--d", "2", "--n", "3,4"], "1 value", 2),
+    ],
+)
+def test_bound_n_length_exit_2(argv, want, got, capsys):
+    code, report = run(["bound", *argv])
+    assert (code, report) == (2, None)
+    kind = argv[1]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bound --kind {kind} requires --n with {want}, got {got}"
+    ]
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"ambient_dim": 2, "points": 5},
@@ -298,6 +315,34 @@ def test_selftest_runs(capsys):
     out = capsys.readouterr().out
     assert "ok   - euler_relation_on_random_hulls" in out
     assert report.passed
+
+
+def test_module_entry_point_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(polysum.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polysum.cli", "bound", "--kind", "three", "--n", "4,4"],
+        env=env, capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["values"] == {"f0": 16, "f1": 32, "f2": 18}
+
+
+def test_reused_parser_gives_fresh_reports(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kappa": [2, 2], "beta": [1, 0], "x": [["1", "2"], ["3", "5"]]}))
+    commands = [
+        ["delta", "--spec", str(spec), "--find-tau0"],
+        ["bound", "--kind", "two", "--k", "1", "--d", "3", "--n", "4,4"],
+    ]
+    fresh = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        code, report = run(argv)
+        fresh.append((code, report.to_dict()))
+    assert _build_parser() is _build_parser()
+    assert run(["phi", "--ell"]) == (2, None)
+    assert [(code, report.to_dict()) for code, report in map(run, commands)] == fresh
+    assert [(code, report.to_dict()) for code, report in map(run, commands[::-1])] == fresh[::-1]
 
 
 def test_failed_check_exits_1(monkeypatch):

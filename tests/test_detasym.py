@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import polysum.detasym as detasym
 from polysum.detasym import (
     DeltaSpec,
     block_row_choices,
@@ -17,7 +18,7 @@ from polysum.detasym import (
     leading_term,
     vandermonde,
 )
-from polysum.exact import determinant
+from polysum.exact import determinant, int_det
 
 from helpers import random_delta_spec, sigma_closed_form
 
@@ -147,6 +148,37 @@ def test_build_delta_matches_the_definition():
     for spec in specs:
         for tau in (Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(5, 2)):
             assert build_delta(spec, tau) == delta_by_definition(spec, tau)
+
+
+def test_delta_value_matches_the_fraction_oracle():
+    rng = random.Random(17)
+    specs = [hand_spec()] + [wide_delta_spec(rng, K) for K in range(4, 19) for _ in range(2)]
+    taus = [Fraction(1, 2**h) for h in range(13)]
+    taus += [Fraction(3, 7), Fraction(5, 3), Fraction(2), Fraction(10**9 + 7, 2**40)]
+    for spec in specs:
+        sign = (-1) ** spec.sign_exponent
+        for tau in taus:
+            assert delta_value(spec, tau) == sign * determinant(build_delta(spec, tau)), (spec, tau)
+    with pytest.raises(ValueError):
+        delta_value(hand_spec(), 0)
+
+
+def test_certify_positivity_evaluates_each_tau_once(monkeypatch):
+    calls = []
+
+    def counting_int_det(rows):
+        calls.append(rows)
+        return int_det(rows)
+
+    monkeypatch.setattr(detasym, "int_det", counting_int_det)
+    rng = random.Random(19)
+    for spec in [hand_spec()] + [random_delta_spec(rng) for _ in range(6)]:
+        calls.clear()
+        report = certify_positivity(spec)
+        # every tau tried is 2^-j, for j = 0 up to the last probe point
+        smallest = report.ratio_points[-1][0]
+        assert smallest.numerator == 1 and smallest.denominator.bit_count() == 1
+        assert len(calls) == smallest.denominator.bit_length()
 
 
 def test_delta_positive_below_threshold():

@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic kernel."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from polysum.detasym import laplace_expand
 from polysum.exact import (
     DimensionError,
     affine_rank,
+    clear_denominators,
     det_sign_rows,
     determinant,
     determinant_cofactor,
@@ -128,6 +130,29 @@ def test_hyperplane_matches_cofactor_oracle():
         assert hyperplane(rows) == expected, rows
         dependent += expected is None
     assert 300 < dependent < 2000  # both outcomes are well covered
+
+
+def test_clear_denominators_matches_the_fraction_form():
+    def fraction_form(rows):
+        out, scale = [], 1
+        for r in rows:
+            l = 1
+            for x in r:
+                l = l * x.denominator // math.gcd(l, x.denominator)
+            out.append([int(x * l) for x in r])
+            scale *= l
+        return out, scale
+
+    rng = random.Random(73)
+    for _ in range(300):
+        big = 2 ** rng.choice([3, 40, 100])
+        rows = [
+            [Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.randint(0, 5))
+        ]
+        got = clear_denominators(rows)
+        assert got == fraction_form(rows)
+        assert all(type(x) is int for row in got[0] for x in row)
 
 
 def test_bareiss_agrees_with_cofactor_oracle():
