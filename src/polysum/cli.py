@@ -263,17 +263,16 @@ def _cmd_delta(args, report: RunReport) -> None:
     }
     pos = detasym.certify_positivity(spec, args.max_halvings)
     report.outputs["positivity"] = pos.to_dict()
-    report.check_that("delta_positive_at_tau0", detasym.delta_value(spec, pos.tau0) > 0)
-    report.check_that("delta_positive_at_half_tau0", detasym.delta_value(spec, pos.tau0 / 2) > 0)
+    report.check_that("delta_positive_at_tau0", pos.delta(pos.tau0) > 0)
+    report.check_that("delta_positive_at_half_tau0", pos.delta(pos.tau0 / 2) > 0)
     report.check_that("ratio_deviation_decreasing", pos.deviation_decreasing)
     if spec.K <= detasym.BRUTE_FORCE_SIZE_CAP:
         poly = detasym.delta_polynomial(spec)
-        lt = detasym.leading_term(spec)
         low = min(poly)
-        report.check("brute_force_lowest_degree", lt.theta, low)
+        report.check("brute_force_lowest_degree", pos.theta, low)
         report.check(
             "brute_force_leading_coefficient",
-            rat_to_str(lt.coefficient),
+            rat_to_str(pos.coefficient),
             rat_to_str(poly[low]),
         )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -210,18 +210,17 @@ def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
         for row in _monomials(spec)
     ]
     poly: dict[int, Fraction] = defaultdict(Fraction)
-
-    def dfs(row: int, used: int, coef: Fraction, exp: int, parity: int):
+    stack = [(0, 0, Fraction(1), 0, 0)]  # row, used columns, coef, exp, parity
+    while stack:
+        row, used, coef, exp, parity = stack.pop()
         if row == K:
             poly[exp] += -coef if parity else coef
-            return
+            continue
         for c, cf, e in row_entries[row]:
             if used >> c & 1:
                 continue
             flips = (used >> (c + 1)).bit_count() & 1
-            dfs(row + 1, used | (1 << c), coef * cf, exp + e, parity ^ flips)
-
-    dfs(0, 0, Fraction(1), 0, 0)
+            stack.append((row + 1, used | (1 << c), coef * cf, exp + e, parity ^ flips))
     sign = (-1) ** spec.sign_exponent
     return {e: sign * c for e, c in poly.items() if c != 0}
 
@@ -289,6 +288,8 @@ class PositivityReport:
     ratio_points: list[tuple[Fraction, Fraction]]
     deviation_decreasing: bool
     certified: bool
+    # the memoized tau -> Delta(tau) the search evaluated; left out of to_dict
+    delta: Callable[[Fraction], Fraction] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -339,4 +340,5 @@ def certify_positivity(spec: DeltaSpec, max_halvings: int = 64) -> PositivityRep
         ratio_points=[(t_probe, d1), (t_probe / 2, d2)],
         deviation_decreasing=decreasing,
         certified=decreasing,
+        delta=delta,
     )

@@ -4,14 +4,14 @@ Points are rational; every predicate is decided with exact integer
 determinants after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
-The face lattice comes from one descent.  The polytope's facets are found
-by an exact gift-wrap: start on one facet, cross every ridge to its
-neighbour by rotating a hyperplane about it, and certify completeness by
-checking that every ridge lies in exactly two facets.  The ridges are the
-facets' own facets, found the same way one dimension down.  A memo keyed by
-the set of points on a face hands its facets both to the wrap above it and
-to the lattice, so each face is wrapped once.  No floating point is used
-anywhere.
+The face lattice comes from one descent.  A simplex's facets are its
+subsets; every other face's are found by an exact gift-wrap: rotations
+alone reach a first facet, then cross every ridge to its neighbour, and
+every ridge must lie in exactly two facets, which certifies completeness.
+The ridges are the facets' own facets, found the same way one dimension
+down.  A memo keyed by the set of points on a face hands its facets both to
+the wrap above it and to the lattice, so each face is wrapped once.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -223,63 +223,53 @@ def _rotate(pts, flat, away, start) -> tuple[tuple[int, ...], frozenset]:
 
 
 def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> frozenset:
-    """Rotate the supporting hyperplane x_0 = min until it holds a facet."""
-    coeffs = (-min(p[0] for p in pts), 1) + (0,) * (k - 1)
-    on = _side_scan(coeffs, pts)
-    while _int_affine_rank([pts[i] for i in sorted(on)]) < k - 1:
-        # pick k-1 independent directions inside the hyperplane, the on-set's
-        # own first: the flat spans the first k-2, ``away`` steps along the last
-        base = pts[min(on)]
-        normal = coeffs[1:]
-        j0 = next(j for j, a in enumerate(normal) if a)
-        candidates = [[x - b for x, b in zip(pts[i], base)] for i in sorted(on)]
-        for j in range(k):
-            if j != j0:
-                v = [0] * k
-                v[j], v[j0] = normal[j0], -normal[j]
-                candidates.append(v)
-        chosen: list[list[int]] = []
-        for v in candidates:
-            if int_row_space_pivots(chosen + [v])[0] > len(chosen):
-                chosen.append(v)
-        shifted = [tuple(b + x for b, x in zip(base, v)) for v in chosen]
+    """A facet of full-rank points, by induction on their coordinate shadows.
+
+    The m-shadow (the first m coordinates) is full-rank too.  The points of
+    minimal x_0 are a facet of the 1-shadow, and the vertical hyperplane over
+    a facet of the (m-1)-shadow supports the m-shadow.  Its points there are
+    a facet, or else a ridge: then a ridge point moved along coordinate m
+    lies on the hyperplane off the ridge, and one rotation reaches a facet.
+    """
+    low = min(p[0] for p in pts)
+    on = frozenset(i for i, p in enumerate(pts) if p[0] == low)
+    for m in range(2, k + 1):
+        shadow = [p[:m] for p in pts]
+        face = [shadow[i] for i in sorted(on)]
+        if _int_affine_rank(face) == m - 1:
+            continue
+        flat = _spanning(face, m - 1)
+        away = (*flat[0][:-1], flat[0][-1] + 1)
         start = next(i for i in range(len(pts)) if i not in on)
-        coeffs, on = _rotate(pts, [base] + shifted[:-1], shifted[-1], start)
+        _, on = _rotate(shadow, flat, away, start)
     return on
 
 
 def _spanning(points: list[tuple[int, ...]], count: int) -> list[tuple[int, ...]]:
-    """Greedily pick ``count`` affinely independent points, or as many as exist."""
+    """The first ``count`` affinely independent points, or as many as exist:
+    the pivot columns of the matrix whose columns are the points (1, p)."""
     if len(points) == count:
         return points
-    chosen = [points[0]]
-    for p in points[1:]:
-        if _int_affine_rank(chosen + [p]) == len(chosen):
-            chosen.append(p)
-            if len(chosen) == count:
-                break
-    return chosen
+    _, pivots = int_row_space_pivots([(1,) * len(points), *zip(*points)])
+    return [points[i] for i in pivots[:count]]
 
 
 def _facets_of(pts, face: frozenset, j: int, memo: dict) -> list[frozenset]:
     """Facet on-sets of the j-face whose on-set (indices into ``pts``) is ``face``.
 
-    A simplex's facets are its j-subsets and a segment's are its endpoints.
-    Any other face is gift-wrapped once (Chand & Kapur 1970; Swart 1985) in
-    its own rank-reduced coordinates: from a first facet, cross each ridge to
+    A simplex's facets are its j-subsets.  Any other face is gift-wrapped
+    once (Chand & Kapur 1970; Swart 1985) in its own rank-reduced
+    coordinates: from a first facet (``_first_facet``), cross each ridge to
     its neighbour with an exact rotation.  The ridges are the facets' own
-    facets, taken from ``memo`` (keyed by on-set) or computed one level down.
-    Every ridge must end in exactly two facets, which certifies completeness.
+    facets, taken from ``memo`` (keyed by on-set) or computed one level down;
+    a segment's one ridge is the empty face.  Every ridge must end in exactly
+    two facets, which certifies completeness.
     """
     if face in memo:
         return memo[face]
     idx = sorted(face)
     if len(idx) == j + 1:
         facets = [face - {i} for i in idx]
-    elif j == 1:
-        c = next(c for c, (a, b) in enumerate(zip(pts[idx[0]], pts[idx[1]])) if a != b)
-        ends = sorted(idx, key=lambda i: pts[i][c])
-        facets = [frozenset([ends[0]]), frozenset([ends[-1]])]
     else:
         _, pivots = _pivots([pts[i] for i in idx])
         sub = [tuple(pts[i][c] for c in pivots) for i in idx]
@@ -400,7 +390,7 @@ def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:
         coeffs = hyperplane([(1, *p) for p in chosen])
         if coeffs is None:
             return False
-        if _side_scan(_canonical_key(coeffs), prep.reduced) is None:
+        if _side_scan(coeffs, prep.reduced) is None:
             return False
     return True
 

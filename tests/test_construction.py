@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysum.bounds import cyclic_fvector_hull, phi
+from polysum.bounds import VertexProfile, cyclic_fvector_hull, phi, trivial_upper_bound
 from polysum.cayley import cayley_lattice, minksum_direct, minksum_via_cayley, spanning_face_counts
 from polysum.construction import (
     ConstructionParams,
@@ -419,3 +419,18 @@ def test_verify_tightness_small():
     d = rep.to_dict()
     assert d["passed"] is True
     assert d["tau_star"] and d["zeta_diamond"]
+
+
+@pytest.mark.parametrize(
+    "d, r",
+    [(d, r) for d in range(3, 7) for r in range(2, d) if (d, r) != (6, 5)],
+)
+def test_verify_tightness_whole_range_n3(d, r):
+    # the theorem's (d, r) range up to d = 6; (6, 5) takes about 8 s and runs in CI
+    n = (3,) * r
+    rep = verify_tightness(d, r, n)
+    assert rep.passed
+    # the Fukuda-Weibel upper bound holds for every k, not only the tight range
+    profile = VertexProfile(n, d)
+    for k, fk in enumerate(rep.f_via_cayley):
+        assert fk <= trivial_upper_bound(k, profile)

@@ -1,5 +1,6 @@
 """Tests for the block-determinant asymptotics module."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -241,6 +242,17 @@ def test_brute_force_polynomial_evaluates_to_delta():
     for tau in (Fraction(1), Fraction(1, 2), Fraction(3, 7)):
         val = sum(c * tau**e for e, c in poly.items())
         assert val == delta_value(spec, tau)
+
+
+def test_brute_force_polynomial_leaves_no_reference_cycles():
+    # garbage in cycles only the cyclic GC frees would raise peak memory
+    gc.collect()
+    gc.disable()
+    try:
+        delta_polynomial(hand_spec())
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 def test_brute_force_cap():

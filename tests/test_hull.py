@@ -258,6 +258,35 @@ def test_each_face_is_wrapped_once(monkeypatch):
     # one wrap per face of dimension >= 2: 24 squares, 8 cubes, the 4-cube
     assert len(calls) == 33 == sum(lat.f_vector[2:]) + 1
 
+    # an edge with a point inside is no simplex: the square and its 4 edges
+    calls.clear()
+    lat = convex_hull(PointSet.from_rows(list(itertools.product(range(3), repeat=2))))
+    assert lat.f_vector == (4, 4)
+    assert calls == [2, 1, 1, 1, 1]
+
+
+def test_first_facet_is_a_facet(monkeypatch):
+    rotations = []
+    rotate = hull._rotate
+
+    def counted(*args):
+        rotations.append(args)
+        return rotate(*args)
+
+    monkeypatch.setattr(hull, "_rotate", counted)
+    octahedron = [[s * (i == j) for j in range(3)] for i in range(3) for s in (-1, 1)]
+    cube = [list(p) for p in itertools.product([0, 2], repeat=3)]
+    # the octahedron's lowest vertex, then its lowest edge, only span a ridge
+    # of the next shadow, so both steps rotate; the cube's lowest square is
+    # a facet of every shadow, so none does
+    cases = [(rows, None) for rows in wrap_cases()] + [(octahedron, 2), (cube, 0)]
+    for rows, turns in cases:
+        prep = _Prepared(PointSet.from_rows(rows))
+        rotations.clear()
+        facet = hull._first_facet(prep.reduced, prep.rank)
+        assert facet in _facets_exhaustive(prep.reduced, prep.rank)
+        assert turns is None or len(rotations) == turns
+
 
 def test_wrap_handles_tiny_coordinates():
     # coordinates spanning wildly different scales
