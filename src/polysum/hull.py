@@ -1,7 +1,7 @@
 """Exact convex hulls, face lattices, f-vectors, and neighborliness.
 
 Points are rational; every predicate is decided with exact integer
-determinants after clearing denominators (a positive per-coordinate scaling,
+arithmetic after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
 The face lattice comes from one descent.  A simplex's facets are its
@@ -9,9 +9,13 @@ subsets; every other face's are found by an exact gift-wrap: rotations
 alone reach a first facet, then cross every ridge to its neighbour, and
 every ridge must lie in exactly two facets, which certifies completeness.
 The ridges are the facets' own facets, found the same way one dimension
-down.  A memo keyed by the set of points on a face hands its facets both to
-the wrap above it and to the lattice, so each face is wrapped once.  No
-floating point is used anywhere.
+down.  Each facet keeps its primitive integer functional, so a rotation
+about a ridge moves in the pencil of two functionals already at hand, the
+facet's and the ridge's, and costs one dot product per point rather than
+one elimination per candidate.  A memo keyed by the set of points on a
+face hands its facets and their functionals both to the wrap above it and
+to the lattice, so each face is wrapped once.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -192,107 +196,151 @@ def _facets_exhaustive(pts: Sequence[tuple[int, ...]], k: int) -> list[frozenset
     return facets
 
 
-def _rotate(pts, flat, away, start) -> tuple[tuple[int, ...], frozenset]:
-    """Turn a supporting hyperplane about the (k-2)-flat through ``flat``.
+def _values(functional, pts) -> list[int]:
+    """The affine functional ``(c0, c1, ...)``, c0 + sum(c_i * x_i), at each point."""
+    c0, rest = functional[0], functional[1:]
+    return [c0 + sum(map(operator.mul, rest, p)) for p in pts]
 
-    ``away`` lies on the current supporting hyperplane but off the flat, and
-    ``pts[start]`` lies off that hyperplane.  Seen along the flat, every
-    point sits at an angle in [0, pi) from ``away``, so "strictly on the far
-    side of the candidate" is a total order and one pass that replaces the
-    candidate with each such point ends on the next supporting hyperplane.
-    Returns its coefficients (``away`` on the positive side) and on-set.
+
+def _rotate(pts, u_values, u, v) -> tuple[tuple[int, ...], list[int]]:
+    """Turn the supporting functional ``u`` about a ridge to the next facet.
+
+    ``u`` (valued ``u_values`` at ``pts``) is nonnegative on the points and
+    vanishes on the current facet; ``v`` vanishes on the ridge, is positive
+    on the rest of that facet and is independent of ``u``.  Every hyperplane
+    through the ridge is then u_c*v - v_c*u for some point c, and it supports
+    the points exactly when c minimizes v/u over the points off the facet.
+    One pass keeps the extreme point by the exact 2x2 sign u_c*v_i - v_c*u_i,
+    so each point costs one evaluation of ``v``.  Returns the new primitive
+    functional and its values at ``pts``, which are the next facet's
+    ``u_values``.
     """
-
-    rows = [(1, *q) for q in flat]
-
-    def through(p):
-        h = hyperplane(rows + [(1, *p)])
-        if h[0] + sum(map(operator.mul, h[1:], away)) < 0:
-            h = tuple(-c for c in h)
-        return h[0], h[1:]
-
-    c0, normal = through(pts[start])
-    for p in pts:
-        if c0 + sum(map(operator.mul, normal, p)) < 0:
-            c0, normal = through(p)
-    coeffs = (c0, *normal)
-    on = _side_scan(coeffs, pts)
-    if on is None:
+    v_values = _values(v, pts)
+    # (0, 1) is the facet itself turned half a turn: every point off it is beyond
+    uc, vc = 0, 1
+    for ui, vi in zip(u_values, v_values):
+        if uc * vi < vc * ui:
+            uc, vc = ui, vi
+    g = [uc * b - vc * a for a, b in zip(u, v)]
+    d = math.gcd(*g)
+    values = [(uc * b - vc * a) // d for a, b in zip(u_values, v_values)]
+    if min(values) < 0:
         raise AssertionError("gift-wrap step ended on a non-supporting hyperplane")
-    return coeffs, on
+    return tuple(x // d for x in g), values
 
 
-def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> frozenset:
-    """A facet of full-rank points, by induction on their coordinate shadows.
+def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> tuple[frozenset, tuple[int, ...]]:
+    """A facet of full-rank points and its functional, by induction on their
+    coordinate shadows.
 
     The m-shadow (the first m coordinates) is full-rank too.  The points of
-    minimal x_0 are a facet of the 1-shadow, and the vertical hyperplane over
-    a facet of the (m-1)-shadow supports the m-shadow.  Its points there are
-    a facet, or else a ridge: then a ridge point moved along coordinate m
-    lies on the hyperplane off the ridge, and one rotation reaches a facet.
+    minimal x_0 are a facet of the 1-shadow, with functional x_0 - min, and
+    the vertical hyperplane over a facet of the (m-1)-shadow supports the
+    m-shadow: its functional carries up with a zero coefficient.  Its points
+    there are a facet, or else a ridge: then the hyperplane through the ridge
+    and one point off it spans the pencil with it, and one rotation reaches a
+    facet.  Returns the facet's on-set and primitive functional.
     """
     low = min(p[0] for p in pts)
-    on = frozenset(i for i, p in enumerate(pts) if p[0] == low)
+    u = (-low, 1)
+    values = [p[0] - low for p in pts]
     for m in range(2, k + 1):
+        u += (0,)
         shadow = [p[:m] for p in pts]
-        face = [shadow[i] for i in sorted(on)]
-        if _int_affine_rank(face) == m - 1:
+        flat = _spanning([shadow[i] for i, x in enumerate(values) if not x])
+        if len(flat) == m:
             continue
-        flat = _spanning(face, m - 1)
-        away = (*flat[0][:-1], flat[0][-1] + 1)
-        start = next(i for i in range(len(pts)) if i not in on)
-        _, on = _rotate(shadow, flat, away, start)
-    return on
+        off = next(i for i, x in enumerate(values) if x)
+        v = hyperplane([(1, *q) for q in flat + [shadow[off]]])
+        u, values = _rotate(shadow, values, u, v)
+    return frozenset(i for i, x in enumerate(values) if not x), u
 
 
-def _spanning(points: list[tuple[int, ...]], count: int) -> list[tuple[int, ...]]:
-    """The first ``count`` affinely independent points, or as many as exist:
-    the pivot columns of the matrix whose columns are the points (1, p)."""
-    if len(points) == count:
-        return points
+def _spanning(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """A maximal affinely independent subset of the points: the pivot columns
+    of the matrix whose columns are the points (1, p)."""
     _, pivots = int_row_space_pivots([(1,) * len(points), *zip(*points)])
-    return [points[i] for i in pivots[:count]]
+    return [points[i] for i in pivots]
 
 
 def _facets_of(pts, face: frozenset, j: int, memo: dict) -> list[frozenset]:
     """Facet on-sets of the j-face whose on-set (indices into ``pts``) is ``face``.
 
     A simplex's facets are its j-subsets.  Any other face is gift-wrapped
-    once (Chand & Kapur 1970; Swart 1985) in its own rank-reduced
-    coordinates: from a first facet (``_first_facet``), cross each ridge to
-    its neighbour with an exact rotation.  The ridges are the facets' own
-    facets, taken from ``memo`` (keyed by on-set) or computed one level down;
-    a segment's one ridge is the empty face.  Every ridge must end in exactly
-    two facets, which certifies completeness.
+    once (Chand & Kapur 1970; Swart 1985) in its pivot coordinates: from a
+    first facet (``_first_facet``), cross each ridge to its neighbour with
+    one ``_rotate`` in the pencil of the facet's functional and the ridge's.
+    The ridges and their functionals are the facets' own, taken from
+    ``memo`` (keyed by on-set) or computed one level down; a segment's one
+    ridge is the empty face.  A facet's pivot columns are among its face's,
+    since left-to-right pivots of fewer points never take a new column, so
+    a ridge functional zero-filled over the face's columns still vanishes
+    on the ridge.  Every ridge must end in exactly two facets, which
+    certifies completeness.
+
+    ``memo[face]`` is (facets, pivot columns, each facet's primitive
+    functional over those columns, nonnegative on the face).  A simplex's
+    facets need no wrap, so it leaves the columns None and makes each
+    functional only when a wrap crosses that ridge (``_facet_functional``).
     """
     if face in memo:
-        return memo[face]
+        return memo[face][0]
     idx = sorted(face)
     if len(idx) == j + 1:
-        facets = [face - {i} for i in idx]
-    else:
-        _, pivots = _pivots([pts[i] for i in idx])
-        sub = [tuple(pts[i][c] for c in pivots) for i in idx]
-        local = {i: n for n, i in enumerate(idx)}
-        facets = [frozenset(idx[n] for n in _first_facet(sub, j))]
-        known = set(facets)
-        degree: dict[frozenset, int] = {}
-        for facet in facets:  # grows while it is walked
-            start = next(n for n, i in enumerate(idx) if i not in facet)
-            for ridge in _facets_of(pts, facet, j - 1, memo):
-                degree[ridge] = degree.get(ridge, 0) + 1
-                if degree[ridge] > 1:
-                    continue
-                flat = _spanning([sub[local[i]] for i in sorted(ridge)], j - 1)
-                _, on = _rotate(sub, flat, sub[local[min(facet - ridge)]], start)
-                neighbour = frozenset(idx[n] for n in on)
-                if neighbour not in known:
-                    known.add(neighbour)
-                    facets.append(neighbour)
-        if any(d != 2 for d in degree.values()):
-            raise AssertionError("gift-wrap left a ridge outside exactly two facets")
-    memo[face] = facets
+        memo[face] = ([face - {i} for i in idx], None, None)
+        return memo[face][0]
+    _, pivots = _pivots([pts[i] for i in idx])
+    sub = [tuple(pts[i][c] for c in pivots) for i in idx]
+    at = {c: n for n, c in enumerate(pivots, 1)}
+    on, u = _first_facet(sub, j)
+    first = frozenset(idx[n] for n in on)
+    facets, functionals, known = [first], [u], {first}
+    pending = {first: _values(u, sub)}  # u at ``sub``, until its facet is walked
+    degree: dict[frozenset, int] = {}
+    for n, facet in enumerate(facets):  # grows while it is walked
+        u, u_values = functionals[n], pending.pop(facet)
+        for r, ridge in enumerate(_facets_of(pts, facet, j - 1, memo)):
+            degree[ridge] = degree.get(ridge, 0) + 1
+            if degree[ridge] > 1:
+                continue
+            columns, w = _facet_functional(pts, facet, r, memo)
+            v = [w[0]] + [0] * j
+            for c, x in zip(columns, w[1:]):
+                v[at[c]] = x
+            g, values = _rotate(sub, u_values, u, v)
+            neighbour = frozenset(idx[m] for m, x in enumerate(values) if not x)
+            if neighbour not in known:
+                known.add(neighbour)
+                facets.append(neighbour)
+                functionals.append(g)
+                pending[neighbour] = values
+    if any(d != 2 for d in degree.values()):
+        raise AssertionError("gift-wrap left a ridge outside exactly two facets")
+    memo[face] = (facets, pivots, functionals)
     return facets
+
+
+def _facet_functional(pts, face: frozenset, n: int, memo: dict):
+    """Pivot columns of a face in ``memo`` and its n-th facet's functional.
+
+    A simplex's are made on first need (see ``_facets_of``): its pivot
+    columns once, then one ``hyperplane`` per facet, through the facet's
+    points in those columns, made primitive and positive on the vertex the
+    facet leaves out.
+    """
+    facets, pivots, functionals = memo[face]
+    if pivots is None:
+        _, pivots = _pivots([pts[i] for i in sorted(face)])
+        functionals = [None] * len(facets)
+        memo[face] = (facets, pivots, functionals)
+    if functionals[n] is None:
+        rows = [(1, *(pts[i][c] for c in pivots)) for i in sorted(face)]
+        h = hyperplane(rows[:n] + rows[n + 1 :])
+        d = math.gcd(*h)
+        if sum(map(operator.mul, h, rows[n])) < 0:
+            d = -d
+        functionals[n] = tuple(c // d for c in h)
+    return pivots, functionals[n]
 
 
 def _pivots(pts: Sequence[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
@@ -301,10 +349,6 @@ def _pivots(pts: Sequence[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     base = pts[0]
     return int_row_space_pivots([[x - b for x, b in zip(p, base)] for p in pts[1:]])
-
-
-def _int_affine_rank(pts: Sequence[tuple[int, ...]]) -> int:
-    return _pivots(pts)[0]
 
 
 class _Prepared:
@@ -351,7 +395,7 @@ def convex_hull(points: PointSet) -> FaceLattice:
         faces = (Face(-1, ()), Face(0, tuple(range(n))))
         return FaceLattice(points.ambient_dim, 0, n, faces, ())
 
-    memo: dict[frozenset, list[frozenset]] = {}
+    memo: dict[frozenset, tuple] = {}
     levels = [{frozenset(range(len(prep.int_pts)))}]
     for j in range(k, 0, -1):
         levels.append({g for f in levels[-1] for g in _facets_of(prep.reduced, f, j, memo)})
@@ -384,7 +428,7 @@ def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:
             if len(dids) != 1:
                 return False
             continue
-        chosen = _spanning(pts, k)
+        chosen = _spanning(pts)
         if len(chosen) != k:
             return False
         coeffs = hyperplane([(1, *p) for p in chosen])

@@ -4,6 +4,8 @@ block-determinant specs."""
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 from .detasym import DeltaSpec
 from .exact import rat, rat_to_str
@@ -87,9 +89,64 @@ def load_pointset(path: str) -> PointSet:
     return pointset_from_dict(read_json(path))
 
 
+def _scalar(value) -> str:
+    """None, a bool, an int or a float as ``json`` writes it."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _encode(value, indent: str, out: list) -> None:
+    """Append ``value`` as ``json.dumps(value, indent=2, sort_keys=True)``
+    writes it, nested ``indent`` deep, to ``out``.
+
+    A plain recursive function: the ``json`` module's indented encoder builds
+    closures that hold each other in reference cycles, so every call leaves
+    garbage that only the cyclic collector frees.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = indent + "  "
+        sep = "\n" + inner
+        if isinstance(value, dict):
+            out.append("{")
+            for key, item in sorted(value.items()):
+                key = key if isinstance(key, str) else _scalar(key)
+                out += (sep, encode_basestring_ascii(key), ": ")
+                _encode(item, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "}")
+        else:
+            out.append("[")
+            for item in value:
+                out.append(sep)
+                _encode(item, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "]")
+    else:
+        out.append(_scalar(value))
+
+
 def dump_json(data: dict, path: str | None) -> str:
-    """Serialize deterministically; write to path when given, return the text."""
-    text = json.dumps(data, indent=2, sort_keys=True)
+    """Serialize deterministically, byte for byte as ``json.dumps(data,
+    indent=2, sort_keys=True)``; write to path when given, return the text."""
+    out: list[str] = []
+    _encode(data, "", out)
+    text = "".join(out)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

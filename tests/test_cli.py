@@ -1,5 +1,6 @@
 """Tests for the command-line interface and run reports."""
 
+import gc
 import json
 import os
 import random
@@ -10,12 +11,26 @@ from pathlib import Path
 import pytest
 
 import polysum
+import polysum.cli
 from polysum.cli import _build_parser, run_command
 from polysum.jsonio import dump_json
 
 
 def run(argv):
     return run_command(argv)
+
+
+@pytest.fixture(autouse=True)
+def reports_match_the_json_module(monkeypatch):
+    """Every report a test here writes is checked byte for byte against
+    ``json.dumps(data, indent=2, sort_keys=True)``."""
+
+    def checked(data, path):
+        text = dump_json(data, path)
+        assert text == json.dumps(data, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(polysum.cli, "dump_json", checked)
 
 
 def test_phi_prints_value(capsys):
@@ -384,3 +399,36 @@ def test_timing_flag_adds_timing():
     assert report.timing is not None and "total_seconds" in report.timing
     _, plain = run(["phi", "--ell", "2", "--n", "3,4"])
     assert plain.timing is None
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}]},
+        {"nest": {"z": [1, [2, [3, {"q": (4, 5)}]]], "a": -7}},
+        {"s": ["", "quote \" backslash \\ tab \t nl \n bell \x07", "caf\u00e9 \u2603 \U0001f600"]},
+        {"t": True, "f": False, "n": None, "x": [True, False, None, 0, 10**40]},
+        {"float": [1.5, -0.0, 1e300, float("inf"), float("-inf")]},
+        {"\u00e9": 1, "a": 2, "Z": 3},
+        {3: "int", 1: "keys"},
+        [{"b": 1, "a": [{}]}, "plain"],
+        "plain",
+        None,
+    ],
+)
+def test_dump_json_matches_the_json_module(data):
+    assert dump_json(data, None) == json.dumps(data, indent=2, sort_keys=True)
+
+
+def test_dump_json_leaves_no_reference_cycles(tmp_path):
+    report = {"command": "hull", "outputs": {"f_vector": [4, 4], "faces": [{"dim": 0, "vertices": [1]}]}}
+    gc.collect()
+    gc.disable()
+    try:
+        dump_json(report, None)
+        dump_json(report, str(tmp_path / "report.json"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

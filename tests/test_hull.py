@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polysum.hull as hull
-from polysum.exact import affine_rank
+from polysum.exact import affine_rank, hyperplane
 from polysum.hull import (
     PointSet,
     _facets_exhaustive,
     _facets_of,
     _Prepared,
+    _side_scan,
+    _spanning,
     convex_hull,
     is_face,
     neighborliness,
@@ -283,9 +286,12 @@ def test_first_facet_is_a_facet(monkeypatch):
     for rows, turns in cases:
         prep = _Prepared(PointSet.from_rows(rows))
         rotations.clear()
-        facet = hull._first_facet(prep.reduced, prep.rank)
+        facet, functional = hull._first_facet(prep.reduced, prep.rank)
         assert facet in _facets_exhaustive(prep.reduced, prep.rank)
         assert turns is None or len(rotations) == turns
+        values = hull._values(functional, prep.reduced)
+        assert min(values) == 0
+        assert {i for i, x in enumerate(values) if not x} == facet
 
 
 def test_wrap_handles_tiny_coordinates():
@@ -326,3 +332,143 @@ def test_duplicated_points_share_faces():
     assert lat.f_vector == (3, 3)
     # both copies of (1,0) appear in the shared vertex
     assert any(f.dim == 0 and f.vertices == (1, 3) for f in lat.faces)
+
+
+def functional_cases() -> list[list[list[int]]]:
+    """``wrap_cases()`` plus seeded sets with duplicate points, points inside
+    edges and facets (small boxes), and lower-dimensional embeddings."""
+    rng = random.Random(2718)
+    cases = wrap_cases()
+    for _ in range(24):
+        d = rng.randint(2, 4)
+        box = rng.choice([1, 2, 3])
+        rows = [[rng.randint(-box, box) for _ in range(d)] for _ in range(rng.randint(d + 2, 14))]
+        rows += rng.sample(rows, 2)
+        if rng.random() < 0.4:
+            rows = [p + [p[0] - 3 * p[-1], 7] for p in rows]
+        cases.append(rows)
+    return cases
+
+
+def full_memo(prep: _Prepared) -> dict:
+    """The memo ``convex_hull`` builds: every face's facets, level by level."""
+    memo = {}
+    level = {frozenset(range(len(prep.reduced)))}
+    for j in range(prep.rank, 0, -1):
+        level = {g for f in level for g in _facets_of(prep.reduced, f, j, memo)}
+    return memo
+
+
+def project(prep: _Prepared, face, columns) -> dict[int, tuple[int, ...]]:
+    return {i: tuple(prep.reduced[i][c] for c in columns) for i in sorted(face)}
+
+
+def test_carried_functionals_are_primitive_and_support_their_face():
+    checked = 0
+    for rows in functional_cases():
+        prep = _Prepared(PointSet.from_rows(rows))
+        if prep.rank == 0:
+            continue
+        memo = full_memo(prep)
+        for face, (facets, columns, functionals) in memo.items():
+            if functionals is None:  # a simplex that no wrap needed
+                continue
+            sub = project(prep, face, columns)
+            for facet, functional in zip(facets, functionals):
+                if functional is None:  # a simplex's ridge no wrap crossed
+                    continue
+                spanning = _spanning([sub[i] for i in sorted(facet)])
+                assert len(spanning) == len(columns)
+                key = hull._canonical_key(hyperplane([(1, *p) for p in spanning]))
+                assert functional in (key, tuple(-c for c in key))
+                values = dict(zip(sub, hull._values(functional, sub.values())))
+                assert {i for i, x in values.items() if x == 0} == facet
+                assert all(x > 0 for i, x in values.items() if i not in facet)
+                checked += 1
+    assert checked > 1000
+
+
+def rotate_by_candidates(pts, flat, away, start) -> frozenset:
+    """Gift-wrap step the slow way (test oracle): one hyperplane through the
+    ridge's spanning points ``flat`` and each candidate, oriented to keep
+    ``away`` (on the current facet, off the ridge) positive; a candidate
+    strictly behind the current hyperplane replaces it.  ``pts[start]`` lies
+    off the current facet.  A side scan returns the final on-set."""
+    rows = [(1, *q) for q in flat]
+
+    def through(p):
+        h = hyperplane(rows + [(1, *p)])
+        if h[0] + sum(map(operator.mul, h[1:], away)) < 0:
+            h = tuple(-c for c in h)
+        return h
+
+    h = through(pts[start])
+    for p in pts:
+        if h[0] + sum(map(operator.mul, h[1:], p)) < 0:
+            h = through(p)
+    on = _side_scan(h, pts)
+    assert on is not None
+    return on
+
+
+def test_pencil_rotation_matches_candidate_rotation():
+    rng = random.Random(1618)
+    triples = 0
+    for rows in functional_cases():
+        prep = _Prepared(PointSet.from_rows(rows))
+        if prep.rank < 2:
+            continue
+        memo = full_memo(prep)
+        # faces whose facets all carry a functional: every wrapped face
+        carried = [f for f, (_, _, functionals) in memo.items() if functionals and None not in functionals]
+        for face in rng.sample(carried, min(4, len(carried))):
+            facets, columns, functionals = memo[face]
+            idx = sorted(face)
+            sub = [tuple(prep.reduced[i][c] for c in columns) for i in idx]
+            at = {c: n for n, c in enumerate(columns, 1)}
+            for facet, u in zip(facets, functionals):
+                u_values = hull._values(u, sub)
+                ridges = _facets_of(prep.reduced, facet, len(columns) - 1, memo)
+                for r, ridge in enumerate(ridges):
+                    ridge_columns, w = hull._facet_functional(prep.reduced, facet, r, memo)
+                    v = [w[0]] + [0] * len(columns)
+                    for c, x in zip(ridge_columns, w[1:]):
+                        v[at[c]] = x
+                    _, values = hull._rotate(sub, u_values, u, v)
+                    pencil = frozenset(idx[n] for n, x in enumerate(values) if not x)
+                    flat = _spanning([sub[n] for n, i in enumerate(idx) if i in ridge])
+                    away = sub[idx.index(min(facet - ridge))]
+                    start = next(n for n, i in enumerate(idx) if i not in facet)
+                    oracle = rotate_by_candidates(sub, flat, away, start)
+                    assert pencil == frozenset(idx[n] for n in oracle)
+                    assert pencil in facets and pencil != facet
+                    triples += 1
+    assert triples > 500
+
+
+def test_wrap_work_counts(monkeypatch):
+    counts = {"hyperplane": 0, "_rotate": 0}
+    for name in counts:
+        original = getattr(hull, name)
+
+        def counted(*args, original=original, name=name):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(hull, name, counted)
+
+    def work(rows):
+        for name in counts:
+            counts[name] = 0
+        lattice = convex_hull(PointSet.from_rows(rows))
+        return lattice.f_vector, counts["hyperplane"], counts["_rotate"]
+
+    # one elimination per candidate point would cost 378 on the 4-cube and
+    # 6,723 on the sums; now a simplex facet pays one per ridge a wrap
+    # crosses and a first facet one per rotation
+    cube = list(itertools.product([0, 1], repeat=4))
+    assert work(cube) == ((16, 32, 24, 8), 48, 216)
+    curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
+    other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
+    sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
+    assert work(sums) == ((36, 156, 288, 252, 86), 1294, 4186)
