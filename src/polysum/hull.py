@@ -5,17 +5,16 @@ arithmetic after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
 The face lattice comes from one descent.  A simplex's facets are its
-subsets; every other face's are found by an exact gift-wrap: rotations
-alone reach a first facet, then cross every ridge to its neighbour, and
-every ridge must lie in exactly two facets, which certifies completeness.
-The ridges are the facets' own facets, found the same way one dimension
-down.  Each facet keeps its primitive integer functional, so a rotation
-about a ridge moves in the pencil of two functionals already at hand, the
-facet's and the ridge's, and costs one dot product per point rather than
-one elimination per candidate.  A memo keyed by the set of points on a
-face hands its facets and their functionals both to the wrap above it and
-to the lattice, so each face is wrapped once.  No floating point is used
-anywhere.
+subsets; every other face's are found by an exact gift-wrap.  Rotations
+alone reach a first facet.  Each facet found counts its ridges, its own
+facets one dimension down, and the wrap rotates only about a ridge that one
+found facet holds, so every rotation finds a new facet; every ridge must end
+in exactly two facets, which certifies completeness.  Each facet keeps its
+primitive integer functional, so a rotation moves in the pencil of the
+facet's functional and the ridge's, at one dot product per point.  A memo
+keyed by the set of points on a face hands its facets and functionals to
+the wrap above it and to the lattice, so each face is wrapped once.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -267,16 +267,16 @@ def _facets_of(pts, face: frozenset, j: int, memo: dict) -> list[frozenset]:
     """Facet on-sets of the j-face whose on-set (indices into ``pts``) is ``face``.
 
     A simplex's facets are its j-subsets.  Any other face is gift-wrapped
-    once (Chand & Kapur 1970; Swart 1985) in its pivot coordinates: from a
-    first facet (``_first_facet``), cross each ridge to its neighbour with
-    one ``_rotate`` in the pencil of the facet's functional and the ridge's.
-    The ridges and their functionals are the facets' own, taken from
-    ``memo`` (keyed by on-set) or computed one level down; a segment's one
-    ridge is the empty face.  A facet's pivot columns are among its face's,
-    since left-to-right pivots of fewer points never take a new column, so
-    a ridge functional zero-filled over the face's columns still vanishes
-    on the ridge.  Every ridge must end in exactly two facets, which
-    certifies completeness.
+    once (Chand & Kapur 1970; Swart 1985) in its pivot coordinates from a
+    first facet (``_first_facet``).  Each facet found counts its ridges at
+    once: its own facets, from ``memo`` (keyed by on-set) or one level
+    down; a segment's one ridge is the empty face.  A ridge that one found
+    facet holds is crossed with one ``_rotate`` in the pencil of that
+    facet's functional and the ridge's, so each rotation finds a new facet.
+    A facet's pivot columns are among its face's, since left-to-right
+    pivots of fewer points never take a new column, so a ridge functional
+    zero-filled over the face's columns still vanishes on the ridge.  Every
+    ridge must end in exactly two facets, which certifies completeness.
 
     ``memo[face]`` is (facets, pivot columns, each facet's primitive
     functional over those columns, nonnegative on the face).  A simplex's
@@ -294,14 +294,11 @@ def _facets_of(pts, face: frozenset, j: int, memo: dict) -> list[frozenset]:
     at = {c: n for n, c in enumerate(pivots, 1)}
     on, u = _first_facet(sub, j)
     first = frozenset(idx[n] for n in on)
-    facets, functionals, known = [first], [u], {first}
-    pending = {first: _values(u, sub)}  # u at ``sub``, until its facet is walked
-    degree: dict[frozenset, int] = {}
-    for n, facet in enumerate(facets):  # grows while it is walked
-        u, u_values = functionals[n], pending.pop(facet)
+    degree = Counter(_facets_of(pts, first, j - 1, memo))
+    walk = [(first, u, _values(u, sub))]  # every facet found; grows as it is walked
+    for facet, u, u_values in walk:
         for r, ridge in enumerate(_facets_of(pts, facet, j - 1, memo)):
-            degree[ridge] = degree.get(ridge, 0) + 1
-            if degree[ridge] > 1:
+            if degree[ridge] > 1:  # its other facet is found already
                 continue
             columns, w = _facet_functional(pts, facet, r, memo)
             v = [w[0]] + [0] * j
@@ -309,14 +306,12 @@ def _facets_of(pts, face: frozenset, j: int, memo: dict) -> list[frozenset]:
                 v[at[c]] = x
             g, values = _rotate(sub, u_values, u, v)
             neighbour = frozenset(idx[m] for m, x in enumerate(values) if not x)
-            if neighbour not in known:
-                known.add(neighbour)
-                facets.append(neighbour)
-                functionals.append(g)
-                pending[neighbour] = values
+            degree.update(_facets_of(pts, neighbour, j - 1, memo))
+            walk.append((neighbour, g, values))
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
-    memo[face] = (facets, pivots, functionals)
+    facets = [facet for facet, _, _ in walk]
+    memo[face] = (facets, pivots, [u for _, u, _ in walk])
     return facets
 
 

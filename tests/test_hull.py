@@ -456,19 +456,43 @@ def test_wrap_work_counts(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(hull, name, counted)
+    first_facet = hull._first_facet
+    first_turns = []
+
+    def first_counted(*args):
+        before = counts["_rotate"]
+        out = first_facet(*args)
+        first_turns.append(counts["_rotate"] - before)
+        return out
+
+    monkeypatch.setattr(hull, "_first_facet", first_counted)
 
     def work(rows):
         for name in counts:
             counts[name] = 0
+        first_turns.clear()
         lattice = convex_hull(PointSet.from_rows(rows))
-        return lattice.f_vector, counts["hyperplane"], counts["_rotate"]
+        # every point is a vertex, so a face is wrapped iff it is no simplex
+        assert lattice.f_vector[0] == len(rows)
+        by_dim = {}
+        for f in lattice.faces:
+            by_dim.setdefault(f.dim, []).append(set(f.vertices))
+        walked = sum(
+            sum(g <= set(f.vertices) for g in by_dim[f.dim - 1]) - 1
+            for f in lattice.faces
+            if f.dim >= 1 and len(f.vertices) > f.dim + 1
+        )
+        # each rotation of the walk finds a new facet: one per facet but the first
+        assert counts["_rotate"] == walked + sum(first_turns)
+        return lattice.f_vector, counts["hyperplane"], counts["_rotate"], sum(first_turns)
 
     # one elimination per candidate point would cost 378 on the 4-cube and
     # 6,723 on the sums; now a simplex facet pays one per ridge a wrap
     # crosses and a first facet one per rotation
     cube = list(itertools.product([0, 1], repeat=4))
-    assert work(cube) == ((16, 32, 24, 8), 48, 216)
+    # the 4-cube's 8 facets, each cube's 6 and each square's 4: 7 + 8*5 + 24*3
+    assert work(cube) == ((16, 32, 24, 8), 45, 119, 0)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
-    assert work(sums) == ((36, 156, 288, 252, 86), 1294, 4186)
+    assert work(sums) == ((36, 156, 288, 252, 86), 1091, 2289, 718)
