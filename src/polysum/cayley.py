@@ -52,16 +52,6 @@ class PartitionedPointSet:
     def total_points(self) -> int:
         return sum(len(p) for p in self.parts)
 
-    def part_of(self, index: int) -> int:
-        """Part number (0-based) owning a global point index."""
-        if index < 0:
-            raise IndexError(index)
-        for i, p in enumerate(self.parts):
-            if index < len(p):
-                return i
-            index -= len(p)
-        raise IndexError("point index out of range")
-
 
 def cayley_prefix(part: int, r: int) -> tuple[Fraction, ...]:
     """Affine-basis prefix of part ``part`` (0-based) of r: the zero vector
@@ -96,10 +86,10 @@ def spanning_face_counts(lattice: FaceLattice, pps: PartitionedPointSet) -> tupl
             f"lattice over {lattice.n_points} points, partition has {pps.total_points}"
         )
     r = pps.r
+    part_of = [i for i, part in enumerate(pps.parts) for _ in part.points]
     counts = [0] * lattice.polytope_dim
     for face in lattice.proper_faces():
-        present = {pps.part_of(i) for i in face.vertices}
-        if len(present) == r:
+        if len({part_of[i] for i in face.vertices}) == r:
             counts[face.dim] += 1
     return tuple(counts)
 

@@ -11,10 +11,12 @@ facets one dimension down, and the wrap rotates only about a ridge that one
 found facet holds, so every rotation finds a new facet; every ridge must end
 in exactly two facets, which certifies completeness.  Each facet keeps its
 primitive integer functional, so a rotation moves in the pencil of the
-facet's functional and the ridge's, at one dot product per point.  A memo
-keyed by the set of points on a face hands its facets and functionals to
-the wrap above it and to the lattice, so each face is wrapped once.  No
-floating point is used anywhere.
+facet's functional and the ridge's, at one dot product per point.  A face
+is wrapped in its pivot columns, and a facet's are its face's minus the
+last one its functional uses, so only the polytope's rank costs an
+elimination.  A memo keyed by the set of points on a face hands its
+facets, columns and functionals to the wrap above it and to the lattice,
+so each face is wrapped once.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -263,87 +265,78 @@ def _spanning(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [points[i] for i in pivots]
 
 
-def _facets_of(pts, face: frozenset, j: int, memo: dict) -> list[frozenset]:
+def _facets_of(pts, face: frozenset, j: int, memo: dict, columns=None) -> list[frozenset]:
     """Facet on-sets of the j-face whose on-set (indices into ``pts``) is ``face``.
 
     A simplex's facets are its j-subsets.  Any other face is gift-wrapped
-    once (Chand & Kapur 1970; Swart 1985) in its pivot coordinates from a
+    once (Chand & Kapur 1970; Swart 1985) in its pivot ``columns`` from a
     first facet (``_first_facet``).  Each facet found counts its ridges at
     once: its own facets, from ``memo`` (keyed by on-set) or one level
     down; a segment's one ridge is the empty face.  A ridge that one found
     facet holds is crossed with one ``_rotate`` in the pencil of that
     facet's functional and the ridge's, so each rotation finds a new facet.
-    A facet's pivot columns are among its face's, since left-to-right
-    pivots of fewer points never take a new column, so a ridge functional
-    zero-filled over the face's columns still vanishes on the ridge.  Every
-    ridge must end in exactly two facets, which certifies completeness.
+    Every ridge must end in exactly two facets, which certifies
+    completeness.
+
+    A face's pivot columns are the left-to-right pivots of its points'
+    difference rows.  In the face's columns a facet's direction space is
+    the hyperplane {u = 0} of its functional ``u``, whose one circuit is
+    the support of ``u``; so the facet's columns are the face's minus the
+    one at the last position t where u_t != 0, and a ridge functional over
+    the facet's columns is one over the face's with a 0 inserted at t.
 
     ``memo[face]`` is (facets, pivot columns, each facet's primitive
     functional over those columns, nonnegative on the face).  A simplex's
-    facets need no wrap, so it leaves the columns None and makes each
-    functional only when a wrap crosses that ridge (``_facet_functional``).
+    facets need no wrap: it makes each functional only when a wrap crosses
+    that ridge (``_facet_functional``), and keeps columns None when no wrap
+    reaches it.
     """
     if face in memo:
         return memo[face][0]
     idx = sorted(face)
     if len(idx) == j + 1:
-        memo[face] = ([face - {i} for i in idx], None, None)
+        memo[face] = ([face - {i} for i in idx], columns, [None] * len(idx))
         return memo[face][0]
-    _, pivots = _pivots([pts[i] for i in idx])
-    sub = [tuple(pts[i][c] for c in pivots) for i in idx]
-    at = {c: n for n, c in enumerate(pivots, 1)}
+    sub = [tuple(pts[i][c] for c in columns) for i in idx]
+    degree, walk = Counter(), []  # walk: every facet found, grown as it is walked
+
+    def found(on, u, values):  # a facet registers its ridges as soon as it is found
+        t = max(n for n, x in enumerate(u) if x)  # its columns are ours but the t-th
+        facet = frozenset(idx[m] for m in on)
+        degree.update(_facets_of(pts, facet, j - 1, memo, columns[: t - 1] + columns[t:]))
+        walk.append((facet, u, values, t))
+
     on, u = _first_facet(sub, j)
-    first = frozenset(idx[n] for n in on)
-    degree = Counter(_facets_of(pts, first, j - 1, memo))
-    walk = [(first, u, _values(u, sub))]  # every facet found; grows as it is walked
-    for facet, u, u_values in walk:
+    found(on, u, _values(u, sub))
+    for facet, u, u_values, t in walk:
         for r, ridge in enumerate(_facets_of(pts, facet, j - 1, memo)):
             if degree[ridge] > 1:  # its other facet is found already
                 continue
-            columns, w = _facet_functional(pts, facet, r, memo)
-            v = [w[0]] + [0] * j
-            for c, x in zip(columns, w[1:]):
-                v[at[c]] = x
-            g, values = _rotate(sub, u_values, u, v)
-            neighbour = frozenset(idx[m] for m, x in enumerate(values) if not x)
-            degree.update(_facets_of(pts, neighbour, j - 1, memo))
-            walk.append((neighbour, g, values))
+            w = _facet_functional(pts, facet, r, memo)
+            g, values = _rotate(sub, u_values, u, w[:t] + (0,) + w[t:])
+            found([m for m, x in enumerate(values) if not x], g, values)
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
-    facets = [facet for facet, _, _ in walk]
-    memo[face] = (facets, pivots, [u for _, u, _ in walk])
-    return facets
+    memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk])
+    return memo[face][0]
 
 
-def _facet_functional(pts, face: frozenset, n: int, memo: dict):
-    """Pivot columns of a face in ``memo`` and its n-th facet's functional.
+def _facet_functional(pts, face: frozenset, n: int, memo: dict) -> tuple[int, ...]:
+    """The n-th facet's functional of a face in ``memo``, over its columns.
 
-    A simplex's are made on first need (see ``_facets_of``): its pivot
-    columns once, then one ``hyperplane`` per facet, through the facet's
-    points in those columns, made primitive and positive on the vertex the
-    facet leaves out.
+    A simplex's are made on first need (see ``_facets_of``): one
+    ``hyperplane`` per facet, through the facet's points in the simplex's
+    columns, made primitive and positive on the vertex the facet leaves out.
     """
-    facets, pivots, functionals = memo[face]
-    if pivots is None:
-        _, pivots = _pivots([pts[i] for i in sorted(face)])
-        functionals = [None] * len(facets)
-        memo[face] = (facets, pivots, functionals)
+    _, columns, functionals = memo[face]
     if functionals[n] is None:
-        rows = [(1, *(pts[i][c] for c in pivots)) for i in sorted(face)]
+        rows = [(1, *(pts[i][c] for c in columns)) for i in sorted(face)]
         h = hyperplane(rows[:n] + rows[n + 1 :])
         d = math.gcd(*h)
         if sum(map(operator.mul, h, rows[n])) < 0:
             d = -d
         functionals[n] = tuple(c // d for c in h)
-    return pivots, functionals[n]
-
-
-def _pivots(pts: Sequence[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
-    """Affine rank of integer points and pivot columns that keep it."""
-    if len(pts) <= 1:
-        return 0, ()
-    base = pts[0]
-    return int_row_space_pivots([[x - b for x, b in zip(p, base)] for p in pts[1:]])
+    return functionals[n]
 
 
 class _Prepared:
@@ -367,7 +360,9 @@ class _Prepared:
         # scale each coordinate to integers: an affine map, so faces are kept
         coords, _ = clear_denominators(list(zip(*distinct)))
         self.int_pts = [tuple(c[i] for c in coords) for i in range(len(distinct))]
-        self.rank, pivots = _pivots(self.int_pts)
+        # affine rank, and pivot columns that keep it: those of the difference rows
+        diffs = [[x - b for x, b in zip(p, self.int_pts[0])] for p in self.int_pts[1:]]
+        self.rank, pivots = int_row_space_pivots(diffs)
         self.reduced = [tuple(p[c] for c in pivots) for p in self.int_pts]
 
 
@@ -391,7 +386,9 @@ def convex_hull(points: PointSet) -> FaceLattice:
         return FaceLattice(points.ambient_dim, 0, n, faces, ())
 
     memo: dict[frozenset, tuple] = {}
-    levels = [{frozenset(range(len(prep.int_pts)))}]
+    top = frozenset(range(len(prep.int_pts)))
+    _facets_of(prep.reduced, top, k, memo, tuple(range(k)))
+    levels = [{top}]
     for j in range(k, 0, -1):
         levels.append({g for f in levels[-1] for g in _facets_of(prep.reduced, f, j, memo)})
     levels.reverse()

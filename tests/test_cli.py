@@ -158,17 +158,18 @@ def test_verify_tight_report(tmp_path, capsys):
     assert saved["outputs"]["f_via_cayley"][0] == 9
 
 
-def test_verify_tight_low_dimensional_lifted_hull_exits_1(tmp_path, capsys):
-    # two single-point summands: the lifted hull is a segment, with no
-    # spanning 1-face to count
+def test_verify_tight_low_dimensional_lifted_hull_exits_0(tmp_path, capsys):
+    # two single-point summands: the lifted hull is a segment, its own one
+    # spanning 1-face, and the sum is a point with f_0 = 1
     out = tmp_path / "report.json"
     code, report = run(["verify-tight", "--d", "3", "--r", "2", "--n", "1,1", "--report", str(out)])
-    assert code == 1
+    assert code == 0
     assert capsys.readouterr().err == ""
     saved = json.loads(out.read_text())
-    assert saved["passed"] is False
-    failed = {c["name"]: c["actual"] for c in saved["checks"] if not c["pass"]}
-    assert failed["spanning_faces_dim_1"] is None
+    assert saved["passed"] is True
+    actual = {c["name"]: c["actual"] for c in saved["checks"]}
+    assert actual["spanning_faces_dim_1"] == 1
+    assert actual["f_0_tight"] == 1
 
 
 def test_delta_command(tmp_path, capsys):

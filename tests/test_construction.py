@@ -447,8 +447,23 @@ def test_verify_tightness_whole_range_n3(d, r):
 )
 def test_verify_tightness_low_dimensional_lifted_hull(d, r, n):
     # the lifted hull has fewer face dimensions than the certified range asks
-    # for: the missing counts are reported as None and fail, not an IndexError
+    # for: the polytope is its own one top face and has none above it
     rep = verify_tightness(d, r, n)
-    assert not rep.passed
-    missing = [c for c in rep.checks if c["name"].startswith("spanning_faces_dim_")]
-    assert any(c["actual"] is None and not c["pass"] for c in missing)
+    assert rep.passed
+    actual = {c["name"]: c["actual"] for c in rep.checks}
+    top = len(rep.f_via_cayley)  # the sum's dimension; the lifted one is top + r - 1
+    assert actual[f"f_{top}_tight"] == 1
+    assert actual[f"spanning_faces_dim_{top + r - 1}"] == 1
+
+
+@pytest.mark.parametrize(
+    "d, r", [(d, r) for d in range(3, 6) for r in range(2, d) if (d, r) != (5, 4)]
+)
+def test_verify_tightness_d_polytope_summands(d, r):
+    # the theorem's own hypothesis: every summand a d-polytope, here a d-simplex
+    n = (d + 1,) * r
+    rep = verify_tightness(d, r, n)
+    assert rep.passed
+    assert len(rep.f_via_cayley) == d
+    for k, fk in enumerate(rep.f_via_cayley):
+        assert fk <= phi(k + r, n)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polysum.hull as hull
-from polysum.exact import affine_rank, hyperplane
+from polysum.exact import affine_rank, hyperplane, int_row_space_pivots
 from polysum.hull import (
     PointSet,
     _facets_exhaustive,
@@ -184,7 +184,8 @@ def test_random_hulls_supporting_and_facet_count(seed):
 
 
 def wrap(prep: _Prepared) -> list[frozenset]:
-    return _facets_of(prep.reduced, frozenset(range(len(prep.reduced))), prep.rank, {})
+    top = frozenset(range(len(prep.reduced)))
+    return _facets_of(prep.reduced, top, prep.rank, {}, tuple(range(prep.rank)))
 
 
 def wrap_and_oracle(ps: PointSet):
@@ -353,7 +354,9 @@ def functional_cases() -> list[list[list[int]]]:
 def full_memo(prep: _Prepared) -> dict:
     """The memo ``convex_hull`` builds: every face's facets, level by level."""
     memo = {}
-    level = {frozenset(range(len(prep.reduced)))}
+    top = frozenset(range(len(prep.reduced)))
+    _facets_of(prep.reduced, top, prep.rank, memo, tuple(range(prep.rank)))
+    level = {top}
     for j in range(prep.rank, 0, -1):
         level = {g for f in level for g in _facets_of(prep.reduced, f, j, memo)}
     return memo
@@ -371,7 +374,7 @@ def test_carried_functionals_are_primitive_and_support_their_face():
             continue
         memo = full_memo(prep)
         for face, (facets, columns, functionals) in memo.items():
-            if functionals is None:  # a simplex that no wrap needed
+            if columns is None:  # a simplex that no wrap reached
                 continue
             sub = project(prep, face, columns)
             for facet, functional in zip(facets, functionals):
@@ -386,6 +389,26 @@ def test_carried_functionals_are_primitive_and_support_their_face():
                 assert all(x > 0 for i, x in values.items() if i not in facet)
                 checked += 1
     assert checked > 1000
+
+
+def difference_pivots(pts) -> tuple[int, ...]:
+    """Pivot columns of a face from its own points, by one elimination of
+    their difference rows (test oracle for the column rule)."""
+    return int_row_space_pivots([[x - b for x, b in zip(p, pts[0])] for p in pts[1:]])[1]
+
+
+def test_carried_columns_are_the_difference_row_pivots():
+    checked = 0
+    for rows in functional_cases():
+        prep = _Prepared(PointSet.from_rows(rows))
+        if prep.rank == 0:
+            continue
+        for face, (_, columns, _) in full_memo(prep).items():
+            if columns is None:  # a simplex that no wrap reached
+                continue
+            assert columns == difference_pivots([prep.reduced[i] for i in sorted(face)])
+            checked += 1
+    assert checked > 600
 
 
 def rotate_by_candidates(pts, flat, away, start) -> frozenset:
@@ -419,8 +442,8 @@ def test_pencil_rotation_matches_candidate_rotation():
         if prep.rank < 2:
             continue
         memo = full_memo(prep)
-        # faces whose facets all carry a functional: every wrapped face
-        carried = [f for f, (_, _, functionals) in memo.items() if functionals and None not in functionals]
+        # every wrapped face: its facets all carry a functional and columns
+        carried = [f for f, (_, columns, _) in memo.items() if columns is not None and len(f) > len(columns) + 1]
         for face in rng.sample(carried, min(4, len(carried))):
             facets, columns, functionals = memo[face]
             idx = sorted(face)
@@ -430,7 +453,9 @@ def test_pencil_rotation_matches_candidate_rotation():
                 u_values = hull._values(u, sub)
                 ridges = _facets_of(prep.reduced, facet, len(columns) - 1, memo)
                 for r, ridge in enumerate(ridges):
-                    ridge_columns, w = hull._facet_functional(prep.reduced, facet, r, memo)
+                    w = hull._facet_functional(prep.reduced, facet, r, memo)
+                    ridge_columns = memo[facet][1]
+                    # the ridge functional zero-filled over the face's columns
                     v = [w[0]] + [0] * len(columns)
                     for c, x in zip(ridge_columns, w[1:]):
                         v[at[c]] = x
@@ -447,7 +472,7 @@ def test_pencil_rotation_matches_candidate_rotation():
 
 
 def test_wrap_work_counts(monkeypatch):
-    counts = {"hyperplane": 0, "_rotate": 0}
+    counts = {"hyperplane": 0, "_rotate": 0, "int_row_space_pivots": 0, "_spanning": 0}
     for name in counts:
         original = getattr(hull, name)
 
@@ -484,15 +509,24 @@ def test_wrap_work_counts(monkeypatch):
         )
         # each rotation of the walk finds a new facet: one per facet but the first
         assert counts["_rotate"] == walked + sum(first_turns)
-        return lattice.f_vector, counts["hyperplane"], counts["_rotate"], sum(first_turns)
+        # a facet's pivot columns are its face's minus one, so only the hull's
+        # rank and each shadow step of a first facet eliminate
+        assert counts["int_row_space_pivots"] == 1 + counts["_spanning"]
+        return (
+            lattice.f_vector,
+            counts["hyperplane"],
+            counts["_rotate"],
+            sum(first_turns),
+            counts["int_row_space_pivots"],
+        )
 
     # one elimination per candidate point would cost 378 on the 4-cube and
     # 6,723 on the sums; now a simplex facet pays one per ridge a wrap
     # crosses and a first facet one per rotation
     cube = list(itertools.product([0, 1], repeat=4))
     # the 4-cube's 8 facets, each cube's 6 and each square's 4: 7 + 8*5 + 24*3
-    assert work(cube) == ((16, 32, 24, 8), 45, 119, 0)
+    assert work(cube) == ((16, 32, 24, 8), 45, 119, 0, 44)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
-    assert work(sums) == ((36, 156, 288, 252, 86), 1091, 2289, 718)
+    assert work(sums) == ((36, 156, 288, 252, 86), 1091, 2289, 718, 719)
