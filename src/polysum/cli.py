@@ -21,14 +21,8 @@ from typing import Optional, Sequence
 from . import bounds as bnd
 from . import detasym
 from .cayley import PartitionedPointSet, minksum_direct, minksum_via_cayley
-from .construction import (
-    ConstructionParams,
-    SearchExhausted,
-    certify_family,
-    generate_family,
-    verify_tightness,
-)
-from .exact import determinant, rat, rat_to_str
+from .construction import ConstructionParams, certify_family, generate_family, verify_tightness
+from .exact import SearchExhausted, determinant, rat, rat_to_str
 from .hull import PointSet, convex_hull, verify_supporting
 from .jsonio import delta_spec_from_dict, dump_json, lattice_to_dict, load_pointset, pointset_to_dict, read_json
 
@@ -226,7 +220,7 @@ def _cmd_construct(args, report: RunReport) -> None:
     if args.alpha:
         params = dataclasses.replace(params, alpha=_parse_alpha(args.alpha))
     params, tau_cert, zeta_cert = certify_family(params, args.max_halvings)
-    family = generate_family(params, lifted=True)
+    family = generate_family(params)
     report.outputs.update(
         {
             "tau_star": rat_to_str(tau_cert.value),
@@ -250,7 +244,9 @@ def _cmd_construct(args, report: RunReport) -> None:
 
 def _cmd_verify_tight(args, report: RunReport) -> None:
     result = verify_tightness(args.d, args.r, args.n, args.max_halvings)
-    report.outputs.update(result.to_dict())
+    outputs = result.to_dict()
+    del outputs["checks"], outputs["passed"]  # the report carries both at its top level
+    report.outputs.update(outputs)
     report.checks.extend(result.checks)
 
 

@@ -8,6 +8,11 @@ spanning subset of size k (r <= k <= floor((d+r-1)/2)) of the lifted vertex
 set spans a face of the Cayley polytope, which forces the Minkowski sum to
 attain the trivial upper bound phi(k) in that range.
 
+The family is fixed by the curve parameters alpha, which are chosen, and by
+the thresholds tau and zeta, which are certified; zeta = 0 is the unlifted
+family.  Everything else is derived: the scale exponents nu, the companion
+offset EPSILON and the tail anchor of the witness determinants.
+
 "Small enough" is certified constructively: a geometric halving search
 drives tau (then zeta) down until every witness determinant - one per
 (spanning subset, outside vertex) pair - is strictly positive.  All
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,39 +38,31 @@ from .cayley import (
     spanning_face_counts,
     sum_f_vector,
 )
-from .exact import clear_denominators, determinant, hyperplane, rat, rat_to_str
+# SearchExhausted is also importable from here, where the searches raise it
+from .exact import SearchExhausted, clear_denominators, determinant, hyperplane, rat, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
 
-
-class SearchExhausted(RuntimeError):
-    """Halving search ran out of budget (admissible parameters always terminate)."""
-
-    def __init__(self, what: str, halvings: int):
-        super().__init__(f"{what}: no certificate after {halvings} halvings")
-        self.what = what
-        self.halvings = halvings
+EPSILON = Fraction(1, 4)  # offset of each vertex's companion point on its curve
 
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """All knobs of the lower-bound family.
+    """The lower-bound family: chosen alpha, certified tau and zeta.
 
-    alpha[i][j] are the per-part curve parameters (increasing, positive);
-    nu[i] the per-part scale exponents (strictly decreasing to 0); epsilon
-    the companion-point offset; m_tail anchors the trailing columns of the
-    witness determinants; tau and zeta are the certified scale and lift
-    parameters once the searches have run.
+    alpha[i][j] are the per-part curve parameters, chosen (positive,
+    increasing, consecutive values more than EPSILON apart).  tau and zeta
+    are the scale and lift thresholds the witness searches certify; tau is
+    None until then, and zeta = 0 is the unlifted family.  The scale
+    exponents ``nu``, the companion offset ``epsilon`` and the tail anchor
+    ``m_tail`` are derived from these.
     """
 
     d: int
     r: int
     n: tuple[int, ...]
     alpha: tuple[tuple[Fraction, ...], ...]
-    nu: tuple[int, ...]
-    epsilon: Fraction
-    m_tail: Fraction
     tau: Optional[Fraction] = None
-    zeta: Optional[Fraction] = None
+    zeta: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.d < 3:
@@ -80,38 +78,34 @@ class ConstructionParams:
         for a in self.alpha:
             if a[0] <= 0 or any(x >= y for x, y in zip(a, a[1:])):
                 raise ValueError("alpha values must be positive and increasing")
-            if any(x + self.epsilon >= y for x, y in zip(a, a[1:])):
-                raise ValueError("epsilon must fit strictly between consecutive alphas")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if len(self.nu) != self.r or self.nu[-1] != 0:
-            raise ValueError("nu must end at 0")
-        if any(int(v) != v or v < 0 for v in self.nu):
-            raise ValueError("nu must be nonnegative integers")
-        if any(a <= b for a, b in zip(self.nu, self.nu[1:])):
-            raise ValueError("nu must be strictly decreasing")
-        if self.m_tail <= self.alpha[-1][-1] + self.epsilon:
-            raise ValueError("tail anchor must exceed the largest shifted alpha")
+            if any(x + EPSILON >= y for x, y in zip(a, a[1:])):
+                raise ValueError("consecutive alpha values must be more than 1/4 apart")
         if self.tau is not None and self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.zeta is not None and self.zeta < 0:
+        if self.zeta < 0:
             raise ValueError("zeta must be nonnegative")
 
     @classmethod
     def defaults(cls, d: int, r: int, n: Sequence[int]) -> "ConstructionParams":
-        """Simplest admissible parameters: alpha_{i,j} = j, nu_i = r - i."""
+        """Simplest admissible parameters: alpha_{i,j} = j."""
         n = tuple(int(x) for x in n)
         alpha = tuple(tuple(Fraction(j) for j in range(1, ni + 1)) for ni in n)
-        nu = tuple(r - i for i in range(1, r + 1))
-        return cls(
-            d=d,
-            r=r,
-            n=n,
-            alpha=alpha,
-            nu=nu,
-            epsilon=Fraction(1, 4),
-            m_tail=Fraction(n[-1] + 1),
-        )
+        return cls(d=d, r=r, n=n, alpha=alpha)
+
+    @property
+    def nu(self) -> tuple[int, ...]:
+        """Per-part scale exponents r-1, ..., 1, 0."""
+        return tuple(range(self.r - 1, -1, -1))
+
+    @property
+    def epsilon(self) -> Fraction:
+        return EPSILON
+
+    @property
+    def m_tail(self) -> Fraction:
+        """Anchor of the witness tail columns: the least integer above both
+        n_r and the last part's largest shifted alpha (n_r + 1 for the defaults)."""
+        return Fraction(max(self.n[-1], math.floor(self.alpha[-1][-1] + EPSILON)) + 1)
 
     @property
     def k_max(self) -> int:
@@ -123,19 +117,18 @@ class ConstructionParams:
             raise ValueError("tau not set")
         a = self.alpha[part][j]
         if shifted:
-            a = a + self.epsilon
+            a = a + EPSILON
         return a * self.tau ** self.nu[part]
 
 
 def moment_curve_point(
-    part: int, t: Fraction, params: ConstructionParams, zeta: Optional[Fraction] = None
+    part: int, t: Fraction, params: ConstructionParams, zeta: Fraction = 0
 ) -> tuple[Fraction, ...]:
     """Point of the part-th embedded moment curve at parameter t (> 0).
 
-    Unperturbed (zeta None): coordinate ``part`` carries t, coordinates
-    r+1..d carry t^2..t^{d-r+1}, the remaining first-r coordinates vanish.
-    With zeta, the vanished slots carry zeta*t^{d-r+2}..zeta*t^d from left
-    to right.
+    Coordinate ``part`` carries t, coordinates r+1..d carry t^2..t^{d-r+1},
+    and the other first-r slots carry zeta*t^{d-r+2}..zeta*t^d from left to
+    right, so they vanish on the unlifted curve (zeta = 0).
     """
     d, r = params.d, params.r
     if not 1 <= part <= r:
@@ -147,40 +140,32 @@ def moment_curve_point(
     coords[part - 1] = t
     for m in range(1, d - r + 1):
         coords[r - 1 + m] = t ** (m + 1)
-    if zeta is not None:
-        z = rat(zeta)
-        exponent = d - r + 2
-        for j in range(1, r + 1):
-            if j == part:
-                continue
-            coords[j - 1] = z * t**exponent
-            exponent += 1
+    z = rat(zeta)
+    exponent = d - r + 2
+    for j in range(1, r + 1):
+        if j == part:
+            continue
+        coords[j - 1] = z * t**exponent
+        exponent += 1
     return tuple(coords)
 
 
 def lifted_curve_point(
-    part: int, t: Fraction, params: ConstructionParams, zeta: Optional[Fraction] = None
+    part: int, t: Fraction, params: ConstructionParams, zeta: Fraction = 0
 ) -> tuple[Fraction, ...]:
     """Cayley embedding of the curve point: affine prefix + curve coordinates."""
     return cayley_prefix(part - 1, params.r) + moment_curve_point(part, t, params, zeta)
 
 
-def generate_family(params: ConstructionParams, lifted: bool = False) -> PartitionedPointSet:
-    """The r summand vertex sets at the current tau (and zeta when lifted)."""
-    if params.tau is None:
-        raise ValueError("tau not set")
-    zeta = None
-    if lifted:
-        if params.zeta is None:
-            raise ValueError("zeta not set; run the lift search first")
-        zeta = params.zeta
+def generate_family(params: ConstructionParams) -> PartitionedPointSet:
+    """The r summand vertex sets at the current tau and zeta."""
     parts = []
     for i in range(1, params.r + 1):
         rows = []
         labels = []
         for j in range(params.n[i - 1]):
             t = params.curve_parameter(i - 1, j)
-            rows.append(moment_curve_point(i, t, params, zeta))
+            rows.append(moment_curve_point(i, t, params, params.zeta))
             labels.append(f"v{j + 1}")
         parts.append(PointSet.from_rows(rows, labels=labels, ambient_dim=params.d))
     return PartitionedPointSet(tuple(parts))
@@ -234,7 +219,7 @@ def _witness_columns(
     subset: WitnessSubset,
     x: Sequence[Fraction],
     params: ConstructionParams,
-    zeta: Optional[Fraction],
+    zeta: Fraction = 0,
 ) -> tuple[list[tuple[Fraction, ...]], int]:
     """Columns of the witness determinant and its global sign exponent."""
     d, r = params.d, params.r
@@ -262,12 +247,12 @@ def witness_determinant(
     subset: WitnessSubset,
     x: Sequence[Fraction],
     params: ConstructionParams,
-    zeta: Optional[Fraction] = None,
+    zeta: Fraction = 0,
 ) -> Fraction:
     """Signed (d+r)x(d+r) determinant vanishing exactly on the subset's hyperplane.
 
     Positive on every family vertex outside the subset once the scale (and,
-    for the lifted variant, the lift) is below its certified threshold.
+    for zeta > 0, the lift) is below its certified threshold.
     """
     cols, sign = _witness_columns(subset, x, params, zeta)
     return sign * determinant(list(zip(*cols)))
@@ -281,8 +266,9 @@ def expected_check_count(params: ConstructionParams) -> int:
     )
 
 
-def _sweep_all_positive(params: ConstructionParams, zeta: Optional[Fraction]) -> tuple[bool, int]:
-    """Evaluate every (subset, outside vertex) witness sign; early exit on failure.
+def _sweep_all_positive(params: ConstructionParams) -> tuple[bool, int]:
+    """Evaluate every (subset, outside vertex) witness sign at the params'
+    tau and zeta; early exit on failure.
 
     Expanding the witness determinant along its (1, x) column gives
     sign * (c0 + c.x), where (c0, c) are the cofactors of the subset's fixed
@@ -290,7 +276,7 @@ def _sweep_all_positive(params: ConstructionParams, zeta: Optional[Fraction]) ->
     keeps each sign, so a subset costs one ``hyperplane`` and an outside
     vertex one integer dot product.
     """
-    d, r, n = params.d, params.r, params.n
+    d, r, n, zeta = params.d, params.r, params.n, params.zeta
 
     def columns(points) -> list[list[int]]:
         """The columns (1, point), each scaled by the lcm of its denominators."""
@@ -338,16 +324,21 @@ class SearchCertificate:
         return {k: v for k, v in dataclasses.asdict(self).items() if k != "value"}
 
 
-def find_tau_star(params: ConstructionParams, max_halvings: int = 64) -> SearchCertificate:
-    """First tau in 1, 1/2, 1/4, ... making every flat witness determinant positive."""
+def _halve(params: ConstructionParams, name: str, max_halvings: int) -> SearchCertificate:
+    """First value 1, 1/2, 1/4, ... of ``params.<name>`` making every witness positive."""
     expected = expected_check_count(params)
     for h in range(max_halvings + 1):
-        candidate = dataclasses.replace(params, tau=Fraction(1, 2**h))
-        ok, checked = _sweep_all_positive(candidate, zeta=None)
+        value = Fraction(1, 2**h)
+        ok, checked = _sweep_all_positive(dataclasses.replace(params, **{name: value}))
         if ok:
             assert checked == expected
-            return SearchCertificate(candidate.tau, h, checked, expected)
-    raise SearchExhausted("tau search", max_halvings)
+            return SearchCertificate(value, h, checked, expected)
+    raise SearchExhausted(f"{name} search", max_halvings)
+
+
+def find_tau_star(params: ConstructionParams, max_halvings: int = 64) -> SearchCertificate:
+    """First tau in 1, 1/2, 1/4, ... making every unlifted witness determinant positive."""
+    return _halve(dataclasses.replace(params, zeta=Fraction(0)), "tau", max_halvings)
 
 
 def find_zeta_diamond(params: ConstructionParams, max_halvings: int = 64) -> SearchCertificate:
@@ -357,14 +348,7 @@ def find_zeta_diamond(params: ConstructionParams, max_halvings: int = 64) -> Sea
     """
     if params.tau is None:
         raise ValueError("tau must be certified before searching for zeta")
-    expected = expected_check_count(params)
-    for h in range(max_halvings + 1):
-        z = Fraction(1, 2**h)
-        ok, checked = _sweep_all_positive(params, zeta=z)
-        if ok:
-            assert checked == expected
-            return SearchCertificate(z, h, checked, expected)
-    raise SearchExhausted("zeta search", max_halvings)
+    return _halve(params, "zeta", max_halvings)
 
 
 def certify_family(
@@ -400,9 +384,9 @@ def verify_neighborly(params: ConstructionParams) -> list[PartCheck]:
     neighborly.  Every vertex subset of size <= min(floor(d/2), n_i) must be
     a face.
     """
-    if params.zeta is None or params.zeta <= 0:
+    if params.zeta <= 0:
         raise ValueError("neighborliness check needs zeta > 0")
-    family = generate_family(params, lifted=True)
+    family = generate_family(params)
     out = []
     for idx, part in enumerate(family.parts):
         lat = convex_hull(part)
@@ -463,7 +447,7 @@ def verify_tightness(
         ConstructionParams.defaults(d, r, n), max_halvings
     )
 
-    family = generate_family(params, lifted=True)
+    family = generate_family(params)
     lifted_lat = cayley_lattice(family)
     g = spanning_face_counts(lifted_lat, family)
     f_cayley = sum_f_vector(g, lifted_lat.polytope_dim, r)

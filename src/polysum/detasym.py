@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .construction import SearchExhausted
-from .exact import clear_denominators, determinant, int_det, rat, rat_to_str
+from .exact import SearchExhausted, clear_denominators, determinant, int_det, rat, rat_to_str
 
 BRUTE_FORCE_SIZE_CAP = 8
 

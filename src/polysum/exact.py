@@ -21,6 +21,15 @@ class DimensionError(ValueError):
     """Raised when matrix/point dimensions do not match an operation."""
 
 
+class SearchExhausted(RuntimeError):
+    """Halving search ran out of budget (admissible parameters always terminate)."""
+
+    def __init__(self, what: str, halvings: int):
+        super().__init__(f"{what}: no certificate after {halvings} halvings")
+        self.what = what
+        self.halvings = halvings
+
+
 def rat(value) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
     if isinstance(value, Fraction):

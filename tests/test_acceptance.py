@@ -105,7 +105,7 @@ def test_criterion_4_parts_dimension_and_neighborliness():
         rep, _ = tight_report(num)
         params = ConstructionParams.defaults(inst["d"], inst["r"], inst["n"])
         params = dataclasses.replace(params, tau=rep.tau_star, zeta=rep.zeta_diamond)
-        family = generate_family(params, lifted=True)
+        family = generate_family(params)
         d = inst["d"]
         for idx, part in enumerate(family.parts):
             lat = convex_hull(part)

@@ -149,6 +149,25 @@ def test_construct_alpha_override(tmp_path, capsys):
     assert part2[1][1] == "5/2"
 
 
+def test_construct_alpha_past_n_r(tmp_path, capsys):
+    # the last alpha exceeds n_r: the witness tail anchor moves past it
+    out = tmp_path / "family.json"
+    code, report = run(
+        ["construct", "--d", "3", "--r", "2", "--n", "2,2",
+         "--alpha", "1,5;1,5", "--out", str(out)]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
+    assert checks == {"tau_checks_complete": True, "zeta_checks_complete": True}
+
+
+def test_construct_rejects_close_alphas(capsys):
+    code, report = run(["construct", "--d", "3", "--r", "2", "--n", "2,2", "--alpha", "1,6/5;1,2"])
+    assert code == 2 and report is None
+    assert "more than 1/4 apart" in capsys.readouterr().err
+
+
 def test_verify_tight_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, report = run(["verify-tight", "--d", "3", "--r", "2", "--n", "3,3", "--report", str(out)])
@@ -156,6 +175,10 @@ def test_verify_tight_report(tmp_path, capsys):
     saved = json.loads(out.read_text())
     assert saved["passed"] is True
     assert saved["outputs"]["f_via_cayley"][0] == 9
+    # checks and the verdict live at the top level only
+    assert "checks" not in saved["outputs"] and "passed" not in saved["outputs"]
+    names = [c["name"] for c in saved["checks"]]
+    assert len(names) == len(set(names)) > 0
 
 
 def test_verify_tight_low_dimensional_lifted_hull_exits_0(tmp_path, capsys):

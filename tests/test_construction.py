@@ -30,7 +30,7 @@ from polysum.exact import hyperplane
 from polysum.hull import convex_hull, is_face
 
 
-def params_33(tau=None, zeta=None):
+def params_33(tau=None, zeta=Fraction(0)):
     p = ConstructionParams.defaults(3, 2, (3, 3))
     return dataclasses.replace(p, tau=tau, zeta=zeta)
 
@@ -43,6 +43,27 @@ def test_defaults_satisfy_constraints():
     for a in p.alpha:
         assert all(x + p.epsilon < y for x, y in zip(a, a[1:]))
     assert p.m_tail > p.alpha[-1][-1] + p.epsilon
+    # nu, epsilon and the tail anchor are derived: for the defaults they are
+    # r - i, 1/4 and n_r + 1 at every d <= 7
+    rng = random.Random(7)
+    for d in range(3, 8):
+        for r in range(2, d):
+            n = tuple(rng.randint(1, 9) for _ in range(r))
+            p = ConstructionParams.defaults(d, r, n)
+            assert p.nu == tuple(r - i for i in range(1, r + 1))
+            assert (p.epsilon, p.m_tail) == (Fraction(1, 4), n[-1] + 1)
+
+
+def test_derived_parameters_follow_alpha():
+    # the alpha of the construct --alpha CLI test keeps the anchor at n_r + 1
+    base = ConstructionParams.defaults(3, 2, (2, 2))
+    p = dataclasses.replace(base, alpha=((1, 3), (Fraction(1, 2), Fraction(5, 2))))
+    assert (p.nu, p.epsilon, p.m_tail) == ((1, 0), Fraction(1, 4), 3)
+    # a last alpha past n_r moves the anchor beyond it
+    p = dataclasses.replace(base, alpha=((1, 5), (1, 5)))
+    assert p.m_tail == 6 > p.alpha[-1][-1] + p.epsilon
+    p = dataclasses.replace(base, alpha=((1, 5), (1, Fraction(23, 4))))
+    assert p.m_tail == 7
 
 
 def test_params_validation():
@@ -51,12 +72,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ConstructionParams.defaults(2, 2, (3, 3))  # d < 3
     good = ConstructionParams.defaults(4, 2, (3, 3))
+    with pytest.raises(ValueError, match="more than 1/4 apart"):
+        dataclasses.replace(good, alpha=((1, 2, 3), (1, Fraction(5, 4), 3)))
+    dataclasses.replace(good, alpha=((1, 2, 3), (1, Fraction(13, 10), 3)))
     with pytest.raises(ValueError):
-        dataclasses.replace(good, epsilon=Fraction(2))  # breaks alpha gaps
-    with pytest.raises(ValueError):
-        dataclasses.replace(good, nu=(0, 0))
-    with pytest.raises(ValueError):
-        dataclasses.replace(good, m_tail=Fraction(1))
+        dataclasses.replace(good, zeta=Fraction(-1))
 
 
 def test_moment_curve_point_values():
@@ -145,7 +165,7 @@ def test_witness_no_tail_columns_when_range_full():
     # d+r-1 = 4 is even and k = k_max = 2: exactly 1 + 2k columns
     p = params_33(tau=Fraction(1, 2))
     cols, _ = _witness_columns(
-        WitnessSubset(((0,), (1,))), [Fraction(0)] * 4, p, None
+        WitnessSubset(((0,), (1,))), [Fraction(0)] * 4, p, Fraction(0)
     )
     assert len(cols) == 5 == p.d + p.r
 
@@ -265,12 +285,13 @@ def test_find_tau_star_and_hull_agreement():
     assert g[1] == phi(2, (3, 3)) == 9
     # certificates remain positive at tau*/2
     smaller = dataclasses.replace(p, tau=cert.value / 2)
-    ok, checked = _sweep_all_positive(smaller, zeta=None)
+    ok, checked = _sweep_all_positive(smaller)
     assert ok and checked == 36
 
 
-def _reference_sweep(params, zeta):
+def _reference_sweep(params):
     """Fraction oracle for the sweep: one witness_determinant per pair, same order."""
+    zeta = params.zeta
     checked = 0
     for k in range(params.r, params.k_max + 1):
         for subset in spanning_subsets(params.n, k):
@@ -292,12 +313,12 @@ def test_integer_sweep_matches_fraction_oracle(d, r, n):
     tau_cert = find_tau_star(p)
     for h in range(tau_cert.halvings + 3):
         candidate = dataclasses.replace(p, tau=Fraction(1, 2**h))
-        assert _sweep_all_positive(candidate, None) == _reference_sweep(candidate, None), h
+        assert _sweep_all_positive(candidate) == _reference_sweep(candidate), h
     p = dataclasses.replace(p, tau=tau_cert.value)
     zeta_cert = find_zeta_diamond(p)
     for h in range(zeta_cert.halvings + 3):
-        z = Fraction(1, 2**h)
-        assert _sweep_all_positive(p, z) == _reference_sweep(p, z), h
+        candidate = dataclasses.replace(p, zeta=Fraction(1, 2**h))
+        assert _sweep_all_positive(candidate) == _reference_sweep(candidate), h
 
 
 def _integer_column(point):
@@ -311,7 +332,7 @@ def test_hyperplane_expands_witness_determinant():
     # determinant times the product of the scales
     rng = random.Random(19)
     cases = [
-        (ConstructionParams.defaults(5, 2, (5, 5)), Fraction(1, 4), None),
+        (ConstructionParams.defaults(5, 2, (5, 5)), Fraction(1, 4), Fraction(0)),
         (ConstructionParams.defaults(5, 2, (5, 5)), Fraction(1, 4), Fraction(1, 8192)),
         (ConstructionParams.defaults(4, 3, (3, 3, 3)), Fraction(1), Fraction(1, 64)),
     ]
@@ -365,7 +386,7 @@ def test_find_zeta_diamond_and_tightness_33():
     zcert = find_zeta_diamond(p)
     assert zcert.expected_checks == tcert.expected_checks
     p = dataclasses.replace(p, zeta=zcert.value)
-    fam = generate_family(p, lifted=True)
+    fam = generate_family(p)
     fv_direct = minksum_direct(fam)
     fv_cayley = minksum_via_cayley(fam)
     assert fv_direct == fv_cayley
