@@ -5,22 +5,27 @@ arithmetic after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
 The face lattice comes from one descent.  A simplex's facets are its
-subsets; every other face's are found by an exact gift-wrap.  Rotations
-alone reach a first facet.  Each facet found counts its ridges, its own
+subsets; every other face's are found by an exact gift-wrap.  A face that a
+rotation found starts its wrap from the ridge it was found across, whose
+functional within it follows from the two the rotation held; only the
+polytope and the chain of first facets below it search for a first facet,
+by rotations alone.  Each facet found counts its ridges, its own
 facets one dimension down, and the wrap rotates only about a ridge that one
 found facet holds, so every rotation finds a new facet; every ridge must end
 in exactly two facets, which certifies completeness.  Each facet keeps its
 primitive integer functional, so a rotation moves in the pencil of the
 facet's functional and the ridge's, at one dot product per point.  A face
 is wrapped in its pivot columns, and a facet's are its face's minus the
-last one its functional uses, so only the polytope's rank costs an
-elimination.  A memo keyed by the set of points on a face hands its
-facets, columns and functionals to the wrap above it and to the lattice,
-so each face is wrapped once.  No floating point is used anywhere.
+last one its functional uses, so only the polytope's rank and the shadow
+steps of the first-facet chain cost an elimination.  A memo keyed by the
+set of points on a face hands its facets, columns and functionals to the
+wrap above it and to the lattice, so each face is wrapped once.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -233,7 +238,8 @@ def _rotate(pts, u_values, u, v) -> tuple[tuple[int, ...], list[int]]:
 
 def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> tuple[frozenset, tuple[int, ...]]:
     """A facet of full-rank points and its functional, by induction on their
-    coordinate shadows.
+    coordinate shadows.  Only a face entered without a ridge needs it: the
+    polytope and the chain of first facets below it (see ``_facets_of``).
 
     The m-shadow (the first m coordinates) is full-rank too.  The points of
     minimal x_0 are a facet of the 1-shadow, with functional x_0 - min, and
@@ -265,14 +271,38 @@ def _spanning(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [points[i] for i in pivots]
 
 
-def _facets_of(pts, face: frozenset, j: int, memo: dict, columns=None) -> list[frozenset]:
+def _ridge_seed(u, u_values, g, on, t) -> tuple[tuple[int, ...], list[int]]:
+    """The ridge a rotation crossed, as a first facet of the facet it found.
+
+    ``u`` (valued ``u_values``) is the functional of the facet rotated from
+    and ``g`` that of the facet found, on-set ``on``, whose last nonzero
+    position is ``t``.  On {g = 0}, sign(g_t)*(g_t*u - u_t*g) equals
+    |g_t|*u, so it is nonnegative there and zero exactly on the ridge; its
+    t-th coefficient is 0, so dropping it gives a functional over the found
+    facet's columns.  Returns that functional, made primitive, and its values
+    at the found facet's points: no elimination and no point scan.
+    """
+    gt, ut = abs(g[t]), u[t] if g[t] > 0 else -u[t]
+    s = [gt * a - ut * b for a, b in zip(u, g)]
+    del s[t]
+    d = math.gcd(*s)
+    return tuple(c // d for c in s), [gt * u_values[m] // d for m in on]
+
+
+def _facets_of(
+    pts, face: frozenset, j: int, memo: dict, columns=None, first=None
+) -> list[frozenset]:
     """Facet on-sets of the j-face whose on-set (indices into ``pts``) is ``face``.
 
     A simplex's facets are its j-subsets.  Any other face is gift-wrapped
     once (Chand & Kapur 1970; Swart 1985) in its pivot ``columns`` from a
-    first facet (``_first_facet``).  Each facet found counts its ridges at
-    once: its own facets, from ``memo`` (keyed by on-set) or one level
-    down; a segment's one ridge is the empty face.  A ridge that one found
+    first facet.  A face found by a rotation gets ``first``, which gives the
+    (functional, values at the face's points) of the ridge it was found
+    across (``_ridge_seed``) and is called only if the face is wrapped; the
+    top face and the chain of first facets below it, entered without one,
+    call ``_first_facet``.  Each facet found counts its ridges at once: its
+    own facets, from ``memo`` (keyed by on-set) or one level down; a
+    segment's one ridge is the empty face.  A ridge that one found
     facet holds is crossed with one ``_rotate`` in the pencil of that
     facet's functional and the ridge's, so each rotation finds a new facet.
     Every ridge must end in exactly two facets, which certifies
@@ -300,21 +330,25 @@ def _facets_of(pts, face: frozenset, j: int, memo: dict, columns=None) -> list[f
     sub = [tuple(pts[i][c] for c in columns) for i in idx]
     degree, walk = Counter(), []  # walk: every facet found, grown as it is walked
 
-    def found(on, u, values):  # a facet registers its ridges as soon as it is found
-        t = max(n for n, x in enumerate(u) if x)  # its columns are ours but the t-th
+    def found(g, values, crossed=()):  # a facet registers its ridges as soon as it is found
+        on = [m for m, x in enumerate(values) if not x]
+        t = max(n for n, x in enumerate(g) if x)  # its columns are ours but the t-th
         facet = frozenset(idx[m] for m in on)
-        degree.update(_facets_of(pts, facet, j - 1, memo, columns[: t - 1] + columns[t:]))
-        walk.append((facet, u, values, t))
+        seed = functools.partial(_ridge_seed, *crossed, g, on, t) if crossed else None
+        degree.update(_facets_of(pts, facet, j - 1, memo, columns[: t - 1] + columns[t:], seed))
+        walk.append((facet, g, values, t))
 
-    on, u = _first_facet(sub, j)
-    found(on, u, _values(u, sub))
+    if first is None:
+        _, u = _first_facet(sub, j)
+        found(u, _values(u, sub))
+    else:
+        found(*first())
     for facet, u, u_values, t in walk:
         for r, ridge in enumerate(_facets_of(pts, facet, j - 1, memo)):
             if degree[ridge] > 1:  # its other facet is found already
                 continue
             w = _facet_functional(pts, facet, r, memo)
-            g, values = _rotate(sub, u_values, u, w[:t] + (0,) + w[t:])
-            found([m for m, x in enumerate(values) if not x], g, values)
+            found(*_rotate(sub, u_values, u, w[:t] + (0,) + w[t:]), (u, u_values))
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
     memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk])

@@ -82,7 +82,7 @@ def test_params_validation():
 def test_moment_curve_point_values():
     p = params_33()
     assert moment_curve_point(1, Fraction(2), p) == (2, 0, 4)
-    assert moment_curve_point(2, Fraction(2), p, zeta=Fraction(1)) == (8, 2, 4)
+    assert moment_curve_point(2, Fraction(2), dataclasses.replace(p, zeta=Fraction(1))) == (8, 2, 4)
     with pytest.raises(ValueError):
         moment_curve_point(1, Fraction(0), p)
     with pytest.raises(ValueError):
@@ -91,13 +91,14 @@ def test_moment_curve_point_values():
 
 def test_perturbed_reduces_to_unperturbed_at_zero():
     p = ConstructionParams.defaults(6, 3, (3, 3, 3))
+    lifted = dataclasses.replace(p, zeta=Fraction(1, 3))
     rng = random.Random(3)
     for _ in range(12):
         i = rng.randint(1, 3)
         t = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        assert moment_curve_point(i, t, p, zeta=Fraction(0)) == moment_curve_point(
-            i, t, p
-        )
+        flat = (0,) * (i - 1) + (t,) + (0,) * (3 - i) + (t**2, t**3, t**4)
+        assert moment_curve_point(i, t, dataclasses.replace(lifted, zeta=Fraction(0))) == flat
+        assert moment_curve_point(i, t, lifted) != flat
 
 
 def test_perturbed_slot_order():
@@ -105,7 +106,7 @@ def test_perturbed_slot_order():
     # zeta*t^{d-r+2} = zeta*t^5 and zeta*t^6
     p = ConstructionParams.defaults(6, 3, (3, 3, 3))
     t, z = Fraction(2), Fraction(1, 3)
-    pt = moment_curve_point(2, t, p, zeta=z)
+    pt = moment_curve_point(2, t, dataclasses.replace(p, zeta=z))
     assert pt[0] == z * t**5
     assert pt[1] == t
     assert pt[2] == z * t**6
@@ -164,9 +165,7 @@ def test_witness_size_range_enforced():
 def test_witness_no_tail_columns_when_range_full():
     # d+r-1 = 4 is even and k = k_max = 2: exactly 1 + 2k columns
     p = params_33(tau=Fraction(1, 2))
-    cols, _ = _witness_columns(
-        WitnessSubset(((0,), (1,))), [Fraction(0)] * 4, p, Fraction(0)
-    )
+    cols, _ = _witness_columns(WitnessSubset(((0,), (1,))), [Fraction(0)] * 4, p)
     assert len(cols) == 5 == p.d + p.r
 
 
@@ -201,13 +200,17 @@ def test_witness_affine_in_x():
 
 def test_lifted_witness_at_zero_equals_flat():
     p = params_33(tau=Fraction(1, 4))
+    lifted = dataclasses.replace(p, zeta=Fraction(1, 64))
     sub = WitnessSubset(((0,), (1,)))
     rng = random.Random(13)
+    moved = 0
     for _ in range(8):
         x = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(4)]
-        assert witness_determinant(sub, x, p, zeta=Fraction(0)) == witness_determinant(
-            sub, x, p
-        )
+        flat = witness_determinant(sub, x, p)
+        assert witness_determinant(sub, x, dataclasses.replace(lifted, zeta=Fraction(0))) == flat
+        # the witness reads the lift from the params
+        moved += witness_determinant(sub, x, lifted) != flat
+    assert moved
 
 
 def test_expected_check_count_formula():
@@ -291,7 +294,6 @@ def test_find_tau_star_and_hull_agreement():
 
 def _reference_sweep(params):
     """Fraction oracle for the sweep: one witness_determinant per pair, same order."""
-    zeta = params.zeta
     checked = 0
     for k in range(params.r, params.k_max + 1):
         for subset in spanning_subsets(params.n, k):
@@ -299,9 +301,9 @@ def _reference_sweep(params):
                 for j in range(params.n[i]):
                     if subset.contains(i, j):
                         continue
-                    x = lifted_curve_point(i + 1, params.curve_parameter(i, j), params, zeta)
+                    x = lifted_curve_point(i + 1, params.curve_parameter(i, j), params)
                     checked += 1
-                    if witness_determinant(subset, x, params, zeta) <= 0:
+                    if witness_determinant(subset, x, params) <= 0:
                         return False, checked
     return True, checked
 
@@ -337,20 +339,20 @@ def test_hyperplane_expands_witness_determinant():
         (ConstructionParams.defaults(4, 3, (3, 3, 3)), Fraction(1), Fraction(1, 64)),
     ]
     for base, tau, zeta in cases:
-        p = dataclasses.replace(base, tau=tau)
+        p = dataclasses.replace(base, tau=tau, zeta=zeta)
         sign = (-1) ** (p.r * (p.r - 1) // 2)
         for k in range(p.r, p.k_max + 1):
             subsets = list(spanning_subsets(p.n, k))
             for subset in rng.sample(subsets, min(4, len(subsets))):
                 fixed = [
                     _integer_column(
-                        lifted_curve_point(i + 1, p.curve_parameter(i, j, shifted), p, zeta)
+                        lifted_curve_point(i + 1, p.curve_parameter(i, j, shifted), p)
                     )
                     for i, js in enumerate(subset.per_part)
                     for j in js
                     for shifted in (False, True)
                 ] + [
-                    _integer_column(lifted_curve_point(p.r, lam * p.m_tail, p, zeta))
+                    _integer_column(lifted_curve_point(p.r, lam * p.m_tail, p))
                     for lam in range(1, p.d + p.r - 2 * k)
                 ]
                 c0, *c = hyperplane(fixed)
@@ -358,7 +360,7 @@ def test_hyperplane_expands_witness_determinant():
                 for _ in range(3):
                     x = [rng.randint(-9, 9) for _ in range(p.d + p.r - 1)]
                     value = c0 + sum(a * b for a, b in zip(c, x))
-                    assert sign * value == witness_determinant(subset, x, p, zeta) * scale
+                    assert sign * value == witness_determinant(subset, x, p) * scale
 
 
 def test_witness_sign_matches_hull_face_membership():
@@ -488,3 +490,20 @@ def test_verify_tightness_d_polytope_summands(d, r):
     assert len(rep.f_via_cayley) == d
     for k, fk in enumerate(rep.f_via_cayley):
         assert fk <= phi(k + r, n)
+
+
+def test_verify_tightness_reports_the_upper_bound_past_the_tight_range():
+    # tight range f_0, f_1; above it every f_k up to the facets is checked
+    # against the Fukuda-Weibel bound, and there a check passes on <=
+    rep = verify_tightness(6, 2, (8, 8))
+    assert rep.passed
+    bound = {c["name"]: c for c in rep.checks if c["name"].endswith("_upper_bound")}
+    assert list(bound) == [f"f_{k}_upper_bound" for k in range(2, 6)]
+    assert bound["f_2_upper_bound"] == {
+        "name": "f_2_upper_bound",
+        "expected": 1680,
+        "actual": 1352,
+        "pass": True,
+    }
+    for k, check in enumerate(bound.values(), 2):
+        assert check["actual"] == rep.f_via_cayley[k] <= check["expected"] == phi(k + 2, (8, 8))

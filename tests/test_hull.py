@@ -243,30 +243,68 @@ def test_wrap_matches_exhaustive():
 
 
 def test_lattice_matches_intersection_closure():
-    for rows in wrap_cases():
+    for rows in functional_cases():
         ps = PointSet.from_rows(rows)
         assert {(f.dim, f.vertices) for f in convex_hull(ps).faces} == lattice_oracle(ps)
 
 
 def test_each_face_is_wrapped_once(monkeypatch):
-    calls = []
-    first_facet = hull._first_facet
+    wraps, firsts = [], []
+    facets_of, first_facet = hull._facets_of, hull._first_facet
 
-    def counted(pts, k):
-        calls.append(k)
+    def counted(pts, face, j, memo, *args):
+        if face not in memo and len(face) > j + 1:  # a wrap: no memo entry, no simplex
+            wraps.append(j)
+        return facets_of(pts, face, j, memo, *args)
+
+    def first_counted(pts, k):
+        firsts.append(k)
         return first_facet(pts, k)
 
-    monkeypatch.setattr(hull, "_first_facet", counted)
+    monkeypatch.setattr(hull, "_facets_of", counted)
+    monkeypatch.setattr(hull, "_first_facet", first_counted)
     lat = convex_hull(PointSet.from_rows(list(itertools.product([0, 1], repeat=4))))
     assert lat.f_vector == (16, 32, 24, 8)
     # one wrap per face of dimension >= 2: 24 squares, 8 cubes, the 4-cube
-    assert len(calls) == 33 == sum(lat.f_vector[2:]) + 1
+    assert len(wraps) == 33 == sum(lat.f_vector[2:]) + 1
+    # every other face is entered across a ridge, which seeds its wrap, so
+    # only the chain of first facets from the top face searches for one
+    assert firsts == [4, 3, 2]
 
     # an edge with a point inside is no simplex: the square and its 4 edges
-    calls.clear()
+    wraps.clear()
+    firsts.clear()
     lat = convex_hull(PointSet.from_rows(list(itertools.product(range(3), repeat=2))))
     assert lat.f_vector == (4, 4)
-    assert calls == [2, 1, 1, 1, 1]
+    assert wraps == [2, 1, 1, 1, 1]
+    assert firsts == [2, 1]
+
+
+def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
+    """Each face wrapped from a seed keeps that ridge, with that functional,
+    as its first facet, and the seed's values are the functional's."""
+    seeds = []
+    facets_of = hull._facets_of
+
+    def recorded(pts, face, j, memo, columns=None, first=None):
+        if face not in memo and len(face) > j + 1 and first is not None:
+            seeds.append((face, first(), memo))
+        return facets_of(pts, face, j, memo, columns, first)
+
+    monkeypatch.setattr(hull, "_facets_of", recorded)
+    checked = 0
+    for rows in functional_cases():
+        ps = PointSet.from_rows(rows)
+        prep = _Prepared(ps)
+        seeds.clear()
+        convex_hull(ps)
+        for face, (u, values), memo in seeds:
+            facets, columns, functionals = memo[face]
+            ridge = frozenset(i for i, x in zip(sorted(face), values) if not x)
+            assert (facets[0], functionals[0]) == (ridge, u)
+            assert hull._values(u, project(prep, face, columns).values()) == values
+            checked += 1
+    assert checked > 60
 
 
 def test_first_facet_is_a_facet(monkeypatch):
@@ -522,11 +560,11 @@ def test_wrap_work_counts(monkeypatch):
 
     # one elimination per candidate point would cost 378 on the 4-cube and
     # 6,723 on the sums; now a simplex facet pays one per ridge a wrap
-    # crosses and a first facet one per rotation
+    # crosses and a first facet of the chain from the top one per rotation
     cube = list(itertools.product([0, 1], repeat=4))
     # the 4-cube's 8 facets, each cube's 6 and each square's 4: 7 + 8*5 + 24*3
-    assert work(cube) == ((16, 32, 24, 8), 45, 119, 0, 44)
+    assert work(cube) == ((16, 32, 24, 8), 45, 119, 0, 7)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
-    assert work(sums) == ((36, 156, 288, 252, 86), 1091, 2289, 718, 719)
+    assert work(sums) == ((36, 156, 288, 252, 86), 420, 1580, 9, 10)
