@@ -16,6 +16,8 @@ from functools import lru_cache
 
 from .hull import PointSet, convex_hull
 
+PHI_BRUTE_FORCE_SIZE_CAP = 100_000  # most ell-subsets C(sum(n), ell) phi_brute_force enumerates
+
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient with C(a, 0) = 1 for every a, else 0 outside 0 <= b <= a."""
@@ -73,6 +75,8 @@ def phi(ell: int, n: tuple[int, ...]) -> int:
 
 def phi_brute_force(ell: int, n: tuple[int, ...]) -> int:
     """Independent oracle: count spanning ell-subsets by explicit enumeration."""
+    if binom(sum(n), ell) > PHI_BRUTE_FORCE_SIZE_CAP:
+        raise ValueError(f"brute-force enumeration capped at C(sum(n), ell) <= {PHI_BRUTE_FORCE_SIZE_CAP}")
     parts = []
     start = 0
     for ni in n:

@@ -3,11 +3,11 @@
 Every geometric predicate in this package bottoms out here.  Scalars are
 ``fractions.Fraction`` (arbitrary precision, always canonical); a matrix is
 a plain sequence of rows whose entries are ints, Fractions or "p/q" strings.
-Determinants run fraction-free (Bareiss) on integer rows after clearing
-denominators, with a plain cofactor expansion kept as an independent
-cross-check.  A hyperplane through k integer points (its k+1 cofactors)
-comes from one fraction-free Gauss-Jordan pass over the k rows rather than
-k+1 separate determinants.  No floating point anywhere.
+One fraction-free (Bareiss 1968) row echelon pass on integer rows, after
+clearing denominators, gives the determinant, the rank with its leftmost
+pivot columns, and by back substitution the k+1 cofactors of a hyperplane
+through k integer points.  A plain cofactor expansion is kept as an
+independent determinant cross-check.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -50,40 +50,57 @@ def rat_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in a):
-        raise DimensionError("non-square matrix")
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+def _echelon(a: list[list[int]]) -> tuple[list[int], int]:
+    """Bring integer rows to fraction-free row echelon form, in place.
+
+    Pivot columns are taken left to right, swapping rows as needed, so a
+    column is a pivot exactly when it is independent of the columns left of
+    it.  Returns the pivot columns and the sign of the row swaps.  With
+    pivots p_0..p_{r-1} taken, a[i][j] (i >= r, j > p_{r-1}) is the minor of
+    the swapped rows 0..r-1, i on columns p_0..p_{r-1}, j (Sylvester's
+    identity), so every division by the previous pivot is exact.
+    """
+    m = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        ar = a[r]
+        if not ar[c]:
+            for i in range(r + 1, m):
+                if a[i][c]:
+                    a[r], a[i] = a[i], ar
+                    ar = a[r]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+                continue
+        p = ar[c]
+        for i in range(r + 1, m):
             ai = a[i]
-            ak = a[k]
-            f = ai[k]
-            for j in range(k + 1, n):
-                # exact division: Bareiss guarantees divisibility by the previous pivot
-                ai[j] = (pivot * ai[j] - f * ak[j]) // prev
-            ai[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+            f = ai[c]
+            for j in range(c + 1, ncols):
+                ai[j] = (p * ai[j] - f * ar[j]) // prev
+            ai[c] = 0
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix: the signed last pivot of its echelon form."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise DimensionError("non-square matrix")
+    pivots, sign = _echelon(a)
+    if len(pivots) < n:
+        return 0
+    return sign * a[-1][-1] if n else 1
 
 
 def hyperplane(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
@@ -95,50 +112,24 @@ def hyperplane(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     c0 + sum(c[j+1] * x[j]) = 0 through the points p_i.  Returns None when
     the rows are linearly dependent (every cofactor vanishes).
 
-    One fraction-free Gauss-Jordan pass (Bareiss 1968) takes pivot columns
-    left to right, swapping rows as needed.  Full rank leaves one free
-    column f, and the reduced rows read D x_{pivot i} + a[i][f] x_f = 0 with
-    D the last pivot, so (D at f, -a[i][f] at the i-th pivot column) spans
-    the kernel.  Since D = det(rows without column f) up to the sign of the
-    row swaps, multiplying by (-1)^f and that sign gives the cofactors
-    exactly.  Each pivot column is dropped once used; the free one, once
-    found, stays at the front.
+    Full rank leaves one free column f in the echelon form, and its last
+    pivot is det(rows without column f) times the swap sign, which gives
+    c[f].  The cofactor vector spans the kernel of the rows, hence of the
+    echelon rows, so back substitution from the last pivot row up gives
+    c[p_i] = -sum_{j > p_i} a[i][j] c[j] / a[i][p_i]; each division is
+    exact because the cofactors are integers.
     """
     a = [list(row) for row in rows]
     k = len(a)
-    sign = 1
-    prev = 1
-    free = k
-    pos = 0  # where the next pivot column sits: behind the free one, once found
-    for r in range(k):
-        ar = a[r]
-        if not ar[pos]:
-            piv = next((i for i in range(r + 1, k) if a[i][pos]), None)
-            if piv is None and not pos:
-                free, pos = r, 1
-                piv = next((i for i in range(r, k) if a[i][pos]), None)
-            if piv is None:
-                return None
-            if piv != r:
-                a[r], a[piv] = a[piv], ar
-                ar = a[r]
-                sign = -sign
-        p = ar[pos]
-        for i in range(k):
-            if i != r:
-                ai = a[i]
-                m = ai[pos]
-                # exact division: every entry is a minor of the input (Sylvester)
-                ai = [(p * x - m * y) // prev for x, y in zip(ai, ar)]
-                del ai[pos]
-                a[i] = ai
-        del ar[pos]
-        prev = p
-    if free % 2:
-        sign = -sign
-    coeffs = [-sign * row[0] for row in a]
-    coeffs.insert(free, sign * prev)
-    return tuple(coeffs)
+    pivots, sign = _echelon(a)
+    if len(pivots) < k:
+        return None
+    free = next((j for j, p in enumerate(pivots) if p != j), k)
+    c = [0] * (k + 1)
+    c[free] = (-sign if free % 2 else sign) * (a[-1][pivots[-1]] if k else 1)
+    for ai, p in zip(reversed(a), reversed(pivots)):
+        c[p] = -sum(ai[j] * c[j] for j in range(p + 1, k + 1)) // ai[p]
+    return tuple(c)
 
 
 def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -194,39 +185,13 @@ def determinant_cofactor(rows: Sequence[Sequence]) -> Fraction:
 
 
 def int_row_space_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank and pivot columns of integer rows via fraction-free elimination.
+    """Rank and leftmost pivot columns of integer rows, from their echelon form.
 
     Projection of the row space onto the pivot columns is injective, which is
     what the hull code relies on for exact coordinate reduction.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0, ()
-    ncols = len(work[0])
-    rank = 0
-    pivots = []
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pr = work[rank]
-        for i in range(rank + 1, len(work)):
-            wi = work[i]
-            if wi[c]:
-                a, b = pr[c], wi[c]
-                g = math.gcd(a, b)
-                fa, fb = a // g, b // g
-                work[i] = [fa * x - fb * y for x, y in zip(wi, pr)]
-        pivots.append(c)
-        rank += 1
-        if rank == len(work):
-            break
-    return rank, tuple(pivots)
+    pivots, _ = _echelon([list(r) for r in rows])
+    return len(pivots), tuple(pivots)
 
 
 def affine_rank(points) -> int:

@@ -1,5 +1,6 @@
-"""Test-only builders: zonotope vertex candidates, random delta specs and the
-transcribed sign exponent of the minimal Delta term."""
+"""Test-only builders and oracles: zonotope vertex candidates, random delta
+specs, the transcribed sign exponent of the minimal Delta term, and a plain
+Fraction elimination that shares no code with the exact kernel."""
 
 import itertools
 from fractions import Fraction
@@ -48,3 +49,33 @@ def random_delta_spec(rng, max_total: int = 10) -> DeltaSpec:
             vals.append(vals[-1] + Fraction(rng.randint(1, 4), 2))
         xs.append(tuple(vals))
     return DeltaSpec(kappa=kappa, beta=tuple(exps), x=tuple(xs))
+
+
+def fraction_elimination(rows):
+    """Independent kernel oracle: Gaussian elimination over Fraction.
+
+    Returns (rank, leftmost pivot columns, determinant); the determinant is
+    None unless the rows form a square matrix.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    det = Fraction(1)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            det = -det
+        det *= a[r][c]
+        for i in range(r + 1, len(a)):
+            if a[i][c]:
+                f = a[i][c] / a[r][c]
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], a[r][c:])]
+        pivots.append(c)
+    if any(len(row) != len(a) for row in a):
+        det = None
+    elif len(pivots) < len(a):
+        det = Fraction(0)
+    return len(pivots), tuple(pivots), det

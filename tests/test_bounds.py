@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysum.bounds import (
+    PHI_BRUTE_FORCE_SIZE_CAP,
     VertexProfile,
     binom,
     cyclic_fvector_gale,
@@ -47,6 +48,13 @@ def test_phi_matches_brute_force():
     for n in [(2, 3), (3, 3), (2, 2, 2), (1, 4), (3, 2, 1)]:
         for ell in range(len(n), sum(n) + 1):
             assert phi(ell, n) == phi_brute_force(ell, n)
+
+
+def test_phi_brute_force_cap():
+    assert math.comb(20, 10) > PHI_BRUTE_FORCE_SIZE_CAP >= math.comb(17, 8)
+    assert phi_brute_force(8, (9, 8)) == phi(8, (9, 8))
+    with pytest.raises(ValueError):
+        phi_brute_force(10, (10, 10))
 
 
 def test_phi_at_ell_equals_r_is_product():

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,18 @@ def test_phi_prints_value(capsys):
     assert code == 0
     assert capsys.readouterr().out.strip() == "100"
     assert report.outputs["value"] == 100
+
+
+def test_phi_checks_brute_force_only_below_its_cap(capsys):
+    _, small = run(["phi", "--ell", "3", "--n", "5,5"])
+    assert [c["name"] for c in small.checks] == ["phi_matches_composition_sum"]
+    # C(28, 14) = 40,116,600 subsets, far above the cap
+    start = time.perf_counter()
+    code, report = run(["phi", "--ell", "14", "--n", "14,14"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and report.checks == []
+    assert report.outputs["value"] == polysum.phi(14, (14, 14))
+    assert capsys.readouterr().out.split()[-1] == str(report.outputs["value"])
 
 
 def test_phi_bad_args_exit_2(capsys):

@@ -18,9 +18,12 @@ from polysum.exact import (
     determinant_cofactor,
     hyperplane,
     int_det,
+    int_row_space_pivots,
     rat,
     rat_to_str,
 )
+
+from helpers import fraction_elimination
 
 
 def test_rat_parsing_and_serialization():
@@ -89,11 +92,11 @@ def test_hyperplane_is_the_first_row_expansion():
 
 
 def _hyperplane_cofactor(rows):
-    """Oracle: the k+1 cofactors as separate determinants of the k x k minors."""
+    """Oracle: the k+1 cofactors as separate Fraction determinants of the k x k minors."""
     coeffs = []
     for j in range(len(rows) + 1):
-        d = int_det([row[:j] + row[j + 1 :] for row in rows])
-        coeffs.append(d if j % 2 == 0 else -d)
+        _, _, d = fraction_elimination([row[:j] + row[j + 1 :] for row in rows])
+        coeffs.append(int(d) if j % 2 == 0 else -int(d))
     if not any(coeffs):
         return None
     return tuple(coeffs)
@@ -130,6 +133,69 @@ def test_hyperplane_matches_cofactor_oracle():
         assert hyperplane(rows) == expected, rows
         dependent += expected is None
     assert 300 < dependent < 2000  # both outcomes are well covered
+
+
+def _matrix_case(rng, m, n):
+    """m random integer rows of length n, degenerate in the ways the kernels see."""
+    bits = rng.choice((1, 3, 20, 70, 130))  # 70 and 130: entries above 2**64
+    rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(m)]
+    if m and n and rng.random() < 0.3:  # a zero leading entry: the pivot search must swap
+        rows[0][0] = 0
+        if rng.random() < 0.5:  # ... past more than one row
+            for row in rows[1 : m // 2 + 1]:
+                row[0] = 0
+    for _ in range(rng.choice((0, 0, 1, 2))):  # zero columns
+        if n:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+    for _ in range(rng.choice((0, 0, 1))):  # zero rows
+        if m:
+            rows[rng.randrange(m)] = [0] * n
+    if m >= 2 and rng.random() < 0.3:  # one row a combination of the others
+        i = rng.randrange(m)
+        others = rows[:i] + rows[i + 1 :]
+        coefs = [rng.randint(-3, 3) for _ in others]
+        rows[i] = [sum(c * row[j] for c, row in zip(coefs, others)) for j in range(n)]
+    if n >= 2 and rng.random() < 0.2:  # one column a combination of those left of it
+        j = rng.randrange(1, n)
+        coefs = [rng.randint(-3, 3) for _ in range(j)]
+        for row in rows:
+            row[j] = sum(c * row[i] for i, c in enumerate(coefs))
+    return rows
+
+
+def test_int_row_space_pivots_matches_fraction_elimination():
+    rng = random.Random(75)
+    shapes = {"tall": 0, "wide": 0, "square": 0}
+    deficient = 0
+    for _ in range(1500):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _matrix_case(rng, m, n)
+        rank, pivots, _ = fraction_elimination(rows)
+        assert int_row_space_pivots(rows) == (rank, pivots), rows
+        assert int_row_space_pivots([tuple(row) for row in rows]) == (rank, pivots)
+        shapes["tall" if m > n else "wide" if m < n else "square"] += 1
+        deficient += rank < min(m, n)
+    assert min(shapes.values()) > 100 and 300 < deficient < 1200
+    assert int_row_space_pivots([]) == (0, ())
+    assert int_row_space_pivots([[0, 0], [0, 0]]) == (0, ())
+    # the leftmost independent columns, whatever the row order
+    assert int_row_space_pivots([[0, 0, 1, 1], [0, 2, 0, 5], [0, 4, 1, 11]]) == (2, (1, 2))
+
+
+def test_int_det_matches_fraction_elimination():
+    rng = random.Random(76)
+    singular = 0
+    for _ in range(1500):
+        n = rng.randint(0, 9)
+        rows = _matrix_case(rng, n, n)
+        _, _, det = fraction_elimination(rows)
+        assert int_det(rows) == det, rows
+        singular += det == 0
+    assert 300 < singular < 1200
+    with pytest.raises(DimensionError):
+        int_det([[1, 2, 3], [4, 5, 6]])
 
 
 def test_clear_denominators_matches_the_fraction_form():
