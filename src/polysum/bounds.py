@@ -57,6 +57,8 @@ def phi(ell: int, n: tuple[int, ...]) -> int:
     r = len(n)
     if r < 1:
         raise ValueError("need at least one part")
+    if any(ni < 1 for ni in n):
+        raise ValueError("every summand needs at least one vertex")
     if ell < r:
         raise ValueError(f"phi undefined for ell={ell} < r={r}")
     # coefficient extraction from prod_i sum_{s=1..n_i} C(n_i, s) z^s

@@ -11,13 +11,14 @@ evaluates the family exactly, finds a certified positivity threshold by
 halving, computes the predicted leading term, and cross-checks everything
 against brute-force expansions that know nothing about the block structure.
 
-Delta(tau) is evaluated on integers: each row of the (coefficient,
-tau-exponent) table is cleared of denominators once per spec (the product
-of the row scales is S), and at tau = p/q row r is also multiplied by
-q^top_r, top_r its largest exponent.  The entries c p^e q^(top_r - e) are
+Delta's denominators are cleared in one place, ``_integer_rows``: each row
+of the (coefficient, tau-exponent) table is scaled to integers, and S is the
+product of the row scales.  At tau = p/q row r is also multiplied by
+q^top_r, top_r its largest exponent; the entries c p^e q^(top_r - e) are
 integers, so one Bareiss determinant divided by S q^(sum of top_r) gives
-Delta exactly.  ``build_delta`` and ``determinant`` stay as the Fraction
-oracle.
+Delta exactly.  The K <= 8 brute-force polynomial walks the same integer
+rows and divides each coefficient by S once.  ``build_delta`` and
+``determinant`` stay as the independent Fraction oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .exact import SearchExhausted, clear_denominators, determinant, int_det, rat, rat_to_str
 
@@ -167,13 +168,19 @@ def build_delta(spec: DeltaSpec, tau: Fraction) -> list[list[Fraction]]:
     return [[coef * tau**exp if exp else coef for coef, exp in row] for row in _monomials(spec)]
 
 
-def _evaluator(spec: DeltaSpec) -> Callable[[Fraction], Fraction]:
-    """tau -> Delta(tau) from one integer table, cleared once per spec as
-    the module docstring describes."""
+def _integer_rows(spec: DeltaSpec) -> tuple[list[list[tuple[int, int]]], int]:
+    """The ``_monomials`` table with each row scaled by the lcm of its
+    coefficient denominators, as (int coefficient, tau-exponent) pairs, and
+    S, the product of the row scales: the one place Delta is cleared."""
     table = _monomials(spec)
     coefs, scale = clear_denominators([[c for c, _ in row] for row in table])
-    rows = [[(c, e) for c, (_, e) in zip(cs, row)] for cs, row in zip(coefs, table)]
-    tops = [max(e for _, e in row) for row in table]
+    return [[(c, e) for c, (_, e) in zip(cs, row)] for cs, row in zip(coefs, table)], scale
+
+
+def _evaluator(spec: DeltaSpec) -> Callable[[Fraction], Fraction]:
+    """tau -> Delta(tau) from the integer table, as the module docstring describes."""
+    rows, scale = _integer_rows(spec)
+    tops = [max(e for _, e in row) for row in rows]
     sign = (-1) ** spec.sign_exponent
     powers = range(max(tops) + 1)
 
@@ -197,19 +204,18 @@ def delta_value(spec: DeltaSpec, tau: Fraction) -> Fraction:
 def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
     """Brute-force expansion of the signed determinant as a polynomial in tau.
 
-    Walks all nonzero permutation products directly (no block structure is
-    assumed), so it is an independent oracle for the leading-term analysis.
+    Walks all nonzero permutation products of the integer table directly (no
+    block structure is assumed), so it is an independent oracle for the
+    leading-term analysis; each coefficient is divided by S once at the end.
     Capped at K <= 8.
     """
     K = spec.K
     if K > BRUTE_FORCE_SIZE_CAP:
         raise ValueError(f"brute-force expansion capped at K <= {BRUTE_FORCE_SIZE_CAP}")
-    row_entries = [
-        [(c, coef, exp) for c, (coef, exp) in enumerate(row) if coef != 0]
-        for row in _monomials(spec)
-    ]
-    poly: dict[int, Fraction] = defaultdict(Fraction)
-    stack = [(0, 0, Fraction(1), 0, 0)]  # row, used columns, coef, exp, parity
+    rows, scale = _integer_rows(spec)
+    row_entries = [[(c, coef, exp) for c, (coef, exp) in enumerate(row) if coef] for row in rows]
+    poly: dict[int, int] = defaultdict(int)
+    stack = [(0, 0, 1, 0, 0)]  # row, used columns, coef, exp, parity
     while stack:
         row, used, coef, exp, parity = stack.pop()
         if row == K:
@@ -221,26 +227,7 @@ def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
             flips = (used >> (c + 1)).bit_count() & 1
             stack.append((row + 1, used | (1 << c), coef * cf, exp + e, parity ^ flips))
     sign = (-1) ** spec.sign_exponent
-    return {e: sign * c for e, c in poly.items() if c != 0}
-
-
-def block_row_choices(spec: DeltaSpec) -> Iterator[tuple[tuple[tuple[int, ...], ...], Fraction]]:
-    """Iterated block expansion: every way to assign row sets to the column
-    blocks, with the product of the corresponding minors (sign ignored)."""
-    table = _monomials(spec)
-    ps = spec.partial_sums()
-
-    def rec(i: int, remaining: tuple[int, ...], chosen, prod):
-        if i == spec.n:
-            yield tuple(chosen), prod
-            return
-        cols = range(ps[i], ps[i + 1])
-        for rows in itertools.combinations(remaining, spec.kappa[i]):
-            minor = determinant([[table[r][c][0] for c in cols] for r in rows])
-            rest = tuple(r for r in remaining if r not in rows)
-            yield from rec(i + 1, rest, chosen + [rows], prod * minor)
-
-    yield from rec(0, tuple(range(spec.K)), [], Fraction(1))
+    return {e: Fraction(sign * c, scale) for e, c in poly.items() if c}
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,12 @@ def test_phi_requires_ell_at_least_r():
         phi(1, (3, 4))
 
 
+def test_phi_requires_a_vertex_in_every_part():
+    for n in [(-2, 6), (0, 3, 4), (3, 0)]:
+        with pytest.raises(ValueError, match="every summand needs at least one vertex"):
+            phi(len(n) + 1, n)
+
+
 def test_phi_matches_brute_force():
     for n in [(2, 3), (3, 3), (2, 2, 2), (1, 4), (3, 2, 1)]:
         for ell in range(len(n), sum(n) + 1):

@@ -56,6 +56,12 @@ def test_phi_checks_brute_force_only_below_its_cap(capsys):
 def test_phi_bad_args_exit_2(capsys):
     code, _ = run(["phi", "--ell", "1", "--n", "5,5"])
     assert code == 2
+    for argv in (["phi", "--ell", "3", "--n=-2,6"], ["phi", "--ell", "5", "--n", "0,3,4"]):
+        capsys.readouterr()
+        code, report = run(argv)
+        assert code == 2 and report is None, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: every summand needs at least one vertex"], argv
 
 
 def test_usage_error_exit_2():

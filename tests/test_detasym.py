@@ -9,7 +9,6 @@ import pytest
 import polysum.detasym as detasym
 from polysum.detasym import (
     DeltaSpec,
-    block_row_choices,
     build_delta,
     certify_positivity,
     delta_polynomial,
@@ -234,14 +233,15 @@ def test_brute_force_polynomial_matches_leading_term():
 
 
 def test_brute_force_polynomial_evaluates_to_delta():
+    # the Fraction oracle, not delta_value: both of those read the integer table
     rng = random.Random(9)
-    spec = random_delta_spec(rng)
-    while spec.K > 8:
-        spec = random_delta_spec(rng)
-    poly = delta_polynomial(spec)
-    for tau in (Fraction(1), Fraction(1, 2), Fraction(3, 7)):
-        val = sum(c * tau**e for e, c in poly.items())
-        assert val == delta_value(spec, tau)
+    specs = [hand_spec()] + [wide_delta_spec(rng, K) for K in range(4, 9) for _ in range(3)]
+    for spec in specs:
+        poly = delta_polynomial(spec)
+        sign = (-1) ** spec.sign_exponent
+        for tau in (Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(5, 2)):
+            val = sum(c * tau**e for e, c in poly.items())
+            assert val == sign * determinant(build_delta(spec, tau)), (spec, tau)
 
 
 def test_brute_force_polynomial_leaves_no_reference_cycles():
@@ -270,25 +270,23 @@ def test_brute_force_cap():
         delta_polynomial(spec)
 
 
-def test_nonvanishing_block_terms_structure():
+def test_build_delta_block_structure():
+    # why only one block row assignment survives: indicator row i and linear
+    # row n + i live in block i's columns alone, and power rows fill every column
     rng = random.Random(10)
-    done = 0
-    while done < 6:
-        spec = random_delta_spec(rng)
-        if spec.K > 8:
-            continue
-        n = spec.n
-        for rows_choice, prod in block_row_choices(spec):
-            # 0-based: block i must take rows i and n+i; the rest from the power rows
-            structured = all(
-                i in rows_choice[i]
-                and (n + i) in rows_choice[i]
-                and all(r >= 2 * n or r in (i, n + i) for r in rows_choice[i])
-                for i in range(n)
-            )
-            if prod != 0:
-                assert structured, rows_choice
-        done += 1
+    specs = [random_delta_spec(rng) for _ in range(10)]
+    specs += [wide_delta_spec(rng, K) for K in range(4, 19) for _ in range(2)]
+    assert max(spec.K for spec in specs) == 18
+    for spec in specs:
+        n, ps = spec.n, spec.partial_sums()
+        for tau in (Fraction(1), Fraction(3, 7)):
+            mat = build_delta(spec, tau)
+            for i in range(n):
+                block = set(range(ps[i], ps[i + 1]))
+                for r in (i, n + i):
+                    assert {c for c, v in enumerate(mat[r]) if v} == block, (spec, r)
+            for r in range(2 * n, spec.K):
+                assert all(mat[r]), (spec, r)
 
 
 def test_degenerate_two_block_spec_certifies_at_one():
