@@ -62,16 +62,10 @@ def cayley_prefix(part: int, r: int) -> tuple[Fraction, ...]:
 def cayley_embed(pps: PartitionedPointSet) -> PointSet:
     """Lift all parts into R^{r-1} x R^d with per-part affine prefixes."""
     rows = []
-    labels = []
     for i, part in enumerate(pps.parts):
         prefix = cayley_prefix(i, pps.r)
-        for j, p in enumerate(part.points):
-            rows.append(prefix + p)
-            if part.labels is not None:
-                labels.append(f"{i}:{part.labels[j]}")
-            else:
-                labels.append(f"{i}:{j}")
-    return PointSet.from_rows(rows, labels=labels, ambient_dim=pps.r - 1 + pps.ambient_dim)
+        rows.extend(prefix + p for p in part.points)
+    return PointSet.from_rows(rows, ambient_dim=pps.r - 1 + pps.ambient_dim)
 
 
 def spanning_face_counts(lattice: FaceLattice, pps: PartitionedPointSet) -> tuple[int, ...]:
@@ -87,11 +81,10 @@ def spanning_face_counts(lattice: FaceLattice, pps: PartitionedPointSet) -> tupl
         )
     r = pps.r
     part_of = [i for i, part in enumerate(pps.parts) for _ in part.points]
-    counts = [0] * lattice.polytope_dim
-    for face in lattice.proper_faces():
-        if len({part_of[i] for i in face.vertices}) == r:
-            counts[face.dim] += 1
-    return tuple(counts)
+    return tuple(
+        sum(len({part_of[i] for i in face}) == r for face in level)
+        for level in lattice.levels[:-1]
+    )
 
 
 def minksum_direct_lattice(pps: PartitionedPointSet) -> FaceLattice:

@@ -295,7 +295,7 @@ def _cmd_selftest(args, report: RunReport) -> None:
         shift = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)]
         moved = PointSet(d, tuple(tuple(s * x + dx for x, dx in zip(p, shift)) for p in ps.points))
         lat2 = convex_hull(moved)
-        if lat.faces != lat2.faces:
+        if lat.levels != lat2.levels:
             invariance_ok = False
     report.check_that("euler_relation_on_random_hulls", euler_ok)
     report.check_that("facets_support_all_points", supporting_ok)
@@ -394,6 +394,8 @@ def run_command(argv: Sequence[str]) -> tuple[int, Optional[RunReport]]:
     report = RunReport(command=args.command, inputs=inputs)
     started = time.perf_counter()
     try:
+        if getattr(args, "max_halvings", 0) < 0:
+            raise ValueError(f"--max-halvings must be at least 0, got {args.max_halvings}")
         _HANDLERS[args.command](args, report)
     except (ValueError, IndexError, OSError, KeyError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)

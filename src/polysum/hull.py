@@ -4,7 +4,9 @@ Points are rational; every predicate is decided with exact integer
 arithmetic after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
-The face lattice comes from one descent.  A simplex's facets are its
+The face lattice is its levels: one set of faces per dimension, each face
+the sorted indices of its vertices, and the descent that finds the faces
+finds them one level at a time.  A simplex's facets are its
 subsets; every other face's are found by an exact gift-wrap.  A face that a
 rotation found starts its wrap from the ridge it was found across, whose
 functional within it follows from the two the rotation held; only the
@@ -30,7 +32,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -71,32 +73,20 @@ class PointSet:
 
 
 @dataclass(frozen=True)
-class Face:
-    """A face given by its dimension and sorted vertex indices.
+class FaceLattice:
+    """Complete face lattice of a polytope, one level per dimension.
 
-    The empty face is (dim=-1, vertices=()); the polytope itself appears as
-    the trivial face of dimension ``polytope_dim``.
+    ``levels[j]`` is the set of j-faces for j = 0..polytope_dim, each face
+    given by its sorted vertex indices into the hulled points (a vertex
+    repeated among the points lists every copy).  The top level holds the
+    polytope alone; the empty face is implied.
     """
 
-    dim: int
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FaceLattice:
-    """Complete face lattice of a polytope plus its f-vector."""
-
     ambient_dim: int
-    polytope_dim: int
     n_points: int
-    faces: tuple[Face, ...]
-    f_vector: tuple[int, ...]
-    _face_set: frozenset = field(init=False, repr=False, compare=False)
+    levels: tuple[frozenset[tuple[int, ...]], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_face_set", frozenset(f.vertices for f in self.faces))
-        if len(self.f_vector) != self.polytope_dim:
-            raise ValueError("f_vector length must equal polytope_dim")
         euler = sum((-1) ** k * fk for k, fk in enumerate(self.f_vector))
         expected = 1 - (-1) ** self.polytope_dim
         if self.polytope_dim >= 1 and euler != expected:
@@ -105,18 +95,17 @@ class FaceLattice:
             )
 
     @property
+    def polytope_dim(self) -> int:
+        return len(self.levels) - 1
+
+    @property
+    def f_vector(self) -> tuple[int, ...]:
+        """Numbers of j-faces for j = 0..polytope_dim-1."""
+        return tuple(map(len, self.levels[:-1]))
+
+    @property
     def vertex_indices(self) -> tuple[int, ...]:
-        out = []
-        for f in self.faces:
-            if f.dim == 0:
-                out.extend(f.vertices)
-        return tuple(sorted(set(out)))
-
-    def proper_faces(self) -> tuple[Face, ...]:
-        return tuple(f for f in self.faces if 0 <= f.dim < self.polytope_dim)
-
-    def facets(self) -> tuple[Face, ...]:
-        return tuple(f for f in self.faces if f.dim == self.polytope_dim - 1)
+        return tuple(sorted(i for vertex in self.levels[0] for i in vertex))
 
 
 def is_face(lattice: FaceLattice, vertex_indices: Sequence[int]) -> bool:
@@ -125,7 +114,7 @@ def is_face(lattice: FaceLattice, vertex_indices: Sequence[int]) -> bool:
     for i in idx:
         if i < 0 or i >= lattice.n_points:
             raise IndexError(f"vertex index {i} out of range 0..{lattice.n_points - 1}")
-    return idx in lattice._face_set
+    return not idx or any(idx in level for level in lattice.levels)
 
 
 def neighborliness(lattice: FaceLattice) -> int:
@@ -139,9 +128,7 @@ def neighborliness(lattice: FaceLattice) -> int:
         return 0
     best = 0
     for size in range(1, f0):
-        if all(
-            tuple(c) in lattice._face_set for c in itertools.combinations(verts, size)
-        ):
+        if all(is_face(lattice, c) for c in itertools.combinations(verts, size)):
             best = size
         else:
             break
@@ -404,10 +391,11 @@ def convex_hull(points: PointSet) -> FaceLattice:
     """Complete face lattice of the convex hull of a rational point set.
 
     Walks down from the polytope one dimension at a time: the (j-1)-faces
-    are the facets of the j-faces (see ``_facets_of``), so a face's dimension
-    is its level and the vertices are the 0-faces.  One memo serves every
-    level, so each non-simplicial face is wrapped exactly once.  Points
-    interior to the hull never appear in any vertex set.
+    are the facets of the j-faces (see ``_facets_of``), so each step is one
+    level of the lattice and the last is the vertices.  One memo serves
+    every level, so each non-simplicial face is wrapped exactly once.  Each
+    face is then written as its vertices' indices, so points interior to
+    the hull never appear in any vertex set.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
@@ -416,8 +404,7 @@ def convex_hull(points: PointSet) -> FaceLattice:
     n = len(points)
 
     if k == 0:
-        faces = (Face(-1, ()), Face(0, tuple(range(n))))
-        return FaceLattice(points.ambient_dim, 0, n, faces, ())
+        return FaceLattice(points.ambient_dim, n, (frozenset({tuple(range(n))}),))
 
     memo: dict[frozenset, tuple] = {}
     top = frozenset(range(len(prep.int_pts)))
@@ -425,18 +412,15 @@ def convex_hull(points: PointSet) -> FaceLattice:
     levels = [{top}]
     for j in range(k, 0, -1):
         levels.append({g for f in levels[-1] for g in _facets_of(prep.reduced, f, j, memo)})
-    levels.reverse()
-    vertex_dids = {did for (did,) in levels[0]}
+    vertex_dids = {did for (did,) in levels[-1]}
 
     def expand(dids) -> tuple[int, ...]:
         return tuple(sorted(i for did in dids if did in vertex_dids for i in prep.members[did]))
 
-    faces = [Face(-1, ())] + [Face(j, expand(f)) for j, level in enumerate(levels) for f in level]
-    if len({f.vertices for f in faces}) != len(faces):
+    faces = tuple(frozenset(map(expand, level)) for level in reversed(levels))
+    if len(frozenset().union(*faces)) != sum(map(len, levels)):
         raise AssertionError("two faces share a vertex set")
-    faces.sort(key=lambda f: (f.dim, f.vertices))
-    f_vector = tuple(len(level) for level in levels[:k])
-    return FaceLattice(points.ambient_dim, k, n, tuple(faces), f_vector)
+    return FaceLattice(points.ambient_dim, n, faces)
 
 
 def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:
@@ -447,8 +431,8 @@ def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:
         return False
     if k == 0:
         return True
-    for facet in lattice.facets():
-        dids = sorted({prep.rep_of[i] for i in facet.vertices})
+    for facet in lattice.levels[-2]:
+        dids = sorted({prep.rep_of[i] for i in facet})
         pts = [prep.reduced[d] for d in dids]
         if k == 1:
             if len(dids) != 1:

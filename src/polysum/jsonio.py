@@ -67,9 +67,9 @@ def lattice_to_dict(lat: FaceLattice) -> dict:
     return {
         "dims": [lat.ambient_dim, lat.polytope_dim],
         "faces": [
-            {"dim": f.dim, "vertices": list(f.vertices)}
-            for f in lat.faces
-            if f.dim >= 0
+            {"dim": j, "vertices": list(face)}
+            for j, level in enumerate(lat.levels)
+            for face in sorted(level)
         ],
         "f_vector": list(lat.f_vector),
     }

@@ -120,6 +120,75 @@ def test_hull_command(tmp_path, capsys):
     assert saved["passed"] is True
 
 
+SQUARE = [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]
+
+
+def face(dim, *vertices):
+    return {"dim": dim, "vertices": list(vertices)}
+
+
+@pytest.mark.parametrize(
+    "points, lattice",
+    [
+        # a square with vertex (2, 0) given twice: the vertex lists both copies
+        (
+            SQUARE + [["2", "0"]],
+            {
+                "dims": [2, 2],
+                "faces": [
+                    face(0, 0), face(0, 1, 4), face(0, 2), face(0, 3),
+                    face(1, 0, 1, 4), face(1, 0, 3), face(1, 1, 2, 4), face(1, 2, 3),
+                    face(2, 0, 1, 2, 3, 4),
+                ],
+                "f_vector": [4, 4],
+            },
+        ),
+        # the same square with the interior point (1, 1) among its points
+        (
+            SQUARE[:2] + [["1", "1"]] + SQUARE[2:] + [["2", "0"]],
+            {
+                "dims": [2, 2],
+                "faces": [
+                    face(0, 0), face(0, 1, 5), face(0, 3), face(0, 4),
+                    face(1, 0, 1, 5), face(1, 0, 4), face(1, 1, 3, 5), face(1, 3, 4),
+                    face(2, 0, 1, 3, 4, 5),
+                ],
+                "f_vector": [4, 4],
+            },
+        ),
+        # a segment in R^3 with its midpoint
+        (
+            [["1", "2", "3"], ["3", "2", "1"], ["2", "2", "2"]],
+            {
+                "dims": [3, 1],
+                "faces": [face(0, 0), face(0, 1), face(1, 0, 1)],
+                "f_vector": [2],
+            },
+        ),
+    ],
+)
+def test_hull_report_lattice_is_pinned(tmp_path, capsys, points, lattice):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"ambient_dim": len(points[0]), "points": points}))
+    code, report = run(["hull", "--inputs", str(path)])
+    assert code == 0
+    assert report.outputs["lattice"] == lattice
+
+
+def test_minksum_cayley_accepts_mixed_labels(tmp_path, capsys):
+    """Labels 1 and "1" differ, and the lifted point set keeps no labels to collide."""
+    a = {"ambient_dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]], "labels": [1, "1", "x"]}
+    b = {"ambient_dim": 2, "points": [["0", "0"], ["-1", "2"], ["-2", "-1"]], "labels": ["1", 1, 2]}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    for method in ("cayley", "both"):
+        code, report = run(["minksum", "--inputs", str(pa), str(pb), "--method", method])
+        assert code == 0, capsys.readouterr().err
+        assert report.outputs["f_vector"] == [6, 6]
+    assert report.outputs["f_cayley"] == report.outputs["f_direct"]
+
+
 def test_minksum_both_and_mismatch_exit(tmp_path, capsys):
     a = {"ambient_dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}
     b = {"ambient_dim": 2, "points": [["0", "0"], ["-1", "2"], ["-2", "-1"]]}
@@ -257,6 +326,17 @@ def test_delta_exhausted_halving_budget_exit_2(tmp_path, capsys):
     code, report = run(["delta", "--spec", str(path), "--find-tau0", "--max-halvings", "0"])
     assert (code, report) == (2, None)
     assert capsys.readouterr().err.splitlines() == ["error: tau0 search: no certificate after 0 halvings"]
+
+
+@pytest.mark.parametrize("command", ["construct", "verify-tight", "delta"])
+def test_negative_max_halvings_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kappa": [3, 3], "beta": [4, 0], "x": [["3/2", "5/2", "3"], ["3/2", "2", "5/2"]]}))
+    args = ["--spec", str(path)] if command == "delta" else ["--d", "3", "--r", "2", "--n", "3,3"]
+    code, report = run([command, *args, "--max-halvings", "-1"])
+    assert (code, report) == (2, None)
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: --max-halvings must be at least 0, got -1"]
 
 
 @pytest.mark.parametrize(

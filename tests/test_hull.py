@@ -76,7 +76,7 @@ def test_all_points_equal():
     lat = convex_hull(ps)
     assert lat.polytope_dim == 0
     assert lat.f_vector == ()
-    assert any(f.dim == 0 and f.vertices == (0, 1, 2) for f in lat.faces)
+    assert lat.levels == (frozenset({(0, 1, 2)}),)
 
 
 def test_segment_with_interior_point():
@@ -121,8 +121,8 @@ def test_neighborliness_values():
 
 def test_lattice_closure_under_intersection():
     lat = convex_hull(moment_points(3, range(1, 6)))
-    vsets = [set(f.vertices) for f in lat.faces]
-    universe = {f.vertices for f in lat.faces}
+    universe = {()}.union(*lat.levels)
+    vsets = [set(f) for f in universe]
     for a in vsets:
         for b in vsets:
             inter = tuple(sorted(a & b))
@@ -132,9 +132,9 @@ def test_lattice_closure_under_intersection():
 def test_face_dims_match_affine_rank():
     ps = moment_points(3, range(1, 6))
     lat = convex_hull(ps)
-    for f in lat.faces:
-        if f.dim >= 0 and f.vertices:
-            assert affine_rank([ps.points[i] for i in f.vertices]) == f.dim
+    for dim, level in enumerate(lat.levels):
+        for f in level:
+            assert affine_rank([ps.points[i] for i in f]) == dim
 
 
 def test_lower_dimensional_input():
@@ -166,7 +166,7 @@ def test_scaling_translation_invariance(seed):
     s = Fraction(rng.randint(1, 5), rng.randint(1, 5))
     shift = [Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for _ in range(d)]
     lat2 = convex_hull(scale_translate(ps, s, shift))
-    assert lat.faces == lat2.faces
+    assert lat.levels == lat2.levels
     assert lat.f_vector == lat2.f_vector
 
 
@@ -245,7 +245,8 @@ def test_wrap_matches_exhaustive():
 def test_lattice_matches_intersection_closure():
     for rows in functional_cases():
         ps = PointSet.from_rows(rows)
-        assert {(f.dim, f.vertices) for f in convex_hull(ps).faces} == lattice_oracle(ps)
+        faces = {(dim, f) for dim, level in enumerate(convex_hull(ps).levels) for f in level}
+        assert faces | {(-1, ())} == lattice_oracle(ps)
 
 
 def test_each_face_is_wrapped_once(monkeypatch):
@@ -370,7 +371,7 @@ def test_duplicated_points_share_faces():
     lat = convex_hull(ps)
     assert lat.f_vector == (3, 3)
     # both copies of (1,0) appear in the shared vertex
-    assert any(f.dim == 0 and f.vertices == (1, 3) for f in lat.faces)
+    assert (1, 3) in lat.levels[0]
 
 
 def functional_cases() -> list[list[list[int]]]:
@@ -537,13 +538,12 @@ def test_wrap_work_counts(monkeypatch):
         lattice = convex_hull(PointSet.from_rows(rows))
         # every point is a vertex, so a face is wrapped iff it is no simplex
         assert lattice.f_vector[0] == len(rows)
-        by_dim = {}
-        for f in lattice.faces:
-            by_dim.setdefault(f.dim, []).append(set(f.vertices))
+        levels = lattice.levels
         walked = sum(
-            sum(g <= set(f.vertices) for g in by_dim[f.dim - 1]) - 1
-            for f in lattice.faces
-            if f.dim >= 1 and len(f.vertices) > f.dim + 1
+            sum(set(g) <= set(f) for g in levels[dim - 1]) - 1
+            for dim in range(1, len(levels))
+            for f in levels[dim]
+            if len(f) > dim + 1
         )
         # each rotation of the walk finds a new facet: one per facet but the first
         assert counts["_rotate"] == walked + sum(first_turns)
