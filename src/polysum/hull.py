@@ -19,10 +19,12 @@ primitive integer functional, so a rotation moves in the pencil of the
 facet's functional and the ridge's, at one dot product per point.  A face
 is wrapped in its pivot columns, and a facet's are its face's minus the
 last one its functional uses, so only the polytope's rank and the shadow
-steps of the first-facet chain cost an elimination.  A memo keyed by the
-set of points on a face hands its facets, columns and functionals to the
-wrap above it and to the lattice, so each face is wrapped once.  No floating
-point is used anywhere.
+steps of the first-facet chain cost an elimination.  While the walk runs,
+a face is the int bitmask of the points on it.  A memo keyed by that mask
+hands a face's facets, columns, functionals and ascending point indices to
+the wrap above it and to the lattice, so each face is wrapped once; the
+masks become sorted vertex tuples only when the lattice is built.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -121,14 +122,14 @@ def neighborliness(lattice: FaceLattice) -> int:
     """Largest k such that every vertex subset of size <= k is a face.
 
     Reported value is capped at f0 - 1 (a simplex reports its dimension).
+    A subset is one of vertices, each with every copy of its point.
     """
-    verts = lattice.vertex_indices
-    f0 = len(verts)
-    if lattice.polytope_dim == 0 or f0 == 0:
+    if lattice.polytope_dim == 0:
         return 0
+    verts = sorted(lattice.levels[0])
     best = 0
-    for size in range(1, f0):
-        if all(is_face(lattice, c) for c in itertools.combinations(verts, size)):
+    for size in range(1, len(verts)):
+        if all(is_face(lattice, sum(c, ())) for c in itertools.combinations(verts, size)):
             best = size
         else:
             break
@@ -276,19 +277,32 @@ def _ridge_seed(u, u_values, g, on, t) -> tuple[tuple[int, ...], list[int]]:
     return tuple(c // d for c in s), [gt * u_values[m] // d for m in on]
 
 
-def _facets_of(
-    pts, face: frozenset, j: int, memo: dict, columns=None, first=None
-) -> list[frozenset]:
-    """Facet on-sets of the j-face whose on-set (indices into ``pts``) is ``face``.
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    A simplex's facets are its j-subsets.  Any other face is gift-wrapped
+
+def _facets_of(
+    pts, face: int, j: int, memo: dict, idx=None, columns=None, first=None
+) -> list[int]:
+    """Facets of the j-face whose points are the set bits of ``face``.
+
+    A face is the bitmask of its points' indices into ``pts``, and ``idx``
+    lists those indices in ascending order; a face the level walk enters
+    without them (always a simplex) reads them off its mask.  A simplex's
+    facets clear one bit each.  Any other face is gift-wrapped
     once (Chand & Kapur 1970; Swart 1985) in its pivot ``columns`` from a
     first facet.  A face found by a rotation gets ``first``, which gives the
     (functional, values at the face's points) of the ridge it was found
     across (``_ridge_seed``) and is called only if the face is wrapped; the
     top face and the chain of first facets below it, entered without one,
     call ``_first_facet``.  Each facet found counts its ridges at once: its
-    own facets, from ``memo`` (keyed by on-set) or one level down; a
+    own facets, from ``memo`` (keyed by mask) or one level down; a
     segment's one ridge is the empty face.  A ridge that one found
     facet holds is crossed with one ``_rotate`` in the pencil of that
     facet's functional and the ridge's, so each rotation finds a new facet.
@@ -302,27 +316,31 @@ def _facets_of(
     one at the last position t where u_t != 0, and a ridge functional over
     the facet's columns is one over the face's with a 0 inserted at t.
 
-    ``memo[face]`` is (facets, pivot columns, each facet's primitive
-    functional over those columns, nonnegative on the face).  A simplex's
-    facets need no wrap: it makes each functional only when a wrap crosses
-    that ridge (``_facet_functional``), and keeps columns None when no wrap
-    reaches it.
+    ``memo[face]`` is (facet masks, pivot columns, each facet's primitive
+    functional over those columns, nonnegative on the face, ``idx``).  A
+    simplex's facets need no wrap: it makes each functional only when a
+    wrap crosses that ridge (``_facet_functional``), and keeps columns None
+    when no wrap reaches it.
     """
     if face in memo:
         return memo[face][0]
-    idx = sorted(face)
+    if idx is None:
+        idx = _indices(face)
     if len(idx) == j + 1:
-        memo[face] = ([face - {i} for i in idx], columns, [None] * len(idx))
+        memo[face] = ([face ^ (1 << i) for i in idx], columns, [None] * len(idx), idx)
         return memo[face][0]
     sub = [tuple(pts[i][c] for c in columns) for i in idx]
-    degree, walk = Counter(), []  # walk: every facet found, grown as it is walked
+    degree, walk = {}, []  # walk: every facet found, grown as it is walked
 
     def found(g, values, crossed=()):  # a facet registers its ridges as soon as it is found
         on = [m for m, x in enumerate(values) if not x]
         t = max(n for n, x in enumerate(g) if x)  # its columns are ours but the t-th
-        facet = frozenset(idx[m] for m in on)
+        on_idx, facet = [idx[m] for m in on], 0
+        for i in on_idx:
+            facet |= 1 << i
         seed = functools.partial(_ridge_seed, *crossed, g, on, t) if crossed else None
-        degree.update(_facets_of(pts, facet, j - 1, memo, columns[: t - 1] + columns[t:], seed))
+        for ridge in _facets_of(pts, facet, j - 1, memo, on_idx, columns[: t - 1] + columns[t:], seed):
+            degree[ridge] = degree.get(ridge, 0) + 1
         walk.append((facet, g, values, t))
 
     if first is None:
@@ -331,27 +349,27 @@ def _facets_of(
     else:
         found(*first())
     for facet, u, u_values, t in walk:
-        for r, ridge in enumerate(_facets_of(pts, facet, j - 1, memo)):
+        for r, ridge in enumerate(memo[facet][0]):
             if degree[ridge] > 1:  # its other facet is found already
                 continue
             w = _facet_functional(pts, facet, r, memo)
             found(*_rotate(sub, u_values, u, w[:t] + (0,) + w[t:]), (u, u_values))
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
-    memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk])
+    memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk], idx)
     return memo[face][0]
 
 
-def _facet_functional(pts, face: frozenset, n: int, memo: dict) -> tuple[int, ...]:
+def _facet_functional(pts, face: int, n: int, memo: dict) -> tuple[int, ...]:
     """The n-th facet's functional of a face in ``memo``, over its columns.
 
     A simplex's are made on first need (see ``_facets_of``): one
     ``hyperplane`` per facet, through the facet's points in the simplex's
     columns, made primitive and positive on the vertex the facet leaves out.
     """
-    _, columns, functionals = memo[face]
+    _, columns, functionals, idx = memo[face]
     if functionals[n] is None:
-        rows = [(1, *(pts[i][c] for c in columns)) for i in sorted(face)]
+        rows = [(1, *(pts[i][c] for c in columns)) for i in idx]
         h = hyperplane(rows[:n] + rows[n + 1 :])
         d = math.gcd(*h)
         if sum(map(operator.mul, h, rows[n])) < 0:
@@ -392,9 +410,10 @@ def convex_hull(points: PointSet) -> FaceLattice:
 
     Walks down from the polytope one dimension at a time: the (j-1)-faces
     are the facets of the j-faces (see ``_facets_of``), so each step is one
-    level of the lattice and the last is the vertices.  One memo serves
-    every level, so each non-simplicial face is wrapped exactly once.  Each
-    face is then written as its vertices' indices, so points interior to
+    level of the lattice and the last is the vertices.  A face is the
+    bitmask of its distinct points, and one memo keyed by it serves every
+    level, so each non-simplicial face is wrapped exactly once.  Each mask
+    is then decoded once, to its vertices' indices, so points interior to
     the hull never appear in any vertex set.
     """
     if len(points) == 0:
@@ -406,16 +425,17 @@ def convex_hull(points: PointSet) -> FaceLattice:
     if k == 0:
         return FaceLattice(points.ambient_dim, n, (frozenset({tuple(range(n))}),))
 
-    memo: dict[frozenset, tuple] = {}
-    top = frozenset(range(len(prep.int_pts)))
-    _facets_of(prep.reduced, top, k, memo, tuple(range(k)))
+    memo: dict[int, tuple] = {}
+    distinct = len(prep.int_pts)
+    top = (1 << distinct) - 1
+    _facets_of(prep.reduced, top, k, memo, list(range(distinct)), tuple(range(k)))
     levels = [{top}]
     for j in range(k, 0, -1):
         levels.append({g for f in levels[-1] for g in _facets_of(prep.reduced, f, j, memo)})
-    vertex_dids = {did for (did,) in levels[-1]}
+    vertices = sum(levels[-1])
 
-    def expand(dids) -> tuple[int, ...]:
-        return tuple(sorted(i for did in dids if did in vertex_dids for i in prep.members[did]))
+    def expand(face: int) -> tuple[int, ...]:
+        return tuple(sorted(i for did in _indices(face & vertices) for i in prep.members[did]))
 
     faces = tuple(frozenset(map(expand, level)) for level in reversed(levels))
     if len(frozenset().union(*faces)) != sum(map(len, levels)):

@@ -444,9 +444,11 @@ def test_verify_tightness_small():
     assert d["tau_star"] and d["zeta_diamond"]
 
 
-@pytest.mark.parametrize("d, r", [(d, r) for d in range(3, 7) for r in range(2, d)])
+@pytest.mark.parametrize(
+    "d, r", [(d, r) for d in range(3, 8) for r in range(2, d) if (d, r) != (7, 6)]
+)
 def test_verify_tightness_whole_range_n3(d, r):
-    # the theorem's whole (d, r) range up to d = 6
+    # the theorem's whole (d, r) range up to d = 7 but (7, 6), which CI runs
     n = (3,) * r
     rep = verify_tightness(d, r, n)
     assert rep.passed

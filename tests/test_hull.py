@@ -117,6 +117,12 @@ def test_neighborliness_values():
     assert neighborliness(convex_hull(simplex3())) == 3
     single = convex_hull(PointSet.from_rows([[5, 5]]))
     assert neighborliness(single) == 0
+    # a vertex given twice is one vertex: each copy alone is no face
+    twice = convex_hull(PointSet.from_rows([[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [2, 0]]))
+    assert twice.levels[0] == {(0,), (1, 5), (3,), (4,)}
+    assert neighborliness(twice) == 1
+    tetrahedron = PointSet.from_rows([*simplex3().points, (0, 1, 0)])
+    assert neighborliness(convex_hull(tetrahedron)) == 3
 
 
 def test_lattice_closure_under_intersection():
@@ -183,9 +189,22 @@ def test_random_hulls_supporting_and_facet_count(seed):
         assert lat.f_vector[-1] >= lat.polytope_dim + 1
 
 
+def members(mask: int) -> frozenset[int]:
+    """The point indices a face's bitmask holds."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def wrap_top(prep: _Prepared, memo: dict) -> int:
+    """Wrap the face that holds every point, as ``convex_hull`` does; its mask."""
+    n = len(prep.reduced)
+    top = (1 << n) - 1
+    _facets_of(prep.reduced, top, prep.rank, memo, list(range(n)), tuple(range(prep.rank)))
+    return top
+
+
 def wrap(prep: _Prepared) -> list[frozenset]:
-    top = frozenset(range(len(prep.reduced)))
-    return _facets_of(prep.reduced, top, prep.rank, {}, tuple(range(prep.rank)))
+    memo = {}
+    return [members(f) for f in memo[wrap_top(prep, memo)][0]]
 
 
 def wrap_and_oracle(ps: PointSet):
@@ -254,7 +273,7 @@ def test_each_face_is_wrapped_once(monkeypatch):
     facets_of, first_facet = hull._facets_of, hull._first_facet
 
     def counted(pts, face, j, memo, *args):
-        if face not in memo and len(face) > j + 1:  # a wrap: no memo entry, no simplex
+        if face not in memo and face.bit_count() > j + 1:  # a wrap: no memo entry, no simplex
             wraps.append(j)
         return facets_of(pts, face, j, memo, *args)
 
@@ -287,10 +306,10 @@ def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
     seeds = []
     facets_of = hull._facets_of
 
-    def recorded(pts, face, j, memo, columns=None, first=None):
-        if face not in memo and len(face) > j + 1 and first is not None:
+    def recorded(pts, face, j, memo, idx=None, columns=None, first=None):
+        if face not in memo and face.bit_count() > j + 1 and first is not None:
             seeds.append((face, first(), memo))
-        return facets_of(pts, face, j, memo, columns, first)
+        return facets_of(pts, face, j, memo, idx, columns, first)
 
     monkeypatch.setattr(hull, "_facets_of", recorded)
     checked = 0
@@ -300,10 +319,10 @@ def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
         seeds.clear()
         convex_hull(ps)
         for face, (u, values), memo in seeds:
-            facets, columns, functionals = memo[face]
-            ridge = frozenset(i for i, x in zip(sorted(face), values) if not x)
-            assert (facets[0], functionals[0]) == (ridge, u)
-            assert hull._values(u, project(prep, face, columns).values()) == values
+            facets, columns, functionals, _ = memo[face]
+            ridge = frozenset(i for i, x in zip(sorted(members(face)), values) if not x)
+            assert (members(facets[0]), functionals[0]) == (ridge, u)
+            assert hull._values(u, project(prep, members(face), columns).values()) == values
             checked += 1
     assert checked > 60
 
@@ -393,9 +412,7 @@ def functional_cases() -> list[list[list[int]]]:
 def full_memo(prep: _Prepared) -> dict:
     """The memo ``convex_hull`` builds: every face's facets, level by level."""
     memo = {}
-    top = frozenset(range(len(prep.reduced)))
-    _facets_of(prep.reduced, top, prep.rank, memo, tuple(range(prep.rank)))
-    level = {top}
+    level = {wrap_top(prep, memo)}
     for j in range(prep.rank, 0, -1):
         level = {g for f in level for g in _facets_of(prep.reduced, f, j, memo)}
     return memo
@@ -412,13 +429,14 @@ def test_carried_functionals_are_primitive_and_support_their_face():
         if prep.rank == 0:
             continue
         memo = full_memo(prep)
-        for face, (facets, columns, functionals) in memo.items():
+        for face, (facets, columns, functionals, _) in memo.items():
             if columns is None:  # a simplex that no wrap reached
                 continue
-            sub = project(prep, face, columns)
-            for facet, functional in zip(facets, functionals):
+            sub = project(prep, members(face), columns)
+            for mask, functional in zip(facets, functionals):
                 if functional is None:  # a simplex's ridge no wrap crossed
                     continue
+                facet = members(mask)
                 spanning = _spanning([sub[i] for i in sorted(facet)])
                 assert len(spanning) == len(columns)
                 key = hull._canonical_key(hyperplane([(1, *p) for p in spanning]))
@@ -442,10 +460,12 @@ def test_carried_columns_are_the_difference_row_pivots():
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank == 0:
             continue
-        for face, (_, columns, _) in full_memo(prep).items():
+        for face, (_, columns, _, idx) in full_memo(prep).items():
+            # each entry carries its face's ascending point indices
+            assert idx == sorted(members(face))
             if columns is None:  # a simplex that no wrap reached
                 continue
-            assert columns == difference_pivots([prep.reduced[i] for i in sorted(face)])
+            assert columns == difference_pivots([prep.reduced[i] for i in idx])
             checked += 1
     assert checked > 600
 
@@ -482,10 +502,10 @@ def test_pencil_rotation_matches_candidate_rotation():
             continue
         memo = full_memo(prep)
         # every wrapped face: its facets all carry a functional and columns
-        carried = [f for f, (_, columns, _) in memo.items() if columns is not None and len(f) > len(columns) + 1]
+        carried = [f for f, (_, columns, *_) in memo.items() if columns is not None and f.bit_count() > len(columns) + 1]
         for face in rng.sample(carried, min(4, len(carried))):
-            facets, columns, functionals = memo[face]
-            idx = sorted(face)
+            facets, columns, functionals, _ = memo[face]
+            idx = sorted(members(face))
             sub = [tuple(prep.reduced[i][c] for c in columns) for i in idx]
             at = {c: n for n, c in enumerate(columns, 1)}
             for facet, u in zip(facets, functionals):
@@ -500,12 +520,13 @@ def test_pencil_rotation_matches_candidate_rotation():
                         v[at[c]] = x
                     _, values = hull._rotate(sub, u_values, u, v)
                     pencil = frozenset(idx[n] for n, x in enumerate(values) if not x)
-                    flat = _spanning([sub[n] for n, i in enumerate(idx) if i in ridge])
-                    away = sub[idx.index(min(facet - ridge))]
-                    start = next(n for n, i in enumerate(idx) if i not in facet)
+                    on_facet, on_ridge = members(facet), members(ridge)
+                    flat = _spanning([sub[n] for n, i in enumerate(idx) if i in on_ridge])
+                    away = sub[idx.index(min(on_facet - on_ridge))]
+                    start = next(n for n, i in enumerate(idx) if i not in on_facet)
                     oracle = rotate_by_candidates(sub, flat, away, start)
                     assert pencil == frozenset(idx[n] for n in oracle)
-                    assert pencil in facets and pencil != facet
+                    assert pencil in map(members, facets) and pencil != on_facet
                     triples += 1
     assert triples > 500
 
