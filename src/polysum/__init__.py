@@ -22,7 +22,6 @@ from .cayley import (
 )
 from .construction import (
     ConstructionParams,
-    WitnessSubset,
     find_tau_star,
     find_zeta_diamond,
     generate_family,
@@ -51,7 +50,6 @@ __all__ = [
     "PartitionedPointSet",
     "PointSet",
     "VertexProfile",
-    "WitnessSubset",
     "affine_rank",
     "build_delta",
     "cayley_embed",

@@ -397,13 +397,13 @@ def run_command(argv: Sequence[str]) -> tuple[int, Optional[RunReport]]:
         if getattr(args, "max_halvings", 0) < 0:
             raise ValueError(f"--max-halvings must be at least 0, got {args.max_halvings}")
         _HANDLERS[args.command](args, report)
+        if args.timing:
+            report.timing = {"total_seconds": round(time.perf_counter() - started, 6)}
+        out_path = getattr(args, "out", None) or getattr(args, "report", None)
+        text = dump_json(report.to_dict(), out_path)
     except (ValueError, IndexError, OSError, KeyError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
-    if args.timing:
-        report.timing = {"total_seconds": round(time.perf_counter() - started, 6)}
-    out_path = getattr(args, "out", None) or getattr(args, "report", None)
-    text = dump_json(report.to_dict(), out_path)
     if args.command not in ("phi", "selftest") and not out_path:
         print(text)
     return (0 if report.passed else 1), report

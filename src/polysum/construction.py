@@ -168,82 +168,76 @@ def generate_family(params: ConstructionParams) -> PartitionedPointSet:
     return PartitionedPointSet(tuple(parts))
 
 
-@dataclass(frozen=True)
-class WitnessSubset:
-    """A spanning subset given by sorted 0-based point indices per part."""
+def spanning_subsets(sizes: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
+    """All spanning subsets of total size k of parts with the given sizes.
 
-    per_part: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if any(len(p) == 0 for p in self.per_part):
-            raise ValueError("witness subsets must meet every part")
-        for p in self.per_part:
-            if any(a >= b for a, b in zip(p, p[1:])):
-                raise ValueError("per-part indices must be sorted strictly")
-
-    @property
-    def size(self) -> int:
-        return sum(len(p) for p in self.per_part)
-
-    def contains(self, part: int, j: int) -> bool:
-        return j in self.per_part[part]
+    A subset is its points' ascending indices into the family, part by part:
+    the Cayley embedding's indices, so each subset names a Cayley face.
+    """
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    # compositions of k with 1 <= c_i <= n_i, in lexicographic order
+    for comp in itertools.product(*(range(1, s + 1) for s in sizes)):
+        if sum(comp) == k:
+            pools = [
+                itertools.combinations(range(a, a + s), c)
+                for a, s, c in zip(starts, sizes, comp)
+            ]
+            for chosen in itertools.product(*pools):
+                yield tuple(itertools.chain.from_iterable(chosen))
 
 
-def spanning_subsets(sizes: Sequence[int], k: int) -> Iterator[WitnessSubset]:
-    """All spanning subsets of total size k of parts with the given sizes."""
-    r = len(sizes)
-
-    def compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        if len(caps) == 1:
-            if 1 <= total <= caps[0]:
-                yield (total,)
-            return
-        head = caps[0]
-        rest = caps[1:]
-        lo = max(1, total - sum(rest))
-        hi = min(head, total - len(rest))
-        for c in range(lo, hi + 1):
-            for tail in compositions(total - c, rest):
-                yield (c,) + tail
-
-    for comp in compositions(k, list(sizes)):
-        pools = [itertools.combinations(range(sizes[i]), comp[i]) for i in range(r)]
-        for chosen in itertools.product(*pools):
-            yield WitnessSubset(tuple(tuple(c) for c in chosen))
+def _columns(
+    params: ConstructionParams, points: Sequence[int], tail: int
+) -> list[tuple[Fraction, ...]]:
+    """Witness columns (1, lifted curve point): the vertex and then the
+    epsilon-companion of each family point in ``points`` (indices into the
+    family, part by part), then the first ``tail`` tail anchors."""
+    where = [(i, j) for i, ni in enumerate(params.n) for j in range(ni)]
+    cols = [
+        (Fraction(1),) + lifted_curve_point(i + 1, params.curve_parameter(i, j, shifted), params)
+        for i, j in map(where.__getitem__, points)
+        for shifted in (False, True)
+    ]
+    cols += [
+        (Fraction(1),) + lifted_curve_point(params.r, lam * params.m_tail, params)
+        for lam in range(1, tail + 1)
+    ]
+    return cols
 
 
 def _witness_columns(
-    subset: WitnessSubset,
+    subset: Sequence[int],
     x: Sequence[Fraction],
     params: ConstructionParams,
 ) -> tuple[list[tuple[Fraction, ...]], int]:
-    """Columns of the witness determinant and its global sign exponent."""
+    """Columns of the witness determinant and its global sign."""
     d, r = params.d, params.r
-    k = subset.size
+    part_of = [i for i, ni in enumerate(params.n) for _ in range(ni)]
+    if any(a >= b for a, b in zip(subset, subset[1:])):
+        raise ValueError(f"witness subset {tuple(subset)} is not strictly increasing")
+    if any(not 0 <= p < len(part_of) for p in subset):
+        raise ValueError(f"witness subset {tuple(subset)} has an index outside 0..{len(part_of) - 1}")
+    if len({part_of[p] for p in subset}) != r:
+        raise ValueError(f"witness subset {tuple(subset)} misses a part")
+    k = len(subset)
     if not r <= k <= params.k_max:
         raise ValueError(f"witness size {k} outside {r}..{params.k_max}")
     if len(x) != d + r - 1:
         raise ValueError("evaluation point must live in the lifted space")
-    cols: list[tuple[Fraction, ...]] = [(Fraction(1),) + tuple(rat(v) for v in x)]
-    for i in range(1, r + 1):
-        for j in subset.per_part[i - 1]:
-            t = params.curve_parameter(i - 1, j)
-            te = params.curve_parameter(i - 1, j, shifted=True)
-            cols.append((Fraction(1),) + lifted_curve_point(i, t, params))
-            cols.append((Fraction(1),) + lifted_curve_point(i, te, params))
-    for lam in range(1, d + r - 1 - 2 * k + 1):
-        cols.append((Fraction(1),) + lifted_curve_point(r, lam * params.m_tail, params))
+    cols = [(Fraction(1),) + tuple(rat(v) for v in x)]
+    cols += _columns(params, subset, d + r - 1 - 2 * k)
     sign = (-1) ** (r * (r - 1) // 2)
     return cols, sign
 
 
 def witness_determinant(
-    subset: WitnessSubset,
+    subset: Sequence[int],
     x: Sequence[Fraction],
     params: ConstructionParams,
 ) -> Fraction:
     """Signed (d+r)x(d+r) determinant vanishing exactly on the subset's hyperplane.
 
+    ``subset`` is a spanning subset as ``spanning_subsets`` yields it.
     Positive on every family vertex outside the subset once the scale (and,
     for ``params.zeta`` > 0, the lift) is below its certified threshold.
     """
@@ -269,39 +263,23 @@ def _sweep_all_positive(params: ConstructionParams) -> tuple[bool, int]:
     keeps each sign, so a subset costs one ``hyperplane`` and an outside
     vertex one integer dot product.
     """
-    d, r, n = params.d, params.r, params.n
-
-    def columns(points) -> list[list[int]]:
-        """The columns (1, point), each scaled by the lcm of its denominators."""
-        return clear_denominators([(1, *p) for p in points])[0]
-
-    # per part and j: the vertex column, then its epsilon-companion's
-    pairs = [
-        [
-            columns(
-                lifted_curve_point(i + 1, params.curve_parameter(i, j, e), params)
-                for e in (False, True)
-            )
-            for j in range(n[i])
-        ]
-        for i in range(r)
-    ]
-    tails = columns(
-        lifted_curve_point(r, lam * params.m_tail, params) for lam in range(1, d - r)
-    )
+    d, r = params.d, params.r
+    total = sum(params.n)
+    # per point its vertex column, then its companion's; then the tail anchors
+    cols = clear_denominators(_columns(params, range(total), d - r - 1))[0]
+    vertices, tails = cols[: 2 * total : 2], cols[2 * total :]
     sign = (-1) ** (r * (r - 1) // 2)
     checked = 0
     for k in range(r, params.k_max + 1):
-        for subset in spanning_subsets(n, k):
-            fixed = [c for i, js in enumerate(subset.per_part) for j in js for c in pairs[i][j]]
+        for subset in spanning_subsets(params.n, k):
+            fixed = [c for p in subset for c in cols[2 * p : 2 * p + 2]]
             # dependent fixed columns make every witness vanish
             h = hyperplane(fixed + tails[: d + r - 1 - 2 * k]) or (0,) * (d + r)
-            for i, js in enumerate(subset.per_part):
-                for j, (x, _) in enumerate(pairs[i]):
-                    if j not in js:
-                        checked += 1
-                        if sign * sum(map(operator.mul, h, x)) <= 0:
-                            return False, checked
+            for p, x in enumerate(vertices):
+                if p not in subset:
+                    checked += 1
+                    if sign * sum(map(operator.mul, h, x)) <= 0:
+                        return False, checked
     return True, checked
 
 
@@ -476,19 +454,14 @@ def verify_tightness(
     for k in range(params.k_max - r + 1, d):
         check(f"f_{k}_upper_bound", phi(k + r, params.n), count(f_cayley, k), operator.le)
     # independent hull route: every certified spanning subset is a face
-    sizes = params.n
-    offsets = [sum(sizes[:i]) for i in range(r)]
     total = found = 0
     for k in range(r, params.k_max + 1):
-        for subset in spanning_subsets(sizes, k):
-            flat = tuple(
-                sorted(offsets[i] + j for i in range(r) for j in subset.per_part[i])
-            )
+        for subset in spanning_subsets(params.n, k):
             total += 1
-            if is_face(lifted_lat, flat):
+            if is_face(lifted_lat, subset):
                 found += 1
             else:
-                check(f"subset_is_face_{flat}", True, False)
+                check(f"subset_is_face_{subset}", True, False)
     check("certified_subsets_are_faces", total, found)
     for pc in verify_neighborly(params):
         check(f"part_{pc.part}_dim", pc.expected_dim, pc.polytope_dim)

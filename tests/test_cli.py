@@ -328,6 +328,22 @@ def test_delta_exhausted_halving_budget_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: tau0 search: no certificate after 0 halvings"]
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi", "--ell", "3", "--n", "5,5", "--out"],
+        ["verify-tight", "--d", "3", "--r", "2", "--n", "3,3", "--report"],
+    ],
+)
+def test_unwritable_report_path_exit_2(tmp_path, capsys, argv, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    code, report = run([*argv, str(path)])
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
 @pytest.mark.parametrize("command", ["construct", "verify-tight", "delta"])
 def test_negative_max_halvings_exit_2(tmp_path, capsys, command):
     path = tmp_path / "spec.json"

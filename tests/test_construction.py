@@ -12,7 +12,6 @@ from polysum.cayley import cayley_lattice, minksum_direct, minksum_via_cayley, s
 from polysum.construction import (
     ConstructionParams,
     SearchExhausted,
-    WitnessSubset,
     _sweep_all_positive,
     _witness_columns,
     expected_check_count,
@@ -33,6 +32,11 @@ from polysum.hull import convex_hull, is_face
 def params_33(tau=None, zeta=Fraction(0)):
     p = ConstructionParams.defaults(3, 2, (3, 3))
     return dataclasses.replace(p, tau=tau, zeta=zeta)
+
+
+def points_of(params):
+    """(part, j) of each family point, 0-based, in index order."""
+    return [(i, j) for i, ni in enumerate(params.n) for j in range(ni)]
 
 
 def test_defaults_satisfy_constraints():
@@ -140,18 +144,46 @@ def test_unperturbed_parts_are_cyclic_polytopes():
 
 
 def test_spanning_subsets_count_matches_phi():
-    for sizes in [(3, 3), (4, 2), (2, 2, 2)]:
+    for sizes in [(3, 3), (4, 2), (2, 2, 2), (1, 1), (1, 4), (2, 1, 3), (1, 2, 1, 2), (3, 2, 2, 1)]:
         r = len(sizes)
         kmax = sum(sizes)
+        part_of = [i for i, ni in enumerate(sizes) for _ in range(ni)]
         for k in range(r, kmax + 1):
-            assert sum(1 for _ in spanning_subsets(sizes, k)) == phi(k, sizes)
+            subsets = list(spanning_subsets(sizes, k))
+            assert len(subsets) == phi(k, sizes)
+            assert len(set(subsets)) == len(subsets)
+            for s in subsets:
+                assert type(s) is tuple and all(type(p) is int for p in s)
+                assert len(s) == k and all(a < b for a, b in zip(s, s[1:]))
+                assert 0 <= s[0] and s[-1] < kmax
+                assert {part_of[p] for p in s} == set(range(r))
+    # the order: compositions lexicographically, then per-part combinations
+    pinned = {
+        (2, 2): {
+            2: [(0, 2), (0, 3), (1, 2), (1, 3)],
+            3: [(0, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 3)],
+            4: [(0, 1, 2, 3)],
+        },
+        (1, 2, 1): {3: [(0, 1, 3), (0, 2, 3)], 4: [(0, 1, 2, 3)]},
+    }
+    for sizes, by_k in pinned.items():
+        for k in range(len(sizes), sum(sizes) + 1):
+            assert list(spanning_subsets(sizes, k)) == by_k[k], (sizes, k)
 
 
 def test_witness_subset_validation():
-    with pytest.raises(ValueError):
-        WitnessSubset(((0,), ()))
-    with pytest.raises(ValueError):
-        WitnessSubset(((1, 0), (0,)))
+    p = params_33(tau=Fraction(1, 2))
+    x = [Fraction(0)] * 4
+    for subset, problem in [
+        ((3, 0), "not strictly increasing"),  # unsorted
+        ((0, 3, 3), "not strictly increasing"),  # duplicate
+        ((0, 6), "outside 0..5"),
+        ((-1, 3), "outside 0..5"),
+        ((0, 1), "misses a part"),
+        ((3, 4), "misses a part"),
+    ]:
+        with pytest.raises(ValueError, match=problem):
+            witness_determinant(subset, x, p)
 
 
 def test_witness_size_range_enforced():
@@ -159,19 +191,19 @@ def test_witness_size_range_enforced():
     x = [Fraction(0)] * 4
     with pytest.raises(ValueError):
         # k = 3 > k_max = 2 for d=3, r=2
-        witness_determinant(WitnessSubset(((0, 1), (0,))), x, p)
+        witness_determinant((0, 1, 3), x, p)
 
 
 def test_witness_no_tail_columns_when_range_full():
     # d+r-1 = 4 is even and k = k_max = 2: exactly 1 + 2k columns
     p = params_33(tau=Fraction(1, 2))
-    cols, _ = _witness_columns(WitnessSubset(((0,), (1,))), [Fraction(0)] * 4, p)
+    cols, _ = _witness_columns((0, 4), [Fraction(0)] * 4, p)
     assert len(cols) == 5 == p.d + p.r
 
 
 def test_witness_vanishes_on_column_points():
     p = params_33(tau=Fraction(1, 2))
-    sub = WitnessSubset(((1,), (0,)))
+    sub = (1, 3)
     for i in (1, 2):
         for j, shifted in ((1, False), (1, True)) if i == 1 else ((0, False), (0, True)):
             t = p.curve_parameter(i - 1, j, shifted=shifted)
@@ -179,14 +211,14 @@ def test_witness_vanishes_on_column_points():
             assert witness_determinant(sub, x, p) == 0
     # tail column point for a size-2 subset in d=4 (d+r-1=5 odd: one tail column)
     p4 = dataclasses.replace(ConstructionParams.defaults(4, 2, (3, 3)), tau=Fraction(1, 2))
-    sub4 = WitnessSubset(((0,), (2,)))
+    sub4 = (0, 5)
     tail = lifted_curve_point(2, p4.m_tail, p4)
     assert witness_determinant(sub4, tail, p4) == 0
 
 
 def test_witness_affine_in_x():
     p = params_33(tau=Fraction(1, 4))
-    sub = WitnessSubset(((0,), (2,)))
+    sub = (0, 5)
     rng = random.Random(11)
     for _ in range(6):
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
@@ -201,7 +233,7 @@ def test_witness_affine_in_x():
 def test_lifted_witness_at_zero_equals_flat():
     p = params_33(tau=Fraction(1, 4))
     lifted = dataclasses.replace(p, zeta=Fraction(1, 64))
-    sub = WitnessSubset(((0,), (1,)))
+    sub = (0, 4)
     rng = random.Random(13)
     moved = 0
     for _ in range(8):
@@ -226,11 +258,12 @@ def _delta_spec_for_witness(params, subset, part_u, j_u):
     from polysum.detasym import DeltaSpec
 
     blocks = []
-    k = subset.size
+    k = len(subset)
     tail = params.d + params.r - 1 - 2 * k
+    where = points_of(params)
     for part in range(params.r):
         vals = []
-        for j in subset.per_part[part]:
+        for j in (j for i, j in map(where.__getitem__, subset) if i == part):
             vals.append(params.alpha[part][j])
             vals.append(params.alpha[part][j] + params.epsilon)
         if part == part_u:
@@ -263,12 +296,7 @@ def test_witness_equals_block_determinant():
         for k in range(p.r, p.k_max + 1):
             subsets = list(spanning_subsets(p.n, k))
             for subset in rng.sample(subsets, min(3, len(subsets))):
-                outside = [
-                    (i, j)
-                    for i in range(p.r)
-                    for j in range(p.n[i])
-                    if not subset.contains(i, j)
-                ]
+                outside = [ij for q, ij in enumerate(points_of(p)) if q not in subset]
                 part_u, j_u = rng.choice(outside)
                 t = p.curve_parameter(part_u, j_u)
                 x = lifted_curve_point(part_u + 1, t, p)
@@ -297,14 +325,13 @@ def _reference_sweep(params):
     checked = 0
     for k in range(params.r, params.k_max + 1):
         for subset in spanning_subsets(params.n, k):
-            for i in range(params.r):
-                for j in range(params.n[i]):
-                    if subset.contains(i, j):
-                        continue
-                    x = lifted_curve_point(i + 1, params.curve_parameter(i, j), params)
-                    checked += 1
-                    if witness_determinant(subset, x, params) <= 0:
-                        return False, checked
+            for q, (i, j) in enumerate(points_of(params)):
+                if q in subset:
+                    continue
+                x = lifted_curve_point(i + 1, params.curve_parameter(i, j), params)
+                checked += 1
+                if witness_determinant(subset, x, params) <= 0:
+                    return False, checked
     return True, checked
 
 
@@ -348,8 +375,7 @@ def test_hyperplane_expands_witness_determinant():
                     _integer_column(
                         lifted_curve_point(i + 1, p.curve_parameter(i, j, shifted), p)
                     )
-                    for i, js in enumerate(subset.per_part)
-                    for j in js
+                    for i, j in map(points_of(p).__getitem__, subset)
                     for shifted in (False, True)
                 ] + [
                     _integer_column(lifted_curve_point(p.r, lam * p.m_tail, p))
@@ -370,11 +396,10 @@ def test_witness_sign_matches_hull_face_membership():
     fam = generate_family(p)
     lat = cayley_lattice(fam)
     for sub in spanning_subsets(p.n, 2):
-        flat = tuple(sorted([sub.per_part[0][0], 3 + sub.per_part[1][0]]))
-        assert is_face(lat, flat)
+        assert is_face(lat, sub)
         for i in (1, 2):
             for j in range(3):
-                if sub.contains(i - 1, j):
+                if 3 * (i - 1) + j in sub:
                     continue
                 t = p.curve_parameter(i - 1, j)
                 x = lifted_curve_point(i, t, p)
