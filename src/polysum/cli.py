@@ -138,7 +138,6 @@ def _cmd_phi(args, report: RunReport) -> None:
     report.outputs["value"] = value
     if bnd.binom(sum(n), args.ell) <= bnd.PHI_BRUTE_FORCE_SIZE_CAP:
         report.check("phi_matches_composition_sum", bnd.phi_brute_force(args.ell, n), value)
-    print(value)
 
 
 _BOUND_OPTIONS = {
@@ -404,7 +403,9 @@ def run_command(argv: Sequence[str]) -> tuple[int, Optional[RunReport]]:
     except (ValueError, IndexError, OSError, KeyError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
-    if args.command not in ("phi", "selftest") and not out_path:
+    if args.command == "phi":
+        print(report.outputs["value"])
+    elif args.command != "selftest" and not out_path:
         print(text)
     return (0 if report.passed else 1), report
 

@@ -11,26 +11,29 @@ evaluates the family exactly, finds a certified positivity threshold by
 halving, computes the predicted leading term, and cross-checks everything
 against brute-force expansions that know nothing about the block structure.
 
-Delta's denominators are cleared in one place, ``_integer_rows``: each row
-of the (coefficient, tau-exponent) table is scaled to integers, and S is the
-product of the row scales.  At tau = p/q row r is also multiplied by
-q^top_r, top_r its largest exponent; the entries c p^e q^(top_r - e) are
+Delta's denominators are cleared in one place, ``_integer_rows``, by the
+lcm L of all abscissa denominators: with X = L x, row r of the integer
+(coefficient, tau-exponent) table is Delta's row r times L to its degree in
+x, so S = L^(n + 2 + ... + (K-2n+1)).  At tau = p/q row r is also multiplied
+by q^top_r, top_r its largest exponent; the entries c p^e q^(top_r - e) are
 integers, so one Bareiss determinant divided by S q^(sum of top_r) gives
-Delta exactly.  The K <= 8 brute-force polynomial walks the same integer
-rows and divides each coefficient by S once.  ``build_delta`` and
-``determinant`` stay as the independent Fraction oracle.
+Delta exactly.  A GVD det[x_j^mu_i] is int_det[(L x_j)^mu_i] / L^(sum mu),
+with L the lcm of its own denominators.  The K <= 8 brute-force polynomial
+expands the integer rows by minors and divides each coefficient by S once.
+``build_delta`` and ``determinant`` stay as the independent Fraction oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import SearchExhausted, clear_denominators, determinant, int_det, rat, rat_to_str
+from .exact import SearchExhausted, determinant, int_det, rat, rat_to_str
 
 BRUTE_FORCE_SIZE_CAP = 8
 
@@ -104,7 +107,9 @@ def gvd(x: Sequence[Fraction], mu: Sequence[int]) -> Fraction:
         raise ValueError("x and mu must have the same length")
     if any(m < 0 for m in mu) or any(a >= b for a, b in zip(mu, mu[1:])):
         raise ValueError("exponents must be strictly increasing and nonnegative")
-    return determinant([[v**m for v in xs] for m in mu])
+    L = math.lcm(*(v.denominator for v in xs))
+    X = [v.numerator * (L // v.denominator) for v in xs]
+    return Fraction(int_det([[c**m for c in X] for m in mu]), L ** sum(mu))
 
 
 @dataclass(frozen=True)
@@ -169,12 +174,23 @@ def build_delta(spec: DeltaSpec, tau: Fraction) -> list[list[Fraction]]:
 
 
 def _integer_rows(spec: DeltaSpec) -> tuple[list[list[tuple[int, int]]], int]:
-    """The ``_monomials`` table with each row scaled by the lcm of its
-    coefficient denominators, as (int coefficient, tau-exponent) pairs, and
-    S, the product of the row scales: the one place Delta is cleared."""
-    table = _monomials(spec)
-    coefs, scale = clear_denominators([[c for c, _ in row] for row in table])
-    return [[(c, e) for c, (_, e) in zip(cs, row)] for cs, row in zip(coefs, table)], scale
+    """The entries of Delta times the common denominator L to their degree in
+    x, as (int coefficient, tau-exponent) pairs with zero entries (0, 0), and
+    S = L^(n + 2 + ... + (K-2n+1)): the one place Delta is cleared."""
+    n, top = spec.n, spec.power_row_count + 1
+    L = math.lcm(*(v.denominator for xs in spec.x for v in xs))
+    zero = (0, 0)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(spec.K)]
+    for i, (xs, b) in enumerate(zip(spec.x, spec.beta)):
+        X = [v.numerator * (L // v.denominator) for v in xs]
+        for r in range(n):
+            rows[r] += [(1, 0) if r == i else zero] * len(xs)
+            rows[n + r] += [(c, b) if r == i else zero for c in X]
+        power = X
+        for p in range(2, top + 1):
+            power = [a * c for a, c in zip(power, X)]
+            rows[2 * n + p - 2] += [(c, p * b) for c in power]
+    return rows, L ** (n + sum(range(2, top + 1)))
 
 
 def _evaluator(spec: DeltaSpec) -> Callable[[Fraction], Fraction]:
@@ -204,29 +220,31 @@ def delta_value(spec: DeltaSpec, tau: Fraction) -> Fraction:
 def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
     """Brute-force expansion of the signed determinant as a polynomial in tau.
 
-    Walks all nonzero permutation products of the integer table directly (no
-    block structure is assumed), so it is an independent oracle for the
-    leading-term analysis; each coefficient is divided by S once at the end.
-    Capped at K <= 8.
+    Expands the integer table by minors, row by row: each set of used columns
+    keeps its minor's polynomial, and a new column's sign is the parity of the
+    used columns right of it.  No block structure is assumed, so it is an
+    independent oracle for the leading-term analysis; each coefficient is
+    divided by S once at the end.  Capped at K <= 8.
     """
     K = spec.K
     if K > BRUTE_FORCE_SIZE_CAP:
         raise ValueError(f"brute-force expansion capped at K <= {BRUTE_FORCE_SIZE_CAP}")
     rows, scale = _integer_rows(spec)
-    row_entries = [[(c, coef, exp) for c, (coef, exp) in enumerate(row) if coef] for row in rows]
-    poly: dict[int, int] = defaultdict(int)
-    stack = [(0, 0, 1, 0, 0)]  # row, used columns, coef, exp, parity
-    while stack:
-        row, used, coef, exp, parity = stack.pop()
-        if row == K:
-            poly[exp] += -coef if parity else coef
-            continue
-        for c, cf, e in row_entries[row]:
-            if used >> c & 1:
-                continue
-            flips = (used >> (c + 1)).bit_count() & 1
-            stack.append((row + 1, used | (1 << c), coef * cf, exp + e, parity ^ flips))
+    minors: dict[int, dict[int, int]] = {0: {0: 1}}  # used columns -> {exponent: coefficient}
+    for row in rows:
+        grown: dict[int, dict[int, int]] = {}
+        for used, poly in minors.items():
+            for c, (coef, e) in enumerate(row):
+                if not coef or used >> c & 1:
+                    continue
+                if (used >> (c + 1)).bit_count() & 1:
+                    coef = -coef
+                target = grown.setdefault(used | 1 << c, defaultdict(int))
+                for exp, v in poly.items():
+                    target[exp + e] += coef * v
+        minors = grown
     sign = (-1) ** spec.sign_exponent
+    poly = minors.get((1 << K) - 1, {})
     return {e: Fraction(sign * c, scale) for e, c in poly.items() if c}
 
 

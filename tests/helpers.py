@@ -1,11 +1,14 @@
 """Test-only builders and oracles: zonotope vertex candidates, random delta
-specs, the transcribed sign exponent of the minimal Delta term, and a plain
-Fraction elimination that shares no code with the exact kernel."""
+specs, the transcribed sign exponent of the minimal Delta term, Delta's
+Leibniz polynomial, and a plain Fraction elimination that shares no code
+with the exact kernel."""
 
 import itertools
+import math
+from collections import defaultdict
 from fractions import Fraction
 
-from polysum.detasym import DeltaSpec
+from polysum.detasym import DeltaSpec, _monomials
 from polysum.hull import PointSet
 
 
@@ -30,6 +33,22 @@ def sigma_closed_form(spec: DeltaSpec) -> int:
         total += sum(range(1, k_i + 1))
         total += 1 + (n + 2 - i) + sum(2 * (n + 1 - i) + j for j in range(1, k_i - 1))
     return total
+
+
+def leibniz_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
+    """Independent oracle for ``delta_polynomial``: the signed determinant as
+    {tau-exponent: coefficient}, summed over every permutation of the Fraction
+    table of ``_monomials`` (so it never reads the integer table)."""
+    table = _monomials(spec)
+    poly = defaultdict(Fraction)
+    for perm in itertools.permutations(range(spec.K)):
+        entries = [table[r][c] for r, c in enumerate(perm)]
+        if not all(coef for coef, _ in entries):
+            continue
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = math.prod(coef for coef, _ in entries)
+        poly[sum(e for _, e in entries)] += -term if (inversions + spec.sign_exponent) % 2 else term
+    return {e: c for e, c in poly.items() if c}
 
 
 def random_delta_spec(rng, max_total: int = 10) -> DeltaSpec:

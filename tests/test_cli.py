@@ -340,8 +340,10 @@ def test_unwritable_report_path_exit_2(tmp_path, capsys, argv, target):
     path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
     code, report = run([*argv, str(path)])
     assert (code, report) == (2, None)
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["construct", "verify-tight", "delta"])

@@ -1,6 +1,7 @@
 """Tests for the block-determinant asymptotics module."""
 
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from polysum.detasym import (
 )
 from polysum.exact import determinant, int_det
 
-from helpers import random_delta_spec, sigma_closed_form
+from helpers import leibniz_polynomial, random_delta_spec, sigma_closed_form
 
 
 def hand_spec():
@@ -78,6 +79,16 @@ def test_gvd_positive_on_random_increasing_inputs():
         mu = sorted(rng.sample(range(0, 9), len(xs)))
         assert gvd(xs, mu) > 0
         done += 1
+
+
+def test_gvd_matches_the_fraction_determinant():
+    # abscissas of mixed sign, order and denominator: gvd validates only mu
+    rng = random.Random(31)
+    for _ in range(100):
+        k = rng.randint(1, 5)
+        xs = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(k)]
+        mu = sorted(rng.sample(range(0, 9), k))
+        assert gvd(xs, mu) == determinant([[v**m for v in xs] for m in mu]), (xs, mu)
 
 
 def test_laplace_expansion_identities():
@@ -163,6 +174,19 @@ def test_delta_value_matches_the_fraction_oracle():
         delta_value(hand_spec(), 0)
 
 
+def test_integer_rows_are_the_monomials_times_powers_of_the_common_denominator():
+    rng = random.Random(29)
+    specs = [hand_spec()] + [wide_delta_spec(rng, K) for K in range(4, 19) for _ in range(2)]
+    for spec in specs:
+        n = spec.n
+        L = math.lcm(*(v.denominator for xs in spec.x for v in xs))
+        degrees = [0] * n + [1] * n + list(range(2, spec.K - 2 * n + 2))
+        rows, scale = detasym._integer_rows(spec)
+        assert scale == L ** sum(degrees), spec
+        for row, mono, deg in zip(rows, detasym._monomials(spec), degrees, strict=True):
+            assert [(Fraction(c, L**deg), e) for c, e in row] == mono, spec
+
+
 def test_certify_positivity_evaluates_each_tau_once(monkeypatch):
     calls = []
 
@@ -175,10 +199,11 @@ def test_certify_positivity_evaluates_each_tau_once(monkeypatch):
     for spec in [hand_spec()] + [random_delta_spec(rng) for _ in range(6)]:
         calls.clear()
         report = certify_positivity(spec)
-        # every tau tried is 2^-j, for j = 0 up to the last probe point
+        # one GVD per block for the leading term, then one determinant per tau
+        # tried: every tau tried is 2^-j, for j = 0 up to the last probe point
         smallest = report.ratio_points[-1][0]
         assert smallest.numerator == 1 and smallest.denominator.bit_count() == 1
-        assert len(calls) == smallest.denominator.bit_length()
+        assert len(calls) == spec.n + smallest.denominator.bit_length()
 
 
 def test_delta_positive_below_threshold():
@@ -242,6 +267,13 @@ def test_brute_force_polynomial_evaluates_to_delta():
         for tau in (Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(5, 2)):
             val = sum(c * tau**e for e, c in poly.items())
             assert val == sign * determinant(build_delta(spec, tau)), (spec, tau)
+
+
+def test_brute_force_polynomial_matches_the_leibniz_sum():
+    rng = random.Random(23)
+    specs = [hand_spec()] + [wide_delta_spec(rng, K) for K in range(4, 8) for _ in range(3)]
+    for spec in specs:
+        assert delta_polynomial(spec) == leibniz_polynomial(spec), spec
 
 
 def test_brute_force_polynomial_leaves_no_reference_cycles():
