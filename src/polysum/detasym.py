@@ -11,16 +11,25 @@ evaluates the family exactly, finds a certified positivity threshold by
 halving, computes the predicted leading term, and cross-checks everything
 against brute-force expansions that know nothing about the block structure.
 
-Delta's denominators are cleared in one place, ``_integer_rows``, by the
-lcm L of all abscissa denominators: with X = L x, row r of the integer
-(coefficient, tau-exponent) table is Delta's row r times L to its degree in
-x, so S = L^(n + 2 + ... + (K-2n+1)).  At tau = p/q row r is also multiplied
-by q^top_r, top_r its largest exponent; the entries c p^e q^(top_r - e) are
-integers, so one Bareiss determinant divided by S q^(sum of top_r) gives
-Delta exactly.  A GVD det[x_j^mu_i] is int_det[(L x_j)^mu_i] / L^(sum mu),
-with L the lcm of its own denominators.  The K <= 8 brute-force polynomial
-expands the integer rows by minors and divides each coefficient by S once.
-``build_delta`` and ``determinant`` stay as the independent Fraction oracle.
+Delta(tau) is evaluated by block elimination.  With y = x tau^beta_i, in
+block i subtract column 0 from the others, expand along indicator row i and
+divide column j by y_j - y_0; then subtract column 1 from columns j >= 2,
+expand along linear row n + i and divide by y_j - y_1.  Interleaving rows i
+and n + i costs (-1)^(n(n-1)/2), which cancels the sign in Delta, so
+Delta = prod_i [(y_i1 - y_i0) prod_{j>=2} (y_ij - y_i0)(y_ij - y_i1)] det M,
+where M is (K-2n) x (K-2n) with h_(p-2)(y_i0, y_i1, y_ij), h the complete
+homogeneous symmetric polynomial, in power row p and column (i, j >= 2).
+With L the lcm of all abscissa denominators and X = L x, the prefactor is a
+positive integer times tau^theta / L^(sum of 2 kappa_i - 3), and row k = p - 2
+of M is h_k(X_i0, X_i1, X_ij) tau^(k beta_i) / L^k.  At tau = p/q row k is
+also multiplied by q^top_k, top_k its largest exponent; the entries are then
+integers, so one Bareiss determinant per tau gives Delta exactly (an empty M
+has determinant 1).  ``_integer_rows`` clears the full K x K table by L,
+S = L^(n + 2 + ... + (K-2n+1)); only the K <= 8 brute-force polynomial reads
+it, expanding it by minors blind to the blocks, so it checks the elimination
+independently.  A GVD det[x_j^mu_i] is int_det[(L x_j)^mu_i] / L^(sum mu), L
+the lcm of its own denominators.  ``build_delta`` and ``determinant`` stay
+the independent Fraction oracle.
 """
 
 from __future__ import annotations
@@ -176,7 +185,7 @@ def build_delta(spec: DeltaSpec, tau: Fraction) -> list[list[Fraction]]:
 def _integer_rows(spec: DeltaSpec) -> tuple[list[list[tuple[int, int]]], int]:
     """The entries of Delta times the common denominator L to their degree in
     x, as (int coefficient, tau-exponent) pairs with zero entries (0, 0), and
-    S = L^(n + 2 + ... + (K-2n+1)): the one place Delta is cleared."""
+    S = L^(n + 2 + ... + (K-2n+1)); only ``delta_polynomial`` reads it."""
     n, top = spec.n, spec.power_row_count + 1
     L = math.lcm(*(v.denominator for xs in spec.x for v in xs))
     zero = (0, 0)
@@ -194,11 +203,27 @@ def _integer_rows(spec: DeltaSpec) -> tuple[list[list[tuple[int, int]]], int]:
 
 
 def _evaluator(spec: DeltaSpec) -> Callable[[Fraction], Fraction]:
-    """tau -> Delta(tau) from the integer table, as the module docstring describes."""
-    rows, scale = _integer_rows(spec)
+    """tau -> Delta(tau) by block elimination (module docstring): the integer
+    prefactor and M's (coefficient, tau-exponent) rows are built once."""
+    L = math.lcm(*(v.denominator for xs in spec.x for v in xs))
+    size = spec.power_row_count
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    prefactor, theta = 1, 0
+    for xs, b in zip(spec.x, spec.beta):
+        X0, X1, *rest = (v.numerator * (L // v.denominator) for v in xs)
+        prefactor *= X1 - X0
+        for c in rest:
+            prefactor *= (c - X0) * (c - X1)
+            h2 = h3 = power = 1  # h_k(X0, X1), h_k(X0, X1, c) and X0^k
+            for k, row in enumerate(rows):
+                row.append((h3, k * b))
+                power *= X0
+                h2 = power + X1 * h2
+                h3 = h2 + c * h3
+        theta += b * (2 * len(xs) - 3)
     tops = [max(e for _, e in row) for row in rows]
-    sign = (-1) ** spec.sign_exponent
-    powers = range(max(tops) + 1)
+    scale = L ** (2 * spec.K - 3 * spec.n + sum(range(size)))  # prefactor, then row k's L^k
+    powers = range(max(tops, default=0) + 1)
 
     def value(tau: Fraction) -> Fraction:
         tau = rat(tau)
@@ -207,7 +232,7 @@ def _evaluator(spec: DeltaSpec) -> Callable[[Fraction], Fraction]:
         p, q = tau.numerator, tau.denominator
         p_pow, q_pow = [p**e for e in powers], [q**e for e in powers]
         m = [[c * p_pow[e] * q_pow[top - e] for c, e in row] for row, top in zip(rows, tops)]
-        return Fraction(sign * int_det(m), scale * q ** sum(tops))
+        return Fraction(prefactor * p**theta * int_det(m), scale * q ** (theta + sum(tops)))
 
     return value
 

@@ -296,6 +296,76 @@ def test_delta_command(tmp_path, capsys):
     assert "brute_force_lowest_degree" in names
 
 
+def passed_checks(*pairs):
+    return [{"actual": a, "expected": e, "name": name, "pass": True} for name, e, a in pairs]
+
+
+DELTA_POSITIVE = [
+    ("delta_positive_at_tau0", True, True),
+    ("delta_positive_at_half_tau0", True, True),
+    ("ratio_deviation_decreasing", True, True),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, positivity, checks",
+    [
+        (
+            # the K = 8 spec of CI: the brute-force polynomial runs
+            {"kappa": [3, 3, 2], "beta": [4, 2, 0], "x": [["1/2", "1", "3/2"], ["1/3", "2/3", "5/3"], ["1/5", "2"]]},
+            {
+                "tau0": "1/2",
+                "halvings": 1,
+                "theta": 20,
+                "coefficient": "8/15",
+                "ratio_points": [{"deviation": "9/128", "tau": "1/4"}, {"deviation": "9/512", "tau": "1/8"}],
+                "deviation_decreasing": True,
+                "certified": True,
+            },
+            passed_checks(
+                *DELTA_POSITIVE,
+                ("brute_force_lowest_degree", 20, 20),
+                ("brute_force_leading_coefficient", "8/15", "8/15"),
+            ),
+        ),
+        (
+            # K = 14, past the brute-force cap; one block with kappa = 2
+            {
+                "kappa": [5, 4, 3, 2],
+                "beta": [3, 2, 1, 0],
+                "x": [["3/2", "5/3", "2", "9/4", "5/2"], ["1/3", "3/4", "2", "5/2"], ["6/5", "7/5", "8/5"], ["2/7", "3"]],
+            },
+            {
+                "tau0": "1/4",
+                "halvings": 2,
+                "theta": 62,
+                "coefficient": "23746321076569/24461180928000",
+                "ratio_points": [
+                    {"deviation": "2158507170582938812140629/2761296856973898615357440", "tau": "1/8"},
+                    {
+                        "deviation": "13059788401735151783828946034187/25651696728542421236247240376320",
+                        "tau": "1/16",
+                    },
+                ],
+                "deviation_decreasing": True,
+                "certified": True,
+            },
+            passed_checks(*DELTA_POSITIVE),
+        ),
+    ],
+    ids=["K8", "K14"],
+)
+def test_delta_report_is_pinned(tmp_path, spec, positivity, checks):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "delta.json"
+    code, _ = run(["delta", "--spec", str(path), "--report", str(out)])
+    assert code == 0
+    saved = json.loads(out.read_text())
+    assert saved["outputs"] == {"positivity": positivity}
+    assert saved["checks"] == checks
+
+
 def test_hull_method_flag_is_gone(tmp_path):
     path = tmp_path / "square.json"
     path.write_text(json.dumps({"ambient_dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}))

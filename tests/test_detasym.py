@@ -1,6 +1,7 @@
 """Tests for the block-determinant asymptotics module."""
 
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -141,7 +142,12 @@ def wide_delta_spec(rng, K):
             kappa[rng.randrange(n)] += 1
         if max(kappa) <= 6:
             break
-    beta = sorted(rng.sample(range(0, 8), n), reverse=True)
+    return spec_of_kappa(rng, kappa)
+
+
+def spec_of_kappa(rng, kappa):
+    """Spec with these block sizes: exponents from 0..7, mixed denominators."""
+    beta = sorted(rng.sample(range(0, 8), len(kappa)), reverse=True)
     xs = []
     for k in kappa:
         vals = [Fraction(rng.randint(1, 4), rng.randint(1, 3))]
@@ -185,6 +191,61 @@ def test_integer_rows_are_the_monomials_times_powers_of_the_common_denominator()
         assert scale == L ** sum(degrees), spec
         for row, mono, deg in zip(rows, detasym._monomials(spec), degrees, strict=True):
             assert [(Fraction(c, L**deg), e) for c, e in row] == mono, spec
+
+
+def complete_homogeneous(k, values):
+    """h_k: the sum of every degree-k monomial in the values."""
+    return sum(
+        math.prod(v**e for v, e in zip(values, exps))
+        for exps in itertools.product(range(k + 1), repeat=len(values))
+        if sum(exps) == k
+    )
+
+
+def elimination_specs():
+    rng = random.Random(37)
+    specs = [hand_spec()] + [wide_delta_spec(rng, K) for K in range(4, 19)]
+    specs += [spec_of_kappa(rng, (2,) * n) for n in range(2, 6)]  # K = 2n: M is empty
+    specs += [spec_of_kappa(rng, (2,) * i + (3,) + (2,) * (n - 1 - i)) for n in range(2, 5) for i in range(n)]
+    return specs
+
+
+def test_block_elimination_identity():
+    # Delta = prod_i [(y1 - y0) prod_{j>=2} (yj - y0)(yj - y1)] det M, with
+    # y = x tau^beta_i and M[p-2][(i, j)] = h_(p-2)(y0, y1, yj)
+    taus = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(5, 2), Fraction(1, 2**20)]
+    specs = elimination_specs()
+    assert {spec.K - 2 * spec.n for spec in specs} >= {0, 1} and max(spec.K for spec in specs) == 18
+    for spec in specs:
+        for tau in taus:
+            ys = [[x * tau**b for x in xs] for xs, b in zip(spec.x, spec.beta)]
+            prefactor = math.prod(
+                (y[1] - y[0]) * math.prod((yj - y[0]) * (yj - y[1]) for yj in y[2:]) for y in ys
+            )
+            assert prefactor > 0, (spec, tau)
+            m = [
+                [complete_homogeneous(k, (y[0], y[1], yj)) for y in ys for yj in y[2:]]
+                for k in range(spec.power_row_count)
+            ]
+            oracle = (-1) ** spec.sign_exponent * determinant(build_delta(spec, tau))
+            assert prefactor * determinant(m) == oracle == delta_value(spec, tau), (spec, tau)
+
+
+def test_evaluator_takes_one_determinant_of_the_power_rows(monkeypatch):
+    calls = []
+
+    def counting_int_det(rows):
+        calls.append(rows)
+        return int_det(rows)
+
+    monkeypatch.setattr(detasym, "int_det", counting_int_det)
+    for spec in elimination_specs():
+        size = spec.K - 2 * spec.n
+        for tau in (Fraction(1), Fraction(3, 7)):
+            calls.clear()
+            delta_value(spec, tau)
+            assert len(calls) == 1, spec
+            assert len(calls[0]) == size and all(len(row) == size for row in calls[0]), spec
 
 
 def test_certify_positivity_evaluates_each_tau_once(monkeypatch):
@@ -258,7 +319,7 @@ def test_brute_force_polynomial_matches_leading_term():
 
 
 def test_brute_force_polynomial_evaluates_to_delta():
-    # the Fraction oracle, not delta_value: both of those read the integer table
+    # the polynomial reads the full integer table, the evaluator only M
     rng = random.Random(9)
     specs = [hand_spec()] + [wide_delta_spec(rng, K) for K in range(4, 9) for _ in range(3)]
     for spec in specs:
@@ -266,7 +327,7 @@ def test_brute_force_polynomial_evaluates_to_delta():
         sign = (-1) ** spec.sign_exponent
         for tau in (Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(5, 2)):
             val = sum(c * tau**e for e, c in poly.items())
-            assert val == sign * determinant(build_delta(spec, tau)), (spec, tau)
+            assert val == sign * determinant(build_delta(spec, tau)) == delta_value(spec, tau), (spec, tau)
 
 
 def test_brute_force_polynomial_matches_the_leibniz_sum():
