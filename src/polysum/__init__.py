@@ -1,7 +1,10 @@
 """Exact Minkowski sums of convex polytopes via the Cayley embedding.
 
 Face lattices, face-count bounds, certified tight lower-bound families, and
-block-determinant positivity thresholds, all in exact rational arithmetic.
+block-determinant leading terms with a halving threshold tau0, all in exact
+rational arithmetic.  tau0 is the first 2^-h at which Delta(2^-h) and
+Delta(2^-(h+1)) are both positive; it is not a proof that Delta > 0 on
+(0, tau0] (see ``detasym.certify_positivity``).
 """
 
 from .bounds import (

@@ -1,9 +1,9 @@
 """Closed-form face-count bounds for Minkowski sums of convex polytopes.
 
-All outputs are exact integers.  The cyclic-polytope face counts that feed
-the two-summand bound are taken from an actual exact hull of moment-curve
-points by default; a Gale-evenness closed form is available as a fast path
-and is cross-checked against the hull in the test suite.
+All outputs are exact integers.  The two-summand bound reads the f-vector of
+a cyclic polytope from its h-vector in closed form (McMullen 1970); an exact
+hull of moment-curve points gives the same f-vector and is its cross-check
+in the tests and in ``bound --kind two``.
 """
 
 from __future__ import annotations
@@ -123,32 +123,16 @@ def cyclic_fvector_hull(dim: int, n: int) -> tuple[int, ...]:
     return convex_hull(moment_curve_points(dim, n)).f_vector
 
 
-@lru_cache(maxsize=None)
-def cyclic_fvector_gale(dim: int, n: int) -> tuple[int, ...]:
-    """f-vector of C_dim(n) via Gale's evenness condition (closed-form fast path)."""
+def cyclic_fvector(dim: int, n: int) -> tuple[int, ...]:
+    """f-vector of C_dim(n) from its h-vector (McMullen 1970): h_i = C(n-dim-1+i, i)
+    for i <= dim/2 and h_i = h_(dim-i), then f_(j-1) = sum_i C(dim-i, j-i) h_i."""
     if n < dim + 1:
         raise ValueError("cyclic polytope needs at least dim+1 vertices")
-
-    def is_facet(s: tuple[int, ...]) -> bool:
-        inside = set(s)
-        outside = [i for i in range(n) if i not in inside]
-        for a, b in itertools.combinations(outside, 2):
-            if sum(1 for x in s if a < x < b) % 2:
-                return False
-        return True
-
-    facets = [s for s in itertools.combinations(range(n), dim) if is_facet(s)]
-    faces = set()
-    for s in facets:
-        for size in range(1, dim + 1):
-            faces.update(itertools.combinations(s, size))
-    counts = [0] * dim
-    for f in faces:
-        counts[len(f) - 1] += 1
-    return tuple(counts)
+    h = [binom(n - dim - 1 + min(i, dim - i), min(i, dim - i)) for i in range(dim + 1)]
+    return tuple(sum(binom(dim - i, j - i) * h[i] for i in range(j + 1)) for j in range(1, dim + 1))
 
 
-def two_polytope_bound(k: int, d: int, n1: int, n2: int, method: str = "hull") -> int:
+def two_polytope_bound(k: int, d: int, n1: int, n2: int) -> int:
     """Tight upper bound on f_{k-1}(P1 + P2) for two d-polytopes, 1 <= k <= d."""
     if d < 3:
         raise ValueError("two-polytope bound stated for d >= 3")
@@ -156,8 +140,7 @@ def two_polytope_bound(k: int, d: int, n1: int, n2: int, method: str = "hull") -
         raise ValueError(f"k={k} outside 1..{d}")
     if n1 <= d or n2 <= d:
         raise ValueError("each summand needs at least d+1 vertices")
-    fv = cyclic_fvector_hull(d + 1, n1 + n2) if method == "hull" else cyclic_fvector_gale(d + 1, n1 + n2)
-    fk_cyclic = fv[k]
+    fk_cyclic = cyclic_fvector(d + 1, n1 + n2)[k]
     correction = 0
     for i in range((d + 1) // 2 + 1):
         correction += binom(d + 1 - i, k + 1 - i) * (

@@ -173,9 +173,9 @@ def _cmd_bound(args, report: RunReport) -> None:
         value = bnd.two_polytope_bound(args.k, args.d, n1, n2)
         report.outputs["value"] = value
         report.check(
-            "hull_vs_gale_cyclic_path",
-            bnd.two_polytope_bound(args.k, args.d, n1, n2, method="gale"),
-            value,
+            "cyclic_fvector_matches_hull",
+            list(bnd.cyclic_fvector_hull(args.d + 1, n1 + n2)),
+            list(bnd.cyclic_fvector(args.d + 1, n1 + n2)),
         )
     elif kind == "zonotope":
         (n_edges,) = args.n
@@ -271,6 +271,13 @@ def _cmd_delta(args, report: RunReport) -> None:
             "brute_force_leading_coefficient",
             rat_to_str(pos.coefficient),
             rat_to_str(poly[low]),
+        )
+        # the two values behind the positivity checks, from the polynomial
+        probes = (pos.tau0, pos.tau0 / 2)
+        report.check(
+            "brute_force_matches_evaluator",
+            [rat_to_str(sum(c * t**e for e, c in poly.items())) for t in probes],
+            [rat_to_str(pos.delta(t)) for t in probes],
         )
 
 

@@ -7,9 +7,10 @@ row n + i, and x^p * tau^(p * beta_i) in power row 2n + p - 2 for
 p = 2..K-2n+1; every other entry is 0.  As tau -> 0+ the determinant is
 dominated by a single product of generalized Vandermonde determinants with
 a known exponent, so it is strictly positive for all small tau.  This module
-evaluates the family exactly, finds a certified positivity threshold by
-halving, computes the predicted leading term, and cross-checks everything
-against brute-force expansions that know nothing about the block structure.
+evaluates the family exactly, finds a threshold tau0 by halving (see
+``certify_positivity`` for what it does not prove), computes the predicted
+leading term, and cross-checks everything against brute-force expansions
+that know nothing about the block structure.
 
 Delta(tau) is evaluated by block elimination.  With y = x tau^beta_i, in
 block i subtract column 0 from the others, expand along indicator row i and
@@ -336,8 +337,15 @@ class PositivityReport:
 
 
 def certify_positivity(spec: DeltaSpec, max_halvings: int = 64) -> PositivityReport:
-    """Find tau0 with Delta(tau0) > 0 and Delta(tau0/2) > 0 by halving from 1,
-    then check that Delta(tau)/(coeff * tau^theta) approaches 1 as tau halves."""
+    """Find tau0, the first 2^-h with Delta(2^-h) > 0 and Delta(2^-(h+1)) > 0,
+    then check that Delta(tau)/(coeff * tau^theta) approaches 1 as tau halves.
+
+    ``certified`` only says that this deviation from the leading term fell
+    between two probe points; neither it nor tau0 proves Delta > 0 on
+    (0, tau0].  The benchmark spec ``spec018-K7`` (kappa (4, 3), beta (3, 0),
+    x ((2, 4, 6, 8), (3/2, 3, 4))) gets tau0 = 1 and ``certified: true``, yet
+    Delta(13/16) ~ -79.3 and Delta(7/8) ~ -339.8.
+    """
     lt = leading_term(spec)
     delta = functools.cache(_evaluator(spec))  # each distinct tau is evaluated once
     tau0 = None

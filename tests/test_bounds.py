@@ -10,7 +10,7 @@ from polysum.bounds import (
     PHI_BRUTE_FORCE_SIZE_CAP,
     VertexProfile,
     binom,
-    cyclic_fvector_gale,
+    cyclic_fvector,
     cyclic_fvector_hull,
     many_summand_f0_bounds,
     phi,
@@ -123,10 +123,30 @@ def test_cyclic_fvector_hull_values():
     assert cyclic_fvector_hull(3, 5) == (5, 9, 6)
 
 
-def test_cyclic_gale_matches_hull():
-    for dim in range(2, 7):
-        for n in range(dim + 1, 11):
-            assert cyclic_fvector_gale(dim, n) == cyclic_fvector_hull(dim, n)
+def test_cyclic_fvector_matches_hull():
+    for dim in range(2, 8):
+        for n in range(dim + 1, 13):
+            assert cyclic_fvector(dim, n) == cyclic_fvector_hull(dim, n), (dim, n)
+    with pytest.raises(ValueError):
+        cyclic_fvector(4, 4)
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_cyclic_fvector_identities_past_any_hull(dim):
+    m = dim // 2
+    for n in sorted({dim + 1, dim + 2, dim + 5, 60, 200}):
+        f = cyclic_fvector(dim, n)
+        assert len(f) == dim
+        # the upper bound theorem's facet count
+        if dim % 2 == 0:
+            assert f[-1] * (n - m) == n * math.comb(n - m, m)
+        else:
+            assert f[-1] == 2 * math.comb(n - m - 1, m)
+        # neighborly: every j <= dim/2 vertices span a face
+        for j in range(1, m + 1):
+            assert f[j - 1] == math.comb(n, j)
+        # Euler: f_0 - f_1 + ... = 1 - (-1)^dim
+        assert sum((-1) ** j * fj for j, fj in enumerate(f)) == 1 - (-1) ** dim
 
 
 def test_two_polytope_bound_values():
@@ -135,7 +155,6 @@ def test_two_polytope_bound_values():
     # k=3 bounds facets; matches the 3-polytope expression n1*n2+n1+n2-6
     assert two_polytope_bound(3, 3, 4, 4) == 18
     assert two_polytope_bound(3, 3, 4, 4) == 4 * 4 + 4 + 4 - 6
-    assert two_polytope_bound(1, 3, 4, 4, method="gale") == 16
     with pytest.raises(ValueError):
         two_polytope_bound(1, 2, 4, 4)
     with pytest.raises(ValueError):
@@ -146,7 +165,7 @@ def test_two_polytope_bound_k1_is_vertex_product():
     for d in (3, 4, 5):
         for n1 in range(d + 1, d + 4):
             for n2 in range(d + 1, d + 4):
-                assert two_polytope_bound(1, d, n1, n2, method="gale") == n1 * n2
+                assert two_polytope_bound(1, d, n1, n2) == n1 * n2
 
 
 def test_zonotope_bound_values():

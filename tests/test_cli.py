@@ -13,6 +13,7 @@ import pytest
 
 import polysum
 import polysum.cli
+import polysum.detasym
 from polysum.cli import _build_parser, run_command
 from polysum.jsonio import dump_json
 
@@ -89,6 +90,10 @@ def test_bound_two(capsys):
     code, report = run(["bound", "--kind", "two", "--k", "1", "--d", "3", "--n", "4,4"])
     assert code == 0
     assert report.outputs["value"] == 16
+    # the whole f-vector of C_4(8): closed form against the hull
+    assert report.checks == [
+        {"name": "cyclic_fvector_matches_hull", "expected": [8, 28, 40, 20], "actual": [8, 28, 40, 20], "pass": True}
+    ]
 
 
 def test_bound_zonotope(capsys):
@@ -307,12 +312,21 @@ DELTA_POSITIVE = [
 ]
 
 
+# the K = 8 spec of CI: the brute-force polynomial runs
+K8_SPEC = {"kappa": [3, 3, 2], "beta": [4, 2, 0], "x": [["1/2", "1", "3/2"], ["1/3", "2/3", "5/3"], ["1/5", "2"]]}
+# K = 14, past the brute-force cap; one block with kappa = 2
+K14_SPEC = {
+    "kappa": [5, 4, 3, 2],
+    "beta": [3, 2, 1, 0],
+    "x": [["3/2", "5/3", "2", "9/4", "5/2"], ["1/3", "3/4", "2", "5/2"], ["6/5", "7/5", "8/5"], ["2/7", "3"]],
+}
+
+
 @pytest.mark.parametrize(
     "spec, positivity, checks",
     [
         (
-            # the K = 8 spec of CI: the brute-force polynomial runs
-            {"kappa": [3, 3, 2], "beta": [4, 2, 0], "x": [["1/2", "1", "3/2"], ["1/3", "2/3", "5/3"], ["1/5", "2"]]},
+            K8_SPEC,
             {
                 "tau0": "1/2",
                 "halvings": 1,
@@ -326,15 +340,15 @@ DELTA_POSITIVE = [
                 *DELTA_POSITIVE,
                 ("brute_force_lowest_degree", 20, 20),
                 ("brute_force_leading_coefficient", "8/15", "8/15"),
+                (
+                    "brute_force_matches_evaluator",
+                    ["23/62914560", "119/263882790666240"],
+                    ["23/62914560", "119/263882790666240"],
+                ),
             ),
         ),
         (
-            # K = 14, past the brute-force cap; one block with kappa = 2
-            {
-                "kappa": [5, 4, 3, 2],
-                "beta": [3, 2, 1, 0],
-                "x": [["3/2", "5/3", "2", "9/4", "5/2"], ["1/3", "3/4", "2", "5/2"], ["6/5", "7/5", "8/5"], ["2/7", "3"]],
-            },
+            K14_SPEC,
             {
                 "tau0": "1/4",
                 "halvings": 2,
@@ -364,6 +378,24 @@ def test_delta_report_is_pinned(tmp_path, spec, positivity, checks):
     saved = json.loads(out.read_text())
     assert saved["outputs"] == {"positivity": positivity}
     assert saved["checks"] == checks
+
+
+def test_delta_brute_force_checks_evaluator_values(tmp_path, monkeypatch):
+    # an evaluator with every sign right but every value doubled passes the
+    # positivity checks; at K <= 8 the polynomial's values catch it
+    evaluator = polysum.detasym._evaluator
+    monkeypatch.setattr(polysum.detasym, "_evaluator", lambda spec: lambda tau: 2 * evaluator(spec)(tau))
+    results = {}
+    for name, spec in (("K8", K8_SPEC), ("K14", K14_SPEC)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        results[name] = run(["delta", "--spec", str(path)])
+    code, report = results["K8"]
+    failed = [c["name"] for c in report.checks if not c["pass"]]
+    assert code == 1 and "brute_force_matches_evaluator" in failed
+    assert report.checks[0]["pass"] and report.checks[1]["pass"]  # the signs still hold
+    _, report = results["K14"]
+    assert "brute_force_matches_evaluator" not in [c["name"] for c in report.checks]
 
 
 def test_hull_method_flag_is_gone(tmp_path):

@@ -14,6 +14,7 @@ from polysum.construction import (
     SearchExhausted,
     _sweep_all_positive,
     _witness_columns,
+    certify_family,
     expected_check_count,
     find_tau_star,
     find_zeta_diamond,
@@ -470,10 +471,12 @@ def test_verify_tightness_small():
 
 
 @pytest.mark.parametrize(
-    "d, r", [(d, r) for d in range(3, 8) for r in range(2, d) if (d, r) != (7, 6)]
+    "d, r",
+    [(d, r) for d in range(3, 8) for r in range(2, d) if (d, r) != (7, 6)] + [(8, 2), (8, 3), (8, 4)],
 )
 def test_verify_tightness_whole_range_n3(d, r):
-    # the theorem's whole (d, r) range up to d = 7 but (7, 6), which CI runs
+    # the theorem's whole (d, r) range up to d = 7 but (7, 6), which CI runs;
+    # at d = 8 only r <= 4, since (8, 5) alone takes seconds
     n = (3,) * r
     rep = verify_tightness(d, r, n)
     assert rep.passed
@@ -481,6 +484,31 @@ def test_verify_tightness_whole_range_n3(d, r):
     profile = VertexProfile(n, d)
     for k, fk in enumerate(rep.f_via_cayley):
         assert fk <= trivial_upper_bound(k, profile)
+
+
+def admissible_alpha(rng, ni):
+    """A random rational alpha for one part: positive, increasing, gaps above 1/4."""
+    a = [Fraction(rng.randint(1, 8), rng.randint(1, 4))]
+    for _ in range(ni - 1):
+        a.append(a[-1] + Fraction(1, 4) + Fraction(rng.randint(1, 6), rng.randint(1, 12)))
+    return tuple(a)
+
+
+@pytest.mark.parametrize(
+    "d, r, n", [(4, 2, (5, 5)), (5, 3, (4, 4, 4)), (4, 3, (3, 3, 3))], ids=["d4r2", "d5r3", "d4r3"]
+)
+def test_tightness_holds_for_random_admissible_alpha(d, r, n):
+    # the theorem holds for every admissible alpha, not only alpha_{i,j} = j
+    rng = random.Random(f"{d}-{r}-{n}")
+    for _ in range(8):
+        alpha = tuple(admissible_alpha(rng, ni) for ni in n)
+        params, _, _ = certify_family(ConstructionParams(d=d, r=r, n=n, alpha=alpha))
+        family = generate_family(params)
+        f = minksum_via_cayley(family)
+        assert f == minksum_direct(family), alpha
+        for k in range(params.k_max - r + 1):
+            assert f[k] == phi(k + r, n), (alpha, k)
+        assert all(pc.ok for pc in verify_neighborly(params)), alpha
 
 
 @pytest.mark.parametrize(
