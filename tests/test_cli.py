@@ -288,6 +288,46 @@ def test_verify_tight_low_dimensional_lifted_hull_exits_0(tmp_path, capsys):
     assert actual["f_0_tight"] == 1
 
 
+def test_verify_tight_report_is_pinned(tmp_path, capsys):
+    certificate = {"determinants_checked": 36, "expected_checks": 36, "halvings": 0}
+    pinned = {
+        "command": "verify-tight",
+        "inputs": {"d": 3, "max_halvings": 64, "n": [3, 3], "r": 2},
+        "outputs": {
+            "d": 3,
+            "r": 2,
+            "n": [3, 3],
+            "tau_star": "1",
+            "zeta_diamond": "1",
+            "tau_certificate": certificate,
+            "zeta_certificate": certificate,
+            "f_via_cayley": [9, 16, 9],
+            "f_direct": [9, 16, 9],
+        },
+        "checks": passed_checks(
+            ("oracle_equality", [9, 16, 9], [9, 16, 9]),
+            ("spanning_faces_dim_1", 9, 9),
+            ("f_0_tight", 9, 9),
+            ("f_1_upper_bound", 18, 16),
+            ("f_2_upper_bound", 15, 9),
+            ("certified_subsets_are_faces", 9, 9),
+            ("part_1_dim", 2, 2),
+            ("part_1_neighborly", True, True),
+            ("part_2_dim", 2, 2),
+            ("part_2_neighborly", True, True),
+        ),
+        "passed": True,
+    }
+    argv = ["verify-tight", "--d", "3", "--r", "2", "--n", "3,3"]
+    assert run(argv)[0] == 0
+    assert capsys.readouterr().out == json.dumps(pinned, indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "report.json"
+    pinned["inputs"]["report"] = str(out)
+    assert run(argv + ["--report", str(out)])[0] == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == json.dumps(pinned, indent=2, sort_keys=True) + "\n"
+
+
 def test_delta_command(tmp_path, capsys):
     spec = {"kappa": [2, 2], "beta": [1, 0], "x": [["1", "2"], ["3", "5"]]}
     path = tmp_path / "spec.json"
