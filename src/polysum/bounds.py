@@ -17,6 +17,7 @@ from functools import lru_cache
 from .hull import PointSet, convex_hull
 
 PHI_BRUTE_FORCE_SIZE_CAP = 100_000  # most ell-subsets C(sum(n), ell) phi_brute_force enumerates
+CYCLIC_HULL_FACE_CAP = 100_000  # most faces of C_(d+1)(n1+n2) `bound --kind two` checks by a hull
 
 
 def binom(a: int, b: int) -> int:

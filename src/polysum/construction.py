@@ -41,6 +41,7 @@ from .cayley import (
 # SearchExhausted is also importable from here, where the searches raise it
 from .exact import SearchExhausted, clear_denominators, determinant, hyperplane, rat, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
+from .jsonio import RunReport
 
 EPSILON = Fraction(1, 4)  # offset of each vertex's companion point on its curve
 
@@ -379,39 +380,7 @@ def verify_neighborly(params: ConstructionParams) -> list[PartCheck]:
     return out
 
 
-@dataclass
-class TightnessReport:
-    d: int
-    r: int
-    n: tuple[int, ...]
-    tau_star: Fraction
-    zeta_diamond: Fraction
-    tau_certificate: SearchCertificate
-    zeta_certificate: SearchCertificate
-    f_via_cayley: tuple[int, ...]
-    f_direct: tuple[int, ...]
-    checks: list[dict]
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "n": list(self.n),
-            "tau_star": rat_to_str(self.tau_star),
-            "zeta_diamond": rat_to_str(self.zeta_diamond),
-            "tau_certificate": self.tau_certificate.counts(),
-            "zeta_certificate": self.zeta_certificate.counts(),
-            "f_via_cayley": list(self.f_via_cayley),
-            "f_direct": list(self.f_direct),
-            "checks": self.checks,
-            "passed": self.passed,
-        }
-
-
-def verify_tightness(
-    d: int, r: int, n: Sequence[int], max_halvings: int = 64
-) -> TightnessReport:
+def verify_tightness(d: int, r: int, n: Sequence[int], max_halvings: int = 64) -> RunReport:
     """Full pipeline: certify tau and zeta, build the family, compare both
     Minkowski oracles, assert f_k = phi(k+r) on the tight range and
     f_k <= phi(k+r) above it."""
@@ -425,34 +394,39 @@ def verify_tightness(
     f_cayley = sum_f_vector(g, lifted_lat.polytope_dim, r)
     f_direct = minksum_direct(family)
 
-    checks: list[dict] = []
-
-    def check(name, expected, actual, holds=operator.eq):
-        checks.append(
-            {
-                "name": name,
-                "expected": expected,
-                "actual": actual,
-                "pass": holds(actual, expected),
-            }
-        )
+    n = [int(x) for x in n]
+    report = RunReport(
+        "verify-tight",
+        {"d": d, "r": r, "n": n, "max_halvings": max_halvings},
+        outputs={
+            "d": d,
+            "r": r,
+            "n": n,
+            "tau_star": rat_to_str(tau_cert.value),
+            "zeta_diamond": rat_to_str(zeta_cert.value),
+            "tau_certificate": tau_cert.counts(),
+            "zeta_certificate": zeta_cert.counts(),
+            "f_via_cayley": list(f_cayley),
+            "f_direct": list(f_direct),
+        },
+    )
 
     def count(f, k):
         """f_k of a polytope whose proper-face counts are ``f``: a polytope is
         its own one top-dimensional face, and has no faces above it."""
         return f[k] if k < len(f) else int(k == len(f))
 
-    check("oracle_equality", list(f_cayley), list(f_direct))
+    report.check("oracle_equality", list(f_cayley), list(f_direct))
     # spanning face counts on the lifted hull attain phi in the certified range
     # (the lifted polytope meets every part, so it spans)
     for k in range(r, params.k_max + 1):
-        check(f"spanning_faces_dim_{k - 1}", phi(k, params.n), count(g, k - 1))
+        report.check(f"spanning_faces_dim_{k - 1}", phi(k, params.n), count(g, k - 1))
     # tight range of the sum's f-vector
     for k in range(0, params.k_max - r + 1):
-        check(f"f_{k}_tight", phi(k + r, params.n), count(f_cayley, k))
+        report.check(f"f_{k}_tight", phi(k + r, params.n), count(f_cayley, k))
     # past it, up to the facets, the Fukuda-Weibel upper bound f_k <= phi(k+r)
     for k in range(params.k_max - r + 1, d):
-        check(f"f_{k}_upper_bound", phi(k + r, params.n), count(f_cayley, k), operator.le)
+        report.check(f"f_{k}_upper_bound", phi(k + r, params.n), count(f_cayley, k), operator.le)
     # independent hull route: every certified spanning subset is a face
     total = found = 0
     for k in range(r, params.k_max + 1):
@@ -461,23 +435,10 @@ def verify_tightness(
             if is_face(lifted_lat, subset):
                 found += 1
             else:
-                check(f"subset_is_face_{subset}", True, False)
-    check("certified_subsets_are_faces", total, found)
+                report.check(f"subset_is_face_{subset}", True, False)
+    report.check("certified_subsets_are_faces", total, found)
     for pc in verify_neighborly(params):
-        check(f"part_{pc.part}_dim", pc.expected_dim, pc.polytope_dim)
-        check(f"part_{pc.part}_neighborly", True, pc.neighborly_ok)
+        report.check(f"part_{pc.part}_dim", pc.expected_dim, pc.polytope_dim)
+        report.check(f"part_{pc.part}_neighborly", True, pc.neighborly_ok)
 
-    passed = all(c["pass"] for c in checks)
-    return TightnessReport(
-        d=d,
-        r=r,
-        n=tuple(int(x) for x in n),
-        tau_star=tau_cert.value,
-        zeta_diamond=zeta_cert.value,
-        tau_certificate=tau_cert,
-        zeta_certificate=zeta_cert,
-        f_via_cayley=f_cayley,
-        f_direct=f_direct,
-        checks=checks,
-        passed=passed,
-    )
+    return report

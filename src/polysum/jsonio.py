@@ -1,15 +1,52 @@
-"""JSON interchange: rationals as "p/q" strings, point sets, lattices and
-block-determinant specs."""
+"""JSON interchange: rationals as "p/q" strings, point sets, lattices,
+block-determinant specs and run reports."""
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import Optional
 
 from .detasym import DeltaSpec
 from .exact import rat, rat_to_str
 from .hull import FaceLattice, PointSet
+
+
+@dataclass
+class RunReport:
+    command: str
+    inputs: dict
+    outputs: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
+    timing: Optional[dict] = None
+
+    def check(self, name, expected, actual, holds=operator.eq):
+        """Record whether ``holds(actual, expected)``: equality unless given."""
+        self.checks.append(
+            {"name": name, "expected": expected, "actual": actual, "pass": holds(actual, expected)}
+        )
+
+    def check_that(self, name, condition):
+        self.check(name, True, bool(condition))
+
+    @property
+    def passed(self) -> bool:
+        return all(c["pass"] for c in self.checks)
+
+    def to_dict(self) -> dict:
+        out = {
+            "command": self.command,
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+            "checks": self.checks,
+            "passed": self.passed,
+        }
+        if self.timing is not None:
+            out["timing"] = self.timing
+        return out
 
 
 def pointset_to_dict(ps: PointSet) -> dict:

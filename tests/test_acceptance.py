@@ -20,7 +20,7 @@ from polysum.detasym import (
     laplace_expand,
     leading_term,
 )
-from polysum.exact import determinant
+from polysum.exact import determinant, rat
 from polysum.hull import convex_hull, is_face
 
 from helpers import random_delta_spec, zonotope_points
@@ -50,10 +50,10 @@ def emit(num, ok, detail):
 def test_criterion_1_theorem_instance_d3_r2():
     rep, elapsed = tight_report(1)
     failures = []
-    if rep.f_via_cayley[0] != 16 or phi(2, (4, 4)) != 16:
-        failures.append(f"f0={rep.f_via_cayley[:1]} expected 16")
-    if rep.f_via_cayley != rep.f_direct:
-        failures.append(f"oracle mismatch {rep.f_via_cayley} vs {rep.f_direct}")
+    if rep.outputs["f_via_cayley"][0] != 16 or phi(2, (4, 4)) != 16:
+        failures.append(f"f0={rep.outputs['f_via_cayley'][:1]} expected 16")
+    if rep.outputs["f_via_cayley"] != rep.outputs["f_direct"]:
+        failures.append(f"oracle mismatch {rep.outputs['f_via_cayley']} vs {rep.outputs['f_direct']}")
     if not rep.passed:
         failures.append([c for c in rep.checks if not c["pass"]])
     if elapsed >= 30.0:
@@ -65,11 +65,11 @@ def test_criterion_1_theorem_instance_d3_r2():
 def test_criterion_2_theorem_instance_d5_r2():
     rep, elapsed = tight_report(2)
     failures = []
-    if rep.f_via_cayley[0] != 25:
-        failures.append(f"f0={rep.f_via_cayley[0]} expected 25")
-    if rep.f_via_cayley[1] != 100 or phi(3, (5, 5)) != 100:
-        failures.append(f"f1={rep.f_via_cayley[1]} expected 100")
-    if rep.f_via_cayley != rep.f_direct:
+    if rep.outputs["f_via_cayley"][0] != 25:
+        failures.append(f"f0={rep.outputs['f_via_cayley'][0]} expected 25")
+    if rep.outputs["f_via_cayley"][1] != 100 or phi(3, (5, 5)) != 100:
+        failures.append(f"f1={rep.outputs['f_via_cayley'][1]} expected 100")
+    if rep.outputs["f_via_cayley"] != rep.outputs["f_direct"]:
         failures.append("oracle mismatch")
     if not rep.passed:
         failures.append([c for c in rep.checks if not c["pass"]])
@@ -82,9 +82,9 @@ def test_criterion_2_theorem_instance_d5_r2():
 def test_criterion_3_theorem_instance_d4_r3():
     rep, elapsed = tight_report(3)
     failures = []
-    if rep.f_via_cayley[0] != 64 or phi(3, (4, 4, 4)) != 64:
-        failures.append(f"f0={rep.f_via_cayley[0]} expected 64")
-    if rep.f_via_cayley != rep.f_direct:
+    if rep.outputs["f_via_cayley"][0] != 64 or phi(3, (4, 4, 4)) != 64:
+        failures.append(f"f0={rep.outputs['f_via_cayley'][0]} expected 64")
+    if rep.outputs["f_via_cayley"] != rep.outputs["f_direct"]:
         failures.append("oracle mismatch")
     if not rep.passed:
         failures.append([c for c in rep.checks if not c["pass"]])
@@ -104,7 +104,8 @@ def test_criterion_4_parts_dimension_and_neighborliness():
     for num, inst in TIGHT_INSTANCES.items():
         rep, _ = tight_report(num)
         params = ConstructionParams.defaults(inst["d"], inst["r"], inst["n"])
-        params = dataclasses.replace(params, tau=rep.tau_star, zeta=rep.zeta_diamond)
+        tau, zeta = rat(rep.outputs["tau_star"]), rat(rep.outputs["zeta_diamond"])
+        params = dataclasses.replace(params, tau=tau, zeta=zeta)
         family = generate_family(params)
         d = inst["d"]
         for idx, part in enumerate(family.parts):

@@ -96,6 +96,19 @@ def test_bound_two(capsys):
     ]
 
 
+def test_bound_two_checks_the_hull_only_below_its_cap(capsys):
+    # C_7(18) has 10,094 faces, under the cap: the hull check runs
+    code, report = run(["bound", "--kind", "two", "--k", "3", "--d", "6", "--n", "9,9"])
+    assert code == 0
+    assert [(c["name"], c["pass"]) for c in report.checks] == [("cyclic_fvector_matches_hull", True)]
+    # C_10(24) has 576,256 faces, far above it: the value comes with no hull
+    start = time.perf_counter()
+    code, report = run(["bound", "--kind", "two", "--k", "3", "--d", "9", "--n", "12,12"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and report.checks == []
+    assert report.outputs["value"] == polysum.two_polytope_bound(3, 9, 12, 12)
+
+
 def test_bound_zonotope(capsys):
     code, report = run(["bound", "--kind", "zonotope", "--ell", "0", "--d", "2", "--n", "3"])
     assert code == 0

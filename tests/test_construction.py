@@ -462,12 +462,11 @@ def test_verify_neighborly_rejects_zero_zeta():
 
 def test_verify_tightness_small():
     rep = verify_tightness(3, 2, (3, 3))
-    assert rep.passed
-    assert rep.f_via_cayley == rep.f_direct
-    assert rep.f_via_cayley[0] == 9
-    d = rep.to_dict()
-    assert d["passed"] is True
-    assert d["tau_star"] and d["zeta_diamond"]
+    assert rep.passed and rep.to_dict()["passed"] is True
+    assert rep.inputs == {"d": 3, "r": 2, "n": [3, 3], "max_halvings": 64}
+    assert rep.outputs["f_via_cayley"] == rep.outputs["f_direct"]
+    assert rep.outputs["f_via_cayley"][0] == 9
+    assert rep.outputs["tau_star"] and rep.outputs["zeta_diamond"]
 
 
 @pytest.mark.parametrize(
@@ -482,7 +481,7 @@ def test_verify_tightness_whole_range_n3(d, r):
     assert rep.passed
     # the Fukuda-Weibel upper bound holds for every k, not only the tight range
     profile = VertexProfile(n, d)
-    for k, fk in enumerate(rep.f_via_cayley):
+    for k, fk in enumerate(rep.outputs["f_via_cayley"]):
         assert fk <= trivial_upper_bound(k, profile)
 
 
@@ -529,7 +528,7 @@ def test_verify_tightness_low_dimensional_lifted_hull(d, r, n):
     rep = verify_tightness(d, r, n)
     assert rep.passed
     actual = {c["name"]: c["actual"] for c in rep.checks}
-    top = len(rep.f_via_cayley)  # the sum's dimension; the lifted one is top + r - 1
+    top = len(rep.outputs["f_via_cayley"])  # the sum's dimension; the lifted one is top + r - 1
     assert actual[f"f_{top}_tight"] == 1
     assert actual[f"spanning_faces_dim_{top + r - 1}"] == 1
 
@@ -542,8 +541,8 @@ def test_verify_tightness_d_polytope_summands(d, r):
     n = (d + 1,) * r
     rep = verify_tightness(d, r, n)
     assert rep.passed
-    assert len(rep.f_via_cayley) == d
-    for k, fk in enumerate(rep.f_via_cayley):
+    assert len(rep.outputs["f_via_cayley"]) == d
+    for k, fk in enumerate(rep.outputs["f_via_cayley"]):
         assert fk <= phi(k + r, n)
 
 
@@ -561,4 +560,4 @@ def test_verify_tightness_reports_the_upper_bound_past_the_tight_range():
         "pass": True,
     }
     for k, check in enumerate(bound.values(), 2):
-        assert check["actual"] == rep.f_via_cayley[k] <= check["expected"] == phi(k + 2, (8, 8))
+        assert check["actual"] == rep.outputs["f_via_cayley"][k] <= check["expected"] == phi(k + 2, (8, 8))
