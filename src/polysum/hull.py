@@ -7,7 +7,10 @@ which is an invertible linear map and so preserves the face lattice).
 The face lattice is its levels: one set of faces per dimension, each face
 the sorted indices of its vertices, and the descent that finds the faces
 finds them one level at a time.  A simplex's facets are its
-subsets; every other face's are found by an exact gift-wrap.  A face that a
+subsets.  A j-face of j+2 points has one affine dependency, and by Gale
+duality its facets are what is left when a point outside the dependency's
+support, or one point of each sign, is left out: no rotation is needed.
+Every other face's facets are found by an exact gift-wrap.  A face that a
 rotation found starts its wrap from the ridge it was found across, whose
 functional within it follows from the two the rotation held; only the
 polytope and the chain of first facets below it search for a first facet,
@@ -22,14 +25,15 @@ last one its functional uses, so only the polytope's rank and the shadow
 steps of the first-facet chain cost an elimination.  While the walk runs,
 a face is the int bitmask of the points on it.  A memo keyed by that mask
 hands a face's facets, columns, functionals and ascending point indices to
-the wrap above it and to the lattice, so each face is wrapped once; the
-masks become sorted vertex tuples only when the lattice is built.  No
+the wrap above it and to the lattice, so each face is wrapped at most
+once; a face that is not wrapped also keeps the seed of the ridge it was
+found across, and makes a facet's functional only when a wrap needs it.
+The masks become sorted vertex tuples only when the lattice is built.  No
 floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -287,27 +291,59 @@ def _indices(mask: int) -> list[int]:
     return out
 
 
+def _rows(pts, idx, columns) -> list[tuple[int, ...]]:
+    """The points ``idx`` of ``pts`` in the coordinates ``columns``."""
+    if len(columns) < 2:  # itemgetter returns a bare item for one column
+        return [tuple(pts[i][c] for c in columns) for i in idx]
+    get = operator.itemgetter(*columns)
+    return list(map(get, map(pts.__getitem__, idx)))
+
+
+def _last_nonzero(g) -> int:
+    """The last position where ``g`` is nonzero."""
+    t = len(g) - 1
+    while not g[t]:
+        t -= 1
+    return t
+
+
+def _oriented(h, row) -> tuple[int, ...]:
+    """The functional ``h`` made primitive and positive at ``row``, a point (1, p)."""
+    d = math.gcd(*h)
+    if sum(map(operator.mul, h, row)) < 0:
+        d = -d
+    return tuple(c // d for c in h)
+
+
 def _facets_of(
-    pts, face: int, j: int, memo: dict, idx=None, columns=None, first=None
+    pts, face: int, j: int, memo: dict, idx=None, columns=None, seed=None
 ) -> list[int]:
     """Facets of the j-face whose points are the set bits of ``face``.
 
     A face is the bitmask of its points' indices into ``pts``, and ``idx``
     lists those indices in ascending order; a face the level walk enters
     without them (always a simplex) reads them off its mask.  A simplex's
-    facets clear one bit each.  Any other face is gift-wrapped
-    once (Chand & Kapur 1970; Swart 1985) in its pivot ``columns`` from a
-    first facet.  A face found by a rotation gets ``first``, which gives the
-    (functional, values at the face's points) of the ridge it was found
-    across (``_ridge_seed``) and is called only if the face is wrapped; the
-    top face and the chain of first facets below it, entered without one,
-    call ``_first_facet``.  Each facet found counts its ridges at once: its
-    own facets, from ``memo`` (keyed by mask) or one level down; a
-    segment's one ridge is the empty face.  A ridge that one found
-    facet holds is crossed with one ``_rotate`` in the pencil of that
-    facet's functional and the ridge's, so each rotation finds a new facet.
-    Every ridge must end in exactly two facets, which certifies
-    completeness.
+    facets clear one bit each.  A face of j+2 points has one affine
+    dependency λ, sum λ_m (1, p_m) = 0, the cofactors of the (j+1)x(j+2)
+    matrix of its columns (1, p) (one ``hyperplane``).  By Gale duality
+    (Ziegler 1995, Lecture 6) its facets are what is left when one point
+    with λ_m = 0, or one point with λ_m > 0 and one with λ_m < 0, is left
+    out: an affine functional that is positive on the points left out and
+    zero on the rest sums to zero against λ.  Leaving out a pair leaves a
+    simplex; leaving out a λ_m = 0 point leaves a face of j+1 points with
+    the same dependency, which this face enters at once in its columns.
+
+    Any other face is gift-wrapped once (Chand & Kapur 1970; Swart 1985) in
+    its pivot ``columns`` from a first facet.  A face found by a rotation
+    gets ``seed``, the arguments of ``_ridge_seed`` for the ridge it was
+    found across, which a wrap turns into its first facet; the top face and
+    the chain of first facets below it, entered without one, call
+    ``_first_facet``.  Each facet found counts its ridges at once: its own
+    facets, from ``memo`` (keyed by mask) or one level down; a segment's one
+    ridge is the empty face.  A ridge that one found facet holds is crossed
+    with one ``_rotate`` in the pencil of that facet's functional and the
+    ridge's, so each rotation finds a new facet.  Every ridge must end in
+    exactly two facets, which certifies completeness.
 
     A face's pivot columns are the left-to-right pivots of its points'
     difference rows.  In the face's columns a facet's direction space is
@@ -317,64 +353,98 @@ def _facets_of(
     the facet's columns is one over the face's with a 0 inserted at t.
 
     ``memo[face]`` is (facet masks, pivot columns, each facet's primitive
-    functional over those columns, nonnegative on the face, ``idx``).  A
-    simplex's facets need no wrap: it makes each functional only when a
-    wrap crosses that ridge (``_facet_functional``), and keeps columns None
-    when no wrap reaches it.
+    functional over those columns, nonnegative on the face, ``idx``,
+    ``seed``).  A wrapped face holds every functional and no seed.  A
+    simplex or a face of j+2 points keeps the seed it was found with, and
+    makes a facet's functional only when a wrap crosses that ridge
+    (``_facet_functional``), except that a facet leaving out a λ_m = 0
+    point gets its functional at once; a simplex keeps columns None when no
+    wrap reaches it.
     """
     if face in memo:
         return memo[face][0]
     if idx is None:
         idx = _indices(face)
     if len(idx) == j + 1:
-        memo[face] = ([face ^ (1 << i) for i in idx], columns, [None] * len(idx), idx)
+        memo[face] = ([face ^ (1 << i) for i in idx], columns, [None] * len(idx), idx, seed)
         return memo[face][0]
-    sub = [tuple(pts[i][c] for c in columns) for i in idx]
+    sub = _rows(pts, idx, columns)
+    if len(idx) == j + 2:
+        lam = hyperplane([(1,) * len(sub), *zip(*sub)])
+        if lam is None:
+            raise AssertionError(f"{j + 2} points spanning a {j}-face have no affine dependency")
+        facets, functionals = [], []
+        k = next(n for n, y in enumerate(lam) if y)
+        for m, x in enumerate(lam):
+            if x > 0:
+                for n, y in enumerate(lam):
+                    if y < 0:
+                        facets.append(face ^ (1 << idx[m]) ^ (1 << idx[n]))
+                        functionals.append(None)
+            elif not x:  # the rest less the point k of λ's support is independent
+                rows = [(1, *p) for p in sub]
+                u = _oriented(hyperplane([r for n, r in enumerate(rows) if n != m and n != k]), rows[m])
+                t = _last_nonzero(u)
+                facet = face ^ (1 << idx[m])
+                _facets_of(pts, facet, j - 1, memo, idx[:m] + idx[m + 1 :], columns[: t - 1] + columns[t:])
+                facets.append(facet)
+                functionals.append(u)
+        memo[face] = (facets, columns, functionals, idx, seed)
+        return facets
     degree, walk = {}, []  # walk: every facet found, grown as it is walked
 
-    def found(g, values, crossed=()):  # a facet registers its ridges as soon as it is found
+    def found(g, values, u=None, u_values=None):  # a facet registers its ridges as soon as it is found
         on = [m for m, x in enumerate(values) if not x]
-        t = max(n for n, x in enumerate(g) if x)  # its columns are ours but the t-th
-        on_idx, facet = [idx[m] for m in on], 0
-        for i in on_idx:
-            facet |= 1 << i
-        seed = functools.partial(_ridge_seed, *crossed, g, on, t) if crossed else None
-        for ridge in _facets_of(pts, facet, j - 1, memo, on_idx, columns[: t - 1] + columns[t:], seed):
+        t = _last_nonzero(g)  # its columns are ours but the t-th
+        facet = 0
+        for m in on:
+            facet |= 1 << idx[m]
+        if facet in memo:
+            ridges = memo[facet][0]
+        else:
+            crossed = (u, u_values, g, on, t) if u is not None else None
+            ridges = _facets_of(pts, facet, j - 1, memo, [idx[m] for m in on], columns[: t - 1] + columns[t:], crossed)
+        for ridge in ridges:
             degree[ridge] = degree.get(ridge, 0) + 1
         walk.append((facet, g, values, t))
 
-    if first is None:
+    if seed is None:
         _, u = _first_facet(sub, j)
         found(u, _values(u, sub))
     else:
-        found(*first())
+        found(*_ridge_seed(*seed))
     for facet, u, u_values, t in walk:
         for r, ridge in enumerate(memo[facet][0]):
             if degree[ridge] > 1:  # its other facet is found already
                 continue
             w = _facet_functional(pts, facet, r, memo)
-            found(*_rotate(sub, u_values, u, w[:t] + (0,) + w[t:]), (u, u_values))
+            found(*_rotate(sub, u_values, u, w[:t] + (0,) + w[t:]), u, u_values)
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
-    memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk], idx)
+    memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk], idx, None)
     return memo[face][0]
 
 
 def _facet_functional(pts, face: int, n: int, memo: dict) -> tuple[int, ...]:
     """The n-th facet's functional of a face in ``memo``, over its columns.
 
-    A simplex's are made on first need (see ``_facets_of``): one
-    ``hyperplane`` per facet, through the facet's points in the simplex's
-    columns, made primitive and positive on the vertex the facet leaves out.
+    A simplex's, and those of a face of j+2 points that leave out two of
+    them, are made on first need (see ``_facets_of``).  The ridge the face
+    was found across is read off the seed it keeps (``_ridge_seed``); any
+    other is one ``hyperplane`` through the facet's j points in the face's
+    columns, made primitive and positive on a point the facet leaves out.
     """
-    _, columns, functionals, idx = memo[face]
+    facets, columns, functionals, idx, seed = memo[face]
     if functionals[n] is None:
-        rows = [(1, *(pts[i][c] for c in columns)) for i in idx]
-        h = hyperplane(rows[:n] + rows[n + 1 :])
-        d = math.gcd(*h)
-        if sum(map(operator.mul, h, rows[n])) < 0:
-            d = -d
-        functionals[n] = tuple(c // d for c in h)
+        facet = facets[n]
+        out = [m for m, i in enumerate(idx) if not facet >> i & 1]
+        # the seed's ridge leaves out just the points off the face it was rotated from
+        if seed is not None and all(seed[1][seed[3][m]] for m in out):
+            functionals[n] = _ridge_seed(*seed)[0]
+        else:
+            rows = [(1, *p) for p in _rows(pts, idx, columns)]
+            h = hyperplane([r for r, i in zip(rows, idx) if facet >> i & 1])
+            functionals[n] = _oriented(h, rows[out[0]])
     return functionals[n]
 
 
@@ -412,9 +482,10 @@ def convex_hull(points: PointSet) -> FaceLattice:
     are the facets of the j-faces (see ``_facets_of``), so each step is one
     level of the lattice and the last is the vertices.  A face is the
     bitmask of its distinct points, and one memo keyed by it serves every
-    level, so each non-simplicial face is wrapped exactly once.  Each mask
-    is then decoded once, to its vertices' indices, so points interior to
-    the hull never appear in any vertex set.
+    level, so each face is wrapped at most once.  Each mask is then decoded
+    once, to its vertices' indices, so points interior to the hull never
+    appear in any vertex set; when every point is a distinct vertex, a
+    face's vertices are its memo entry's ascending point indices.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
@@ -434,8 +505,15 @@ def convex_hull(points: PointSet) -> FaceLattice:
         levels.append({g for f in levels[-1] for g in _facets_of(prep.reduced, f, j, memo)})
     vertices = sum(levels[-1])
 
-    def expand(face: int) -> tuple[int, ...]:
-        return tuple(sorted(i for did in _indices(face & vertices) for i in prep.members[did]))
+    if vertices == top and distinct == n:  # every point is a distinct vertex: a face's are its points
+
+        def expand(face: int) -> tuple[int, ...]:
+            return tuple(memo[face][3]) if face in memo else (face.bit_length() - 1,)
+
+    else:
+
+        def expand(face: int) -> tuple[int, ...]:
+            return tuple(sorted(i for did in _indices(face & vertices) for i in prep.members[did]))
 
     faces = tuple(frozenset(map(expand, level)) for level in reversed(levels))
     if len(frozenset().union(*faces)) != sum(map(len, levels)):

@@ -273,7 +273,7 @@ def test_each_face_is_wrapped_once(monkeypatch):
     facets_of, first_facet = hull._facets_of, hull._first_facet
 
     def counted(pts, face, j, memo, *args):
-        if face not in memo and face.bit_count() > j + 1:  # a wrap: no memo entry, no simplex
+        if face not in memo and face.bit_count() > j + 2:  # a wrap: no memo entry, over j+2 points
             wraps.append(j)
         return facets_of(pts, face, j, memo, *args)
 
@@ -285,45 +285,58 @@ def test_each_face_is_wrapped_once(monkeypatch):
     monkeypatch.setattr(hull, "_first_facet", first_counted)
     lat = convex_hull(PointSet.from_rows(list(itertools.product([0, 1], repeat=4))))
     assert lat.f_vector == (16, 32, 24, 8)
-    # one wrap per face of dimension >= 2: 24 squares, 8 cubes, the 4-cube
-    assert len(wraps) == 33 == sum(lat.f_vector[2:]) + 1
+    # one wrap per face of dimension >= 3: 8 cubes and the 4-cube; a square
+    # has j + 2 points, so its facets come from its affine dependency
+    assert len(wraps) == 9 == sum(lat.f_vector[3:]) + 1
     # every other face is entered across a ridge, which seeds its wrap, so
-    # only the chain of first facets from the top face searches for one
-    assert firsts == [4, 3, 2]
+    # only the chain of first facets from the top face searches for one, and
+    # it stops at the first square
+    assert firsts == [4, 3]
 
-    # an edge with a point inside is no simplex: the square and its 4 edges
+    # an edge with a point inside is no simplex but has j + 2 points: only
+    # the square is wrapped, and its first facet is such an edge
     wraps.clear()
     firsts.clear()
     lat = convex_hull(PointSet.from_rows(list(itertools.product(range(3), repeat=2))))
     assert lat.f_vector == (4, 4)
-    assert wraps == [2, 1, 1, 1, 1]
-    assert firsts == [2, 1]
+    assert wraps == [2]
+    assert firsts == [2]
 
 
 def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
-    """Each face wrapped from a seed keeps that ridge, with that functional,
-    as its first facet, and the seed's values are the functional's."""
+    """Each face found by a rotation keeps the ridge it was found across,
+    with that functional: a wrapped face as its first facet, a simplex or a
+    face of j+2 points as the facet whose functional its kept seed makes.
+    The seed's values are the functional's."""
     seeds = []
     facets_of = hull._facets_of
 
-    def recorded(pts, face, j, memo, idx=None, columns=None, first=None):
-        if face not in memo and face.bit_count() > j + 1 and first is not None:
-            seeds.append((face, first(), memo))
-        return facets_of(pts, face, j, memo, idx, columns, first)
+    def recorded(pts, face, j, memo, idx=None, columns=None, seed=None):
+        if face not in memo and seed is not None:
+            seeds.append((face, seed, memo))
+        return facets_of(pts, face, j, memo, idx, columns, seed)
 
     monkeypatch.setattr(hull, "_facets_of", recorded)
-    checked = 0
+    checked = wrapped = 0
     for rows in functional_cases():
         ps = PointSet.from_rows(rows)
         prep = _Prepared(ps)
         seeds.clear()
         convex_hull(ps)
-        for face, (u, values), memo in seeds:
-            facets, columns, functionals, _ = memo[face]
+        for face, seed, memo in seeds:
+            u, values = hull._ridge_seed(*seed)
+            facets, columns, functionals, _, kept = memo[face]
             ridge = frozenset(i for i, x in zip(sorted(members(face)), values) if not x)
-            assert (members(facets[0]), functionals[0]) == (ridge, u)
+            n = [members(f) for f in facets].index(ridge)
+            if face.bit_count() > len(columns) + 2:
+                assert (n, functionals[0], kept) == (0, u, None)
+                wrapped += 1
+            else:
+                assert kept is seed
+                assert hull._facet_functional(prep.reduced, face, n, memo) == u
             assert hull._values(u, project(prep, members(face), columns).values()) == values
             checked += 1
+    assert wrapped > 10
     assert checked > 60
 
 
@@ -423,19 +436,24 @@ def project(prep: _Prepared, face, columns) -> dict[int, tuple[int, ...]]:
 
 
 def test_carried_functionals_are_primitive_and_support_their_face():
-    checked = 0
+    """Every functional a memo entry holds, and every one it makes on first
+    need (a simplex's, or a face of j+2 points'), is primitive, zero exactly
+    on its facet and positive on the rest of the face."""
+    checked = corank_one = 0
     for rows in functional_cases():
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank == 0:
             continue
         memo = full_memo(prep)
-        for face, (facets, columns, functionals, _) in memo.items():
+        for face, (facets, columns, functionals, idx, _) in memo.items():
             if columns is None:  # a simplex that no wrap reached
+                assert affine_rank([prep.reduced[i] for i in idx]) == len(idx) - 1
                 continue
             sub = project(prep, members(face), columns)
-            for mask, functional in zip(facets, functionals):
-                if functional is None:  # a simplex's ridge no wrap crossed
-                    continue
+            for n, (mask, functional) in enumerate(zip(facets, functionals)):
+                if functional is None:  # a ridge no wrap crossed: make it now
+                    functional = hull._facet_functional(prep.reduced, face, n, memo)
+                    corank_one += len(idx) == len(columns) + 2
                 facet = members(mask)
                 spanning = _spanning([sub[i] for i in sorted(facet)])
                 assert len(spanning) == len(columns)
@@ -446,6 +464,7 @@ def test_carried_functionals_are_primitive_and_support_their_face():
                 assert all(x > 0 for i, x in values.items() if i not in facet)
                 checked += 1
     assert checked > 1000
+    assert corank_one > 100
 
 
 def difference_pivots(pts) -> tuple[int, ...]:
@@ -456,11 +475,12 @@ def difference_pivots(pts) -> tuple[int, ...]:
 
 def test_carried_columns_are_the_difference_row_pivots():
     checked = 0
-    for rows in functional_cases():
+    # each case also with its coordinates reversed, so that other columns pivot
+    for rows in functional_cases() + [[p[::-1] for p in rows] for rows in functional_cases()]:
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank == 0:
             continue
-        for face, (_, columns, _, idx) in full_memo(prep).items():
+        for face, (_, columns, _, idx, _) in full_memo(prep).items():
             # each entry carries its face's ascending point indices
             assert idx == sorted(members(face))
             if columns is None:  # a simplex that no wrap reached
@@ -502,9 +522,9 @@ def test_pencil_rotation_matches_candidate_rotation():
             continue
         memo = full_memo(prep)
         # every wrapped face: its facets all carry a functional and columns
-        carried = [f for f, (_, columns, *_) in memo.items() if columns is not None and f.bit_count() > len(columns) + 1]
+        carried = [f for f, (_, columns, *_) in memo.items() if columns is not None and f.bit_count() > len(columns) + 2]
         for face in rng.sample(carried, min(4, len(carried))):
-            facets, columns, functionals, _ = memo[face]
+            facets, columns, functionals, _, _ = memo[face]
             idx = sorted(members(face))
             sub = [tuple(prep.reduced[i][c] for c in columns) for i in idx]
             at = {c: n for n, c in enumerate(columns, 1)}
@@ -557,14 +577,14 @@ def test_wrap_work_counts(monkeypatch):
             counts[name] = 0
         first_turns.clear()
         lattice = convex_hull(PointSet.from_rows(rows))
-        # every point is a vertex, so a face is wrapped iff it is no simplex
+        # every point is a vertex, so a face is wrapped iff it has over dim + 2
         assert lattice.f_vector[0] == len(rows)
         levels = lattice.levels
         walked = sum(
             sum(set(g) <= set(f) for g in levels[dim - 1]) - 1
             for dim in range(1, len(levels))
             for f in levels[dim]
-            if len(f) > dim + 1
+            if len(f) > dim + 2
         )
         # each rotation of the walk finds a new facet: one per facet but the first
         assert counts["_rotate"] == walked + sum(first_turns)
@@ -580,12 +600,71 @@ def test_wrap_work_counts(monkeypatch):
         )
 
     # one elimination per candidate point would cost 378 on the 4-cube and
-    # 6,723 on the sums; now a simplex facet pays one per ridge a wrap
-    # crosses and a first facet of the chain from the top one per rotation
+    # 6,723 on the sums; now a face of j + 2 points pays one for its affine
+    # dependency, a ridge a wrap crosses in a simplex or such a face one
+    # unless the seed that found that face gives it, and a first facet of
+    # the chain from the top one per rotation
     cube = list(itertools.product([0, 1], repeat=4))
-    # the 4-cube's 8 facets, each cube's 6 and each square's 4: 7 + 8*5 + 24*3
-    assert work(cube) == ((16, 32, 24, 8), 45, 119, 0, 7)
+    # the 4-cube's 8 facets and each cube's 6: 7 + 8*5; the 24 squares have
+    # 2 + 2 points and are not wrapped.  Hyperplanes: the squares' 24
+    # dependencies and 27 of the 34 square edges the cubes' wraps cross (7
+    # read off seeds); the chain is 4-cube, cube, so the rank and 3 + 2
+    # shadow steps eliminate
+    assert work(cube) == ((16, 32, 24, 8), 51, 47, 0, 6)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
-    assert work(sums) == ((36, 156, 288, 252, 86), 420, 1580, 9, 10)
+    # the 132 parallelograms among the 2-faces are no longer wrapped, which
+    # saves their 3 rotations each: 1580 - 396.  Hyperplanes: their 132
+    # dependencies, 159 simplex and 249 parallelogram ridges made from rows
+    # (132 more read off seeds), and the chain's 9 shadow rotations
+    assert work(sums) == ((36, 156, 288, 252, 86), 549, 1184, 9, 10)
+
+
+def corank_one_cases() -> dict[str, list[list[int]]]:
+    """Point sets whose every face has at most j + 2 points: each face's
+    facets come from its one affine dependency, with no gift-wrap."""
+    return {
+        # the apex has lambda = 0, so the base is a facet with 4 points in a plane
+        "square pyramid": [[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0], [1, 1, 3]],
+        # lambda = 0 at the opposite vertex: a facet of j + 1 points, 3 on a segment
+        "point mid-edge": [[0, 0], [2, 0], [0, 2], [1, 0]],
+        # two lambda = 0 points; the facets they leave are corank one again
+        "point mid-edge of a tetrahedron": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 0, 0]],
+        "point inside a triangle": [[0, 0], [3, 0], [0, 3], [1, 1]],
+        "point inside a tetrahedron's facet": [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 0]],
+        "three collinear points": [[0, 0], [1, 1], [2, 2]],
+    }
+
+
+def test_corank_one_faces_match_the_oracle(monkeypatch):
+    def never(*args):
+        raise AssertionError("a face of at most j + 2 points was gift-wrapped")
+
+    monkeypatch.setattr(hull, "_rotate", never)
+    monkeypatch.setattr(hull, "_first_facet", never)
+    shift = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
+    for name, rows in corank_one_cases().items():
+        ps = PointSet.from_rows(rows)
+        for variant in (
+            ps,
+            scale_translate(ps, Fraction(3, 2), shift[: ps.ambient_dim]),
+            PointSet.from_rows(rows[::-1] + rows[:2]),  # reordered, with duplicates
+        ):
+            faces = {(dim, f) for dim, level in enumerate(convex_hull(variant).levels) for f in level}
+            assert faces | {(-1, ())} == lattice_oracle(variant), name
+            wrapped, oracle = wrap_and_oracle(variant)
+            assert wrapped == oracle, name
+            prep = _Prepared(variant)
+            for face, (_, columns, _, idx, _) in full_memo(prep).items():
+                if columns is not None:
+                    assert columns == difference_pivots([prep.reduced[i] for i in idx]), name
+
+    lattice = convex_hull(PointSet.from_rows(corank_one_cases()["square pyramid"]))
+    assert lattice.f_vector == (5, 8, 5)
+    assert (0, 1, 2, 3) in lattice.levels[2]
+    # the interior points of an edge and of a facet are no vertex of any face
+    for name, inner in (("point mid-edge", 3), ("point inside a tetrahedron's facet", 4)):
+        lattice = convex_hull(PointSet.from_rows(corank_one_cases()[name]))
+        assert inner not in lattice.vertex_indices
+        assert verify_supporting(lattice, PointSet.from_rows(corank_one_cases()[name]))
