@@ -26,10 +26,9 @@ steps of the first-facet chain cost an elimination.  While the walk runs,
 a face is the int bitmask of the points on it.  A memo keyed by that mask
 hands a face's facets, columns, functionals and ascending point indices to
 the wrap above it and to the lattice, so each face is wrapped at most
-once; a face that is not wrapped also keeps the seed of the ridge it was
-found across, and makes a facet's functional only when a wrap needs it.
-The masks become sorted vertex tuples only when the lattice is built.  No
-floating point is used anywhere.
+once; a face that is not wrapped makes a facet's functional only when a
+wrap needs it.  The masks become sorted vertex tuples only when the
+lattice is built.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -353,9 +352,8 @@ def _facets_of(
     the facet's columns is one over the face's with a 0 inserted at t.
 
     ``memo[face]`` is (facet masks, pivot columns, each facet's primitive
-    functional over those columns, nonnegative on the face, ``idx``,
-    ``seed``).  A wrapped face holds every functional and no seed.  A
-    simplex or a face of j+2 points keeps the seed it was found with, and
+    functional over those columns, nonnegative on the face, ``idx``).  A
+    wrapped face holds every functional.  A simplex or a face of j+2 points
     makes a facet's functional only when a wrap crosses that ridge
     (``_facet_functional``), except that a facet leaving out a λ_m = 0
     point gets its functional at once; a simplex keeps columns None when no
@@ -366,7 +364,7 @@ def _facets_of(
     if idx is None:
         idx = _indices(face)
     if len(idx) == j + 1:
-        memo[face] = ([face ^ (1 << i) for i in idx], columns, [None] * len(idx), idx, seed)
+        memo[face] = ([face ^ (1 << i) for i in idx], columns, [None] * len(idx), idx)
         return memo[face][0]
     sub = _rows(pts, idx, columns)
     if len(idx) == j + 2:
@@ -389,7 +387,7 @@ def _facets_of(
                 _facets_of(pts, facet, j - 1, memo, idx[:m] + idx[m + 1 :], columns[: t - 1] + columns[t:])
                 facets.append(facet)
                 functionals.append(u)
-        memo[face] = (facets, columns, functionals, idx, seed)
+        memo[face] = (facets, columns, functionals, idx)
         return facets
     degree, walk = {}, []  # walk: every facet found, grown as it is walked
 
@@ -421,7 +419,7 @@ def _facets_of(
             found(*_rotate(sub, u_values, u, w[:t] + (0,) + w[t:]), u, u_values)
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
-    memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk], idx, None)
+    memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk], idx)
     return memo[face][0]
 
 
@@ -429,22 +427,16 @@ def _facet_functional(pts, face: int, n: int, memo: dict) -> tuple[int, ...]:
     """The n-th facet's functional of a face in ``memo``, over its columns.
 
     A simplex's, and those of a face of j+2 points that leave out two of
-    them, are made on first need (see ``_facets_of``).  The ridge the face
-    was found across is read off the seed it keeps (``_ridge_seed``); any
-    other is one ``hyperplane`` through the facet's j points in the face's
-    columns, made primitive and positive on a point the facet leaves out.
+    them, are made on first need (see ``_facets_of``): one ``hyperplane``
+    through the facet's j points in the face's columns, made primitive and
+    positive on a point the facet leaves out.
     """
-    facets, columns, functionals, idx, seed = memo[face]
+    facets, columns, functionals, idx = memo[face]
     if functionals[n] is None:
         facet = facets[n]
-        out = [m for m, i in enumerate(idx) if not facet >> i & 1]
-        # the seed's ridge leaves out just the points off the face it was rotated from
-        if seed is not None and all(seed[1][seed[3][m]] for m in out):
-            functionals[n] = _ridge_seed(*seed)[0]
-        else:
-            rows = [(1, *p) for p in _rows(pts, idx, columns)]
-            h = hyperplane([r for r, i in zip(rows, idx) if facet >> i & 1])
-            functionals[n] = _oriented(h, rows[out[0]])
+        rows = [(1, *p) for p in _rows(pts, idx, columns)]
+        h = hyperplane([r for r, i in zip(rows, idx) if facet >> i & 1])
+        functionals[n] = _oriented(h, next(r for r, i in zip(rows, idx) if not facet >> i & 1))
     return functionals[n]
 
 
@@ -484,8 +476,7 @@ def convex_hull(points: PointSet) -> FaceLattice:
     bitmask of its distinct points, and one memo keyed by it serves every
     level, so each face is wrapped at most once.  Each mask is then decoded
     once, to its vertices' indices, so points interior to the hull never
-    appear in any vertex set; when every point is a distinct vertex, a
-    face's vertices are its memo entry's ascending point indices.
+    appear in any vertex set.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
@@ -505,15 +496,8 @@ def convex_hull(points: PointSet) -> FaceLattice:
         levels.append({g for f in levels[-1] for g in _facets_of(prep.reduced, f, j, memo)})
     vertices = sum(levels[-1])
 
-    if vertices == top and distinct == n:  # every point is a distinct vertex: a face's are its points
-
-        def expand(face: int) -> tuple[int, ...]:
-            return tuple(memo[face][3]) if face in memo else (face.bit_length() - 1,)
-
-    else:
-
-        def expand(face: int) -> tuple[int, ...]:
-            return tuple(sorted(i for did in _indices(face & vertices) for i in prep.members[did]))
+    def expand(face: int) -> tuple[int, ...]:
+        return tuple(sorted(i for did in _indices(face & vertices) for i in prep.members[did]))
 
     faces = tuple(frozenset(map(expand, level)) for level in reversed(levels))
     if len(frozenset().union(*faces)) != sum(map(len, levels)):

@@ -304,10 +304,10 @@ def test_each_face_is_wrapped_once(monkeypatch):
 
 
 def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
-    """Each face found by a rotation keeps the ridge it was found across,
-    with that functional: a wrapped face as its first facet, a simplex or a
-    face of j+2 points as the facet whose functional its kept seed makes.
-    The seed's values are the functional's."""
+    """Each face found by a rotation holds the ridge it was found across,
+    with the seed's functional: a wrapped face as its first facet, a simplex
+    or a face of j+2 points as the facet whose functional it makes on first
+    need.  The seed's values are the functional's."""
     seeds = []
     facets_of = hull._facets_of
 
@@ -325,14 +325,13 @@ def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
         convex_hull(ps)
         for face, seed, memo in seeds:
             u, values = hull._ridge_seed(*seed)
-            facets, columns, functionals, _, kept = memo[face]
+            facets, columns, functionals, _ = memo[face]
             ridge = frozenset(i for i, x in zip(sorted(members(face)), values) if not x)
             n = [members(f) for f in facets].index(ridge)
             if face.bit_count() > len(columns) + 2:
-                assert (n, functionals[0], kept) == (0, u, None)
+                assert (n, functionals[0]) == (0, u)
                 wrapped += 1
             else:
-                assert kept is seed
                 assert hull._facet_functional(prep.reduced, face, n, memo) == u
             assert hull._values(u, project(prep, members(face), columns).values()) == values
             checked += 1
@@ -445,7 +444,7 @@ def test_carried_functionals_are_primitive_and_support_their_face():
         if prep.rank == 0:
             continue
         memo = full_memo(prep)
-        for face, (facets, columns, functionals, idx, _) in memo.items():
+        for face, (facets, columns, functionals, idx) in memo.items():
             if columns is None:  # a simplex that no wrap reached
                 assert affine_rank([prep.reduced[i] for i in idx]) == len(idx) - 1
                 continue
@@ -480,7 +479,7 @@ def test_carried_columns_are_the_difference_row_pivots():
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank == 0:
             continue
-        for face, (_, columns, _, idx, _) in full_memo(prep).items():
+        for face, (_, columns, _, idx) in full_memo(prep).items():
             # each entry carries its face's ascending point indices
             assert idx == sorted(members(face))
             if columns is None:  # a simplex that no wrap reached
@@ -524,7 +523,7 @@ def test_pencil_rotation_matches_candidate_rotation():
         # every wrapped face: its facets all carry a functional and columns
         carried = [f for f, (_, columns, *_) in memo.items() if columns is not None and f.bit_count() > len(columns) + 2]
         for face in rng.sample(carried, min(4, len(carried))):
-            facets, columns, functionals, _, _ = memo[face]
+            facets, columns, functionals, _ = memo[face]
             idx = sorted(members(face))
             sub = [tuple(prep.reduced[i][c] for c in columns) for i in idx]
             at = {c: n for n, c in enumerate(columns, 1)}
@@ -601,24 +600,22 @@ def test_wrap_work_counts(monkeypatch):
 
     # one elimination per candidate point would cost 378 on the 4-cube and
     # 6,723 on the sums; now a face of j + 2 points pays one for its affine
-    # dependency, a ridge a wrap crosses in a simplex or such a face one
-    # unless the seed that found that face gives it, and a first facet of
-    # the chain from the top one per rotation
+    # dependency, a ridge a wrap crosses in a simplex or such a face one,
+    # and a first facet of the chain from the top one per rotation
     cube = list(itertools.product([0, 1], repeat=4))
     # the 4-cube's 8 facets and each cube's 6: 7 + 8*5; the 24 squares have
     # 2 + 2 points and are not wrapped.  Hyperplanes: the squares' 24
-    # dependencies and 27 of the 34 square edges the cubes' wraps cross (7
-    # read off seeds); the chain is 4-cube, cube, so the rank and 3 + 2
-    # shadow steps eliminate
-    assert work(cube) == ((16, 32, 24, 8), 51, 47, 0, 6)
+    # dependencies and the 34 square edges the cubes' wraps cross; the chain
+    # is 4-cube, cube, so the rank and 3 + 2 shadow steps eliminate
+    assert work(cube) == ((16, 32, 24, 8), 58, 47, 0, 6)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
     # the 132 parallelograms among the 2-faces are no longer wrapped, which
     # saves their 3 rotations each: 1580 - 396.  Hyperplanes: their 132
-    # dependencies, 159 simplex and 249 parallelogram ridges made from rows
-    # (132 more read off seeds), and the chain's 9 shadow rotations
-    assert work(sums) == ((36, 156, 288, 252, 86), 549, 1184, 9, 10)
+    # dependencies, the 212 simplex and 328 parallelogram ridges the wraps
+    # cross, and the chain's 9 shadow rotations
+    assert work(sums) == ((36, 156, 288, 252, 86), 681, 1184, 9, 10)
 
 
 def corank_one_cases() -> dict[str, list[list[int]]]:
@@ -656,7 +653,7 @@ def test_corank_one_faces_match_the_oracle(monkeypatch):
             wrapped, oracle = wrap_and_oracle(variant)
             assert wrapped == oracle, name
             prep = _Prepared(variant)
-            for face, (_, columns, _, idx, _) in full_memo(prep).items():
+            for face, (_, columns, _, idx) in full_memo(prep).items():
                 if columns is not None:
                     assert columns == difference_pivots([prep.reduced[i] for i in idx]), name
 
