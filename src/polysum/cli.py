@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import random
 import sys
 import time
@@ -383,7 +384,15 @@ def run_command(argv: Sequence[str]) -> tuple[int, Optional[RunReport]]:
 
 
 def main() -> None:
-    code, _ = run_command(sys.argv[1:])
+    try:
+        code, _ = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout (`polysum hull ... | head -1`); the
+        # interpreter's final flush would hit the same closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        code = 2
     sys.exit(code)
 
 

@@ -25,9 +25,9 @@ positive integer times tau^theta / L^(sum of 2 kappa_i - 3), and row k = p - 2
 of M is h_k(X_i0, X_i1, X_ij) tau^(k beta_i) / L^k.  At tau = p/q row k is
 also multiplied by q^top_k, top_k its largest exponent; the entries are then
 integers, so one Bareiss determinant per tau gives Delta exactly (an empty M
-has determinant 1).  ``_integer_rows`` clears the full K x K table by L,
-S = L^(n + 2 + ... + (K-2n+1)); only the K <= 8 brute-force polynomial reads
-it, expanding it by minors blind to the blocks, so it checks the elimination
+has determinant 1).  The K <= 8 brute-force polynomial reads the full K x K
+table instead, each row cleared by the lcm of its own denominators, and
+expands it by minors blind to the blocks, so it checks the elimination
 independently.  A GVD det[x_j^mu_i] is int_det[(L x_j)^mu_i] / L^(sum mu), L
 the lcm of its own denominators.  ``build_delta`` and ``determinant`` stay
 the independent Fraction oracle.
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import SearchExhausted, determinant, int_det, rat, rat_to_str
+from .exact import SearchExhausted, clear_denominators, determinant, int_det, rat, rat_to_str
 
 BRUTE_FORCE_SIZE_CAP = 8
 
@@ -117,8 +117,7 @@ def gvd(x: Sequence[Fraction], mu: Sequence[int]) -> Fraction:
         raise ValueError("x and mu must have the same length")
     if any(m < 0 for m in mu) or any(a >= b for a, b in zip(mu, mu[1:])):
         raise ValueError("exponents must be strictly increasing and nonnegative")
-    L = math.lcm(*(v.denominator for v in xs))
-    X = [v.numerator * (L // v.denominator) for v in xs]
+    (X,), L = clear_denominators([xs])
     return Fraction(int_det([[c**m for c in X] for m in mu]), L ** sum(mu))
 
 
@@ -183,29 +182,10 @@ def build_delta(spec: DeltaSpec, tau: Fraction) -> list[list[Fraction]]:
     return [[coef * tau**exp if exp else coef for coef, exp in row] for row in _monomials(spec)]
 
 
-def _integer_rows(spec: DeltaSpec) -> tuple[list[list[tuple[int, int]]], int]:
-    """The entries of Delta times the common denominator L to their degree in
-    x, as (int coefficient, tau-exponent) pairs with zero entries (0, 0), and
-    S = L^(n + 2 + ... + (K-2n+1)); only ``delta_polynomial`` reads it."""
-    n, top = spec.n, spec.power_row_count + 1
-    L = math.lcm(*(v.denominator for xs in spec.x for v in xs))
-    zero = (0, 0)
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(spec.K)]
-    for i, (xs, b) in enumerate(zip(spec.x, spec.beta)):
-        X = [v.numerator * (L // v.denominator) for v in xs]
-        for r in range(n):
-            rows[r] += [(1, 0) if r == i else zero] * len(xs)
-            rows[n + r] += [(c, b) if r == i else zero for c in X]
-        power = X
-        for p in range(2, top + 1):
-            power = [a * c for a, c in zip(power, X)]
-            rows[2 * n + p - 2] += [(c, p * b) for c in power]
-    return rows, L ** (n + sum(range(2, top + 1)))
-
-
 def _evaluator(spec: DeltaSpec) -> Callable[[Fraction], Fraction]:
     """tau -> Delta(tau) by block elimination (module docstring): the integer
-    prefactor and M's (coefficient, tau-exponent) rows are built once."""
+    prefactor and M's (coefficient, tau-exponent) rows are built once.  One
+    common L clears every block, so L^k factors out of all of power row k."""
     L = math.lcm(*(v.denominator for xs in spec.x for v in xs))
     size = spec.power_row_count
     rows: list[list[tuple[int, int]]] = [[] for _ in range(size)]
@@ -246,22 +226,25 @@ def delta_value(spec: DeltaSpec, tau: Fraction) -> Fraction:
 def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
     """Brute-force expansion of the signed determinant as a polynomial in tau.
 
-    Expands the integer table by minors, row by row: each set of used columns
-    keeps its minor's polynomial, and a new column's sign is the parity of the
-    used columns right of it.  No block structure is assumed, so it is an
-    independent oracle for the leading-term analysis; each coefficient is
-    divided by S once at the end.  Capped at K <= 8.
+    Clears each row of the ``_monomials`` table to integers, then expands it
+    by minors, row by row: each set of used columns keeps its minor's
+    polynomial, and a new column's sign is the parity of the used columns
+    right of it.  No block structure is assumed, so it is an independent
+    oracle for the leading-term analysis; each coefficient is divided by the
+    product of the row scales once at the end.  Capped at K <= 8.
     """
     K = spec.K
     if K > BRUTE_FORCE_SIZE_CAP:
         raise ValueError(f"brute-force expansion capped at K <= {BRUTE_FORCE_SIZE_CAP}")
-    rows, scale = _integer_rows(spec)
+    table = _monomials(spec)
+    rows, scale = clear_denominators([[coef for coef, _ in row] for row in table])
     minors: dict[int, dict[int, int]] = {0: {0: 1}}  # used columns -> {exponent: coefficient}
-    for row in rows:
+    for row, mono in zip(rows, table):
+        entries = [(c, coef, e) for c, (coef, (_, e)) in enumerate(zip(row, mono)) if coef]
         grown: dict[int, dict[int, int]] = {}
         for used, poly in minors.items():
-            for c, (coef, e) in enumerate(row):
-                if not coef or used >> c & 1:
+            for c, coef, e in entries:
+                if used >> c & 1:
                     continue
                 if (used >> (c + 1)).bit_count() & 1:
                     coef = -coef

@@ -82,7 +82,7 @@ def pointset_from_dict(data: dict) -> PointSet:
             ' with optional "labels": [...]'
         )
     points = tuple(tuple(rat(x) for x in row) for row in rows)
-    return PointSet(int(dim), points, tuple(labels) if labels else None)
+    return PointSet(int(dim), points, tuple(labels) if labels is not None else None)
 
 
 def delta_spec_from_dict(data: dict) -> DeltaSpec:

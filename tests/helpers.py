@@ -38,7 +38,7 @@ def sigma_closed_form(spec: DeltaSpec) -> int:
 def leibniz_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
     """Independent oracle for ``delta_polynomial``: the signed determinant as
     {tau-exponent: coefficient}, summed over every permutation of the Fraction
-    table of ``_monomials`` (so it never reads the integer table)."""
+    table of ``_monomials`` (so it never clears a denominator)."""
     table = _monomials(spec)
     poly = defaultdict(Fraction)
     for perm in itertools.permutations(range(spec.K)):

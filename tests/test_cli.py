@@ -578,6 +578,7 @@ def test_bound_n_length_exit_2(argv, want, got, capsys):
         {"ambient_dim": 2, "points": [["0", "1/0"], ["1", "0"]]},
         {"ambient_dim": 2, "points": [["0", "0"], ["1", "0"]], "labels": [["a"], ["b"]]},
         [["0", "0"], ["1", "0"]],
+        {"ambient_dim": 2, "points": [["1", "2"]], "labels": []},
     ],
 )
 @pytest.mark.parametrize("command", ["hull", "minksum"])
@@ -649,6 +650,24 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outputs"]["values"] == {"f0": 16, "f1": 32, "f2": 18}
+
+
+def test_closed_stdout_exit_2(tmp_path):
+    # C_4(40): a hull report of about 374 KB, far past a 64 KiB pipe buffer,
+    # so the write meets the closed pipe instead of fitting in the buffer
+    path = tmp_path / "c4-40.json"
+    points = [[str(t**k) for k in range(1, 5)] for t in range(1, 41)]
+    path.write_text(json.dumps({"ambient_dim": 4, "points": points}))
+    env = dict(os.environ, PYTHONPATH=str(Path(polysum.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polysum.cli", "hull", "--inputs", str(path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_reused_parser_gives_fresh_reports(tmp_path, capsys):

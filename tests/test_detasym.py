@@ -180,19 +180,6 @@ def test_delta_value_matches_the_fraction_oracle():
         delta_value(hand_spec(), 0)
 
 
-def test_integer_rows_are_the_monomials_times_powers_of_the_common_denominator():
-    rng = random.Random(29)
-    specs = [hand_spec()] + [wide_delta_spec(rng, K) for K in range(4, 19) for _ in range(2)]
-    for spec in specs:
-        n = spec.n
-        L = math.lcm(*(v.denominator for xs in spec.x for v in xs))
-        degrees = [0] * n + [1] * n + list(range(2, spec.K - 2 * n + 2))
-        rows, scale = detasym._integer_rows(spec)
-        assert scale == L ** sum(degrees), spec
-        for row, mono, deg in zip(rows, detasym._monomials(spec), degrees, strict=True):
-            assert [(Fraction(c, L**deg), e) for c, e in row] == mono, spec
-
-
 def complete_homogeneous(k, values):
     """h_k: the sum of every degree-k monomial in the values."""
     return sum(
@@ -319,7 +306,7 @@ def test_brute_force_polynomial_matches_leading_term():
 
 
 def test_brute_force_polynomial_evaluates_to_delta():
-    # the polynomial reads the full integer table, the evaluator only M
+    # the polynomial reads the full K x K table, the evaluator only M
     rng = random.Random(9)
     specs = [hand_spec()] + [wide_delta_spec(rng, K) for K in range(4, 9) for _ in range(3)]
     for spec in specs:
