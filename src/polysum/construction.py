@@ -15,8 +15,12 @@ offset EPSILON and the tail anchor of the witness determinants.
 
 "Small enough" is certified constructively: a geometric halving search
 drives tau (then zeta) down until every witness determinant - one per
-(spanning subset, outside vertex) pair - is strictly positive.  All
-determinants are exact rationals; there is no tolerance anywhere.
+(spanning subset, outside vertex) pair - is strictly positive.  The sweep
+reads the curve coordinates as integers at one common scale and factors
+the r Cayley rows out of every witness (see ``_sweep_all_positive``), so a
+subset costs one (d-1) x d elimination and a vertex one dot product;
+``witness_determinant`` builds the full matrix in Fractions as the
+independent reference.  Everything is exact; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .cayley import (
     sum_f_vector,
 )
 # SearchExhausted is also importable from here, where the searches raise it
-from .exact import SearchExhausted, clear_denominators, determinant, hyperplane, rat, rat_to_str
+from .exact import SearchExhausted, determinant, hyperplane, rat, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
 from .jsonio import RunReport
 
@@ -70,8 +74,11 @@ class ConstructionParams:
             raise ValueError("need d >= 3")
         if not 2 <= self.r <= self.d - 1:
             raise ValueError("need 2 <= r <= d-1")
-        if len(self.n) != self.r or any(ni < 1 for ni in self.n):
-            raise ValueError("need one positive vertex count per part")
+        if len(self.n) != self.r:
+            values = "1 value" if len(self.n) == 1 else f"{len(self.n)} values"
+            raise ValueError(f"n has {values}, r = {self.r} needs {self.r}")
+        if any(ni < 1 for ni in self.n):
+            raise ValueError("need a positive vertex count per part")
         if len(self.alpha) != self.r or any(
             len(a) != ni for a, ni in zip(self.alpha, self.n)
         ):
@@ -254,32 +261,99 @@ def expected_check_count(params: ConstructionParams) -> int:
     )
 
 
+def _integer_curve_points(
+    params: ConstructionParams, points: Sequence[tuple[int, int, int]]
+) -> list[list[int]]:
+    """``moment_curve_point(part + 1, num / den, params)`` for each (part, num,
+    den) in ``points``, all times one positive integer L.
+
+    With q the lcm of the dens and zeta = zn/zd, L = zd * q^D, where D is
+    the top power of t in use (d, or d-r+1 when zeta = 0).  t = a/q makes
+    the t^e entry a^e * zd * q^(D-e) and the zeta*t^e entry a^e * zn * q^(D-e).
+    """
+    d, r = params.d, params.r
+    zn, zd = params.zeta.numerator, params.zeta.denominator
+    top = d if zn else d - r + 1
+    q = math.lcm(*(den for _, _, den in points))
+    plain = [zd * q ** (top - e) for e in range(top + 1)]
+    lifted = [zn * q ** (top - e) for e in range(top + 1)]
+    rows = []
+    for part, num, den in points:
+        a = num * (q // den)
+        power = [1]
+        for _ in range(top):
+            power.append(power[-1] * a)
+        row = [0] * d
+        row[part] = power[1] * plain[1]
+        for e in range(2, d - r + 2):
+            row[r - 2 + e] = power[e] * plain[e]
+        if zn:
+            slots = [j for j in range(r) if j != part]
+            for j, e in zip(slots, range(d - r + 2, d + 1)):
+                row[j] = power[e] * lifted[e]
+        rows.append(row)
+    return rows
+
+
 def _sweep_all_positive(params: ConstructionParams) -> tuple[bool, int]:
     """Evaluate every (subset, outside vertex) witness sign at the params'
     tau and zeta; early exit on failure.
 
-    Expanding the witness determinant along its (1, x) column gives
-    sign * (c0 + c.x), where (c0, c) are the cofactors of the subset's fixed
-    columns.  Every column is scaled to integers by a positive factor, which
-    keeps each sign, so a subset costs one ``hyperplane`` and an outside
-    vertex one integer dot product.
+    A witness column is (1, Cayley prefix, y) with y a curve point, and every
+    y is read in integers at one positive scale L (``_integer_curve_points``).
+    Per part j, rep_j is the vertex column of the subset's first point in
+    part j.  Subtracting rep_j from every other column of part j (the
+    evaluated vertex x included; the tail anchors are part r's) zeroes their
+    first r entries, while the reps' first r entries form a unit triangular
+    block times L.  Moving the reps to the front has parity r(r+1)/2, since
+    a subset lists its parts in order, so with the witness's own sign
+    (-1)^(r(r-1)/2) the witness sign is (-1)^r * sign(h.y_x - h.rep), where
+    h (``hyperplane``) is the cofactor vector of the d-1 difference columns
+    and rep is the rep of x's part.  A subset costs one (d-1) x d
+    elimination and r dot products, an outside vertex one.
     """
     d, r = params.d, params.r
     total = sum(params.n)
-    # per point its vertex column, then its companion's; then the tail anchors
-    cols = clear_denominators(_columns(params, range(total), d - r - 1))[0]
-    vertices, tails = cols[: 2 * total : 2], cols[2 * total :]
-    sign = (-1) ** (r * (r - 1) // 2)
+    if params.tau is None:
+        raise ValueError("tau not set")
+    tn, td = params.tau.numerator, params.tau.denominator
+    en, ed = EPSILON.numerator, EPSILON.denominator
+    # (part, t numerator, t denominator) per point, then of its companion;
+    # then the tail anchors, which lie on part r's curve
+    ts = []
+    for i, (alphas, nu) in enumerate(zip(params.alpha, params.nu)):
+        tn_nu, td_nu = tn**nu, td**nu
+        for a in alphas:
+            an, ad = a.numerator, a.denominator
+            ts += [(i, an * tn_nu, ad * td_nu), (i, (an * ed + en * ad) * tn_nu, ad * ed * td_nu)]
+    m = params.m_tail
+    ts += [(r - 1, lam * m.numerator, m.denominator) for lam in range(1, d - r)]
+    rows = _integer_curve_points(params, ts)
+    vertices, tails = rows[: 2 * total : 2], rows[2 * total :]
+    part_of = [i for i, ni in enumerate(params.n) for _ in range(ni)]
     checked = 0
     for k in range(r, params.k_max + 1):
         for subset in spanning_subsets(params.n, k):
-            fixed = [c for p in subset for c in cols[2 * p : 2 * p + 2]]
+            first = {}
+            for p in subset:
+                first.setdefault(part_of[p], p)
+            reps = [vertices[p] for p in first.values()]
+            diffs = [
+                list(map(operator.sub, rows[c], reps[part_of[p]]))
+                for p in subset
+                for c in (2 * p, 2 * p + 1)
+                if c != 2 * first[part_of[p]]
+            ]
+            diffs += [list(map(operator.sub, y, reps[-1])) for y in tails[: d + r - 1 - 2 * k]]
             # dependent fixed columns make every witness vanish
-            h = hyperplane(fixed + tails[: d + r - 1 - 2 * k]) or (0,) * (d + r)
-            for p, x in enumerate(vertices):
+            h = hyperplane(diffs) or (0,) * d
+            if r % 2:  # fold the witness sign (-1)^r into h
+                h = [-c for c in h]
+            offset = [sum(map(operator.mul, h, y)) for y in reps]
+            for p, y in enumerate(vertices):
                 if p not in subset:
                     checked += 1
-                    if sign * sum(map(operator.mul, h, x)) <= 0:
+                    if sum(map(operator.mul, h, y)) <= offset[part_of[p]]:
                         return False, checked
     return True, checked
 
@@ -303,7 +377,8 @@ def _halve(params: ConstructionParams, name: str, max_halvings: int) -> SearchCe
         value = Fraction(1, 2**h)
         ok, checked = _sweep_all_positive(dataclasses.replace(params, **{name: value}))
         if ok:
-            assert checked == expected
+            if checked != expected:
+                raise AssertionError(f"{name} sweep checked {checked} of {expected} witnesses")
             return SearchCertificate(value, h, checked, expected)
     raise SearchExhausted(f"{name} search", max_halvings)
 

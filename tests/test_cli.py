@@ -569,6 +569,21 @@ def test_bound_n_length_exit_2(argv, want, got, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-tight", "--d", "4", "--r", "2", "--n", "3"], "n has 1 value, r = 2 needs 2"),
+        (["construct", "--d", "5", "--r", "3", "--n", "3,3"], "n has 2 values, r = 3 needs 3"),
+        (["verify-tight", "--d", "4", "--r", "2", "--n", "3,0"], "need a positive vertex count per part"),
+    ],
+    ids=["one-value-r2", "two-values-r3", "zero-count"],
+)
+def test_family_n_length_exit_2(argv, message, capsys):
+    code, report = run(argv)
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"ambient_dim": 2, "points": 5},

@@ -2,16 +2,29 @@
 
 import dataclasses
 import math
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polysum
 from polysum.bounds import VertexProfile, cyclic_fvector_hull, phi, trivial_upper_bound
-from polysum.cayley import cayley_lattice, minksum_direct, minksum_via_cayley, spanning_face_counts
+from polysum.cayley import (
+    cayley_lattice,
+    cayley_prefix,
+    minksum_direct,
+    minksum_via_cayley,
+    spanning_face_counts,
+)
 from polysum.construction import (
     ConstructionParams,
     SearchExhausted,
+    _integer_curve_points,
     _sweep_all_positive,
     _witness_columns,
     certify_family,
@@ -336,10 +349,25 @@ def _reference_sweep(params):
     return True, checked
 
 
-@pytest.mark.parametrize("d, r, n", [(3, 2, (4, 4)), (4, 3, (3, 3, 3)), (5, 2, (5, 5))])
-def test_integer_sweep_matches_fraction_oracle(d, r, n):
-    # every halving up to two past the certified one, failing halvings included
+@pytest.mark.parametrize(
+    "d, r, n, alpha_seed",
+    [
+        (3, 2, (4, 4), None),
+        (4, 3, (3, 3, 3), None),
+        (5, 2, (5, 5), None),
+        (6, 4, (2, 2, 2, 2), None),
+        (4, 2, (5, 5), "sweep-oracle"),
+    ],
+    ids=["3-2-n0", "4-3-n1", "5-2-n2", "6-4-n3", "4-2-random-alpha"],
+)
+def test_integer_sweep_matches_fraction_oracle(d, r, n, alpha_seed):
+    # every halving up to two past the certified one, failing halvings
+    # included; r = 4 pins the (-1)^r sign, and random rational alphas give
+    # a common t denominator other than 4 * 2^k
     p = ConstructionParams.defaults(d, r, n)
+    if alpha_seed is not None:
+        rng = random.Random(alpha_seed)
+        p = dataclasses.replace(p, alpha=tuple(admissible_alpha(rng, ni) for ni in n))
     tau_cert = find_tau_star(p)
     for h in range(tau_cert.halvings + 3):
         candidate = dataclasses.replace(p, tau=Fraction(1, 2**h))
@@ -351,43 +379,90 @@ def test_integer_sweep_matches_fraction_oracle(d, r, n):
         assert _sweep_all_positive(candidate) == _reference_sweep(candidate), h
 
 
-def _integer_column(point):
-    """(1, point) times the lcm of its denominators; the head entry is the scale."""
-    scale = math.lcm(*(Fraction(v).denominator for v in point))
-    return (scale, *(int(v * scale) for v in point))
+def test_integer_curve_points_are_the_curve_at_one_scale():
+    # rows are L * moment_curve_point for one positive integer L, with and
+    # without the lift, at parameters of unrelated denominators
+    rng = random.Random(23)
+    for d, r in [(3, 2), (5, 2), (5, 3), (6, 4)]:
+        for zeta in (Fraction(0), Fraction(3, 64)):
+            p = dataclasses.replace(ConstructionParams.defaults(d, r, (3,) * r), zeta=zeta)
+            points = [(rng.randrange(r), rng.randint(1, 99), rng.randint(1, 30)) for _ in range(6)]
+            rows = _integer_curve_points(p, points)
+            part, num, den = points[0]
+            scale = rows[0][part] / Fraction(num, den)
+            assert scale.denominator == 1 and scale > 0
+            for row, (part, num, den) in zip(rows, points):
+                assert all(isinstance(v, int) for v in row)
+                curve = moment_curve_point(part + 1, Fraction(num, den), p)
+                assert row == [scale * v for v in curve]
 
 
 def test_hyperplane_expands_witness_determinant():
-    # with integer-scaled fixed columns, sign * (c0 + c.x) is the witness
-    # determinant times the product of the scales
+    # with every curve point at one integer scale L and each part's rep (the
+    # vertex of the subset's first point in it) subtracted from the other
+    # fixed columns of that part, h = hyperplane of the d-1 differences
+    # gives (-1)^r * (h.y_x - h.y_rep) = witness * L^d for every x on the
+    # flat of rep's part (affine 1 and that part's Cayley prefix)
     rng = random.Random(19)
     cases = [
         (ConstructionParams.defaults(5, 2, (5, 5)), Fraction(1, 4), Fraction(0)),
         (ConstructionParams.defaults(5, 2, (5, 5)), Fraction(1, 4), Fraction(1, 8192)),
         (ConstructionParams.defaults(4, 3, (3, 3, 3)), Fraction(1), Fraction(1, 64)),
+        (ConstructionParams.defaults(6, 4, (2, 2, 2, 2)), Fraction(1, 2), Fraction(1, 16)),
     ]
     for base, tau, zeta in cases:
         p = dataclasses.replace(base, tau=tau, zeta=zeta)
-        sign = (-1) ** (p.r * (p.r - 1) // 2)
+        where = points_of(p)
+        vertex = [moment_curve_point(i + 1, p.curve_parameter(i, j), p) for i, j in where]
+        companion = [moment_curve_point(i + 1, p.curve_parameter(i, j, True), p) for i, j in where]
+        tails = [moment_curve_point(p.r, lam * p.m_tail, p) for lam in range(1, p.d - p.r)]
+        scale = math.lcm(*(v.denominator for y in vertex + companion + tails for v in y))
+
+        def scaled(y):
+            return [int(v * scale) for v in y]
+
         for k in range(p.r, p.k_max + 1):
             subsets = list(spanning_subsets(p.n, k))
             for subset in rng.sample(subsets, min(4, len(subsets))):
+                first = {}
+                for q in subset:
+                    first.setdefault(where[q][0], q)
+                rep = {i: scaled(vertex[q]) for i, q in first.items()}
                 fixed = [
-                    _integer_column(
-                        lifted_curve_point(i + 1, p.curve_parameter(i, j, shifted), p)
-                    )
-                    for i, j in map(points_of(p).__getitem__, subset)
+                    (where[q][0], companion[q] if shifted else vertex[q])
+                    for q in subset
                     for shifted in (False, True)
-                ] + [
-                    _integer_column(lifted_curve_point(p.r, lam * p.m_tail, p))
-                    for lam in range(1, p.d + p.r - 2 * k)
+                    if shifted or first[where[q][0]] != q
                 ]
-                c0, *c = hyperplane(fixed)
-                scale = math.prod(col[0] for col in fixed)
+                fixed += [(p.r - 1, y) for y in tails[: p.d + p.r - 1 - 2 * k]]
+                h = hyperplane([[a - b for a, b in zip(scaled(y), rep[i])] for i, y in fixed])
                 for _ in range(3):
-                    x = [rng.randint(-9, 9) for _ in range(p.d + p.r - 1)]
-                    value = c0 + sum(a * b for a, b in zip(c, x))
-                    assert sign * value == witness_determinant(subset, x, p) * scale
+                    i = rng.randrange(p.r)
+                    y_x = [rng.randint(-9, 9) for _ in range(p.d)]
+                    x = cayley_prefix(i, p.r) + tuple(Fraction(v) for v in y_x)
+                    value = sum(c * scale * v for c, v in zip(h, y_x)) - sum(map(operator.mul, h, rep[i]))
+                    assert (-1) ** p.r * value == witness_determinant(subset, x, p) * scale**p.d
+
+
+def test_short_sweep_fails_under_python_O(tmp_path):
+    # the sweep-completeness check is an explicit raise, which `python -O`
+    # keeps (it strips a bare assert)
+    script = (
+        "import polysum.construction as c\n"
+        "p = c.ConstructionParams.defaults(3, 2, (3, 3))\n"
+        "expected = c.expected_check_count(p)\n"
+        "c._sweep_all_positive = lambda params: (True, expected - 1)\n"
+        "try:\n"
+        "    c.find_tau_star(p)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(polysum.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "tau sweep checked 35 of 36 witnesses\n"
 
 
 def test_witness_sign_matches_hull_face_membership():
