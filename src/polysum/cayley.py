@@ -8,12 +8,15 @@ sum: a spanning (k-1)-face corresponds to a (k-r)-face of the sum.  Face
 counts therefore transfer with an index shift and never require slicing the
 lifted polytope by a flat.
 
-The direct oracle ignores all of this and simply hulls the set of all
-vertex sums; the two routes are compared in the tests and the CLI.
+The direct oracle ignores all of this and simply hulls the set of all sums
+of one input point per part; the two routes are compared in the tests and
+the CLI.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -88,20 +91,21 @@ def spanning_face_counts(lattice: FaceLattice, pps: PartitionedPointSet) -> tupl
 
 
 def minksum_direct_lattice(pps: PartitionedPointSet) -> FaceLattice:
-    """Hull of all vertex sums: the independent Minkowski-sum oracle."""
+    """Hull of all sums of one input point per part, vertices or not: the
+    independent Minkowski-sum oracle.
+
+    Each coordinate is scaled by the lcm of its denominators over every
+    part, a positive linear map that keeps the face lattice, so the sums are
+    formed and deduplicated as integer tuples, in the order of the parts'
+    points.
+    """
     d = pps.ambient_dim
-    sums: dict[tuple, None] = {}
-    stack = [tuple(Fraction(0) for _ in range(d))]
+    scales = [math.lcm(*(p[c].denominator for part in pps.parts for p in part.points)) for c in range(d)]
+    stack = [(0,) * d]
     for part in pps.parts:
-        new = []
-        for acc in stack:
-            for p in part.points:
-                new.append(tuple(a + x for a, x in zip(acc, p)))
-        stack = new
-    for s in stack:
-        sums.setdefault(s, None)
-    ps = PointSet.from_rows(list(sums.keys()), ambient_dim=d)
-    return convex_hull(ps)
+        rows = [tuple(x.numerator * (l // x.denominator) for x, l in zip(p, scales)) for p in part.points]
+        stack = [tuple(map(operator.add, acc, q)) for acc in stack for q in rows]
+    return convex_hull(PointSet(d, tuple(dict.fromkeys(stack))))
 
 
 def minksum_direct(pps: PartitionedPointSet) -> tuple[int, ...]:

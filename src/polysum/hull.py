@@ -10,14 +10,17 @@ finds them one level at a time.  A simplex's facets are its
 subsets.  A j-face of j+2 points has one affine dependency, and by Gale
 duality its facets are what is left when a point outside the dependency's
 support, or one point of each sign, is left out: no rotation is needed.
-Every other face's facets are found by an exact gift-wrap.  A face that a
-rotation found starts its wrap from the ridge it was found across, whose
-functional within it follows from the two the rotation held; only the
-polytope and the chain of first facets below it search for a first facet,
-by rotations alone.  Each facet found counts its ridges, its own
-facets one dimension down, and the wrap rotates only about a ridge that one
-found facet holds, so every rotation finds a new facet; every ridge must end
-in exactly two facets, which certifies completeness.  Each facet keeps its
+Every other face's facets are found by an exact gift-wrap.  A face found
+in its parent's wrap starts its own from every ridge of the parent that one
+found facet holds and that lies inside it, the ridge it was found across
+among them: each is one of its facets, whose functional within it follows
+from the holder's and its own.  Only the polytope and the chain of first
+facets below it search for a first facet, by rotations alone.  Each facet
+found counts its ridges, its own facets one dimension down, and the wrap
+rotates only about a ridge that one found facet holds, so every rotation
+finds a new facet; every ridge must end in exactly two facets, which
+certifies completeness.  A facet's values at the face's points are dropped
+once the wrap has crossed all its ridges.  Each facet keeps its
 primitive integer functional, so a rotation moves in the pencil of the
 facet's functional and the ridge's, at one dot product per point.  A face
 is wrapped in its pivot columns, and a facet's are its face's minus the
@@ -144,19 +147,6 @@ def neighborliness(lattice: FaceLattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_key(coeffs: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-    out = [c // g for c in coeffs]
-    for c in out:
-        if c:
-            if c < 0:
-                out = [-x for x in out]
-            break
-    return tuple(out)
-
-
 def _side_scan(coeffs, pts) -> Optional[frozenset]:
     """Indices on the hyperplane if it supports all points, else None."""
     c0 = coeffs[0]
@@ -174,24 +164,6 @@ def _side_scan(coeffs, pts) -> Optional[frozenset]:
         if has_pos and has_neg:
             return None
     return frozenset(on)
-
-
-def _facets_exhaustive(pts: Sequence[tuple[int, ...]], k: int) -> list[frozenset]:
-    """Scan every k-subset for a supporting hyperplane (test oracle only)."""
-    seen = set()
-    facets = []
-    for subset in itertools.combinations(range(len(pts)), k):
-        coeffs = hyperplane([(1, *pts[i]) for i in subset])
-        if coeffs is None:
-            continue
-        key = _canonical_key(coeffs)
-        if key in seen:
-            continue
-        seen.add(key)
-        on = _side_scan(key, pts)
-        if on is not None:
-            facets.append(on)
-    return facets
 
 
 def _values(functional, pts) -> list[int]:
@@ -263,11 +235,12 @@ def _spanning(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def _ridge_seed(u, u_values, g, on, t) -> tuple[tuple[int, ...], list[int]]:
-    """The ridge a rotation crossed, as a first facet of the facet it found.
+    """A ridge of a face's wrap, as a facet of a found facet that holds it.
 
-    ``u`` (valued ``u_values``) is the functional of the facet rotated from
-    and ``g`` that of the facet found, on-set ``on``, whose last nonzero
-    position is ``t``.  On {g = 0}, sign(g_t)*(g_t*u - u_t*g) equals
+    ``u`` (valued ``u_values``) is the functional of the facet that holds
+    the ridge and ``g`` that of the facet found, on-set ``on``, whose last
+    nonzero position is ``t``; the two facets meet in the ridge.  On
+    {g = 0}, sign(g_t)*(g_t*u - u_t*g) equals
     |g_t|*u, so it is nonnegative there and zero exactly on the ridge; its
     t-th coefficient is 0, so dropping it gives a functional over the found
     facet's columns.  Returns that functional, made primitive, and its values
@@ -315,7 +288,7 @@ def _oriented(h, row) -> tuple[int, ...]:
 
 
 def _facets_of(
-    pts, face: int, j: int, memo: dict, idx=None, columns=None, seed=None
+    pts, face: int, j: int, memo: dict, idx=None, columns=None, seeds=None
 ) -> list[int]:
     """Facets of the j-face whose points are the set bits of ``face``.
 
@@ -333,16 +306,22 @@ def _facets_of(
     the same dependency, which this face enters at once in its columns.
 
     Any other face is gift-wrapped once (Chand & Kapur 1970; Swart 1985) in
-    its pivot ``columns`` from a first facet.  A face found by a rotation
-    gets ``seed``, the arguments of ``_ridge_seed`` for the ridge it was
-    found across, which a wrap turns into its first facet; the top face and
-    the chain of first facets below it, entered without one, call
+    its pivot ``columns``.  A face its parent's wrap finds gets ``seeds``:
+    each ridge of the parent that one found facet holds and that lies inside
+    the face is one of the face's facets, and ``_ridge_seed`` makes its
+    functional and values from the holder's.  The ridge a rotation crossed
+    is always one of them.  The walk starts from all the seeds; the top face
+    and the chain of first facets below it, entered without any, call
     ``_first_facet``.  Each facet found counts its ridges at once: its own
     facets, from ``memo`` (keyed by mask) or one level down; a segment's one
     ridge is the empty face.  A ridge that one found facet holds is crossed
     with one ``_rotate`` in the pencil of that facet's functional and the
-    ridge's, so each rotation finds a new facet.  Every ridge must end in
-    exactly two facets, which certifies completeness.
+    ridge's, so each rotation finds a new facet, and a face of m facets
+    entered with s seeds costs m - s rotations.  Once a facet's ridges are
+    all crossed no seed reads its values, so the walk drops them.  Every
+    ridge must end in exactly two facets, which certifies completeness.
+    Simplices and faces of j+2 points ignore ``seeds``, so only a facet that
+    will be wrapped is given any.
 
     A face's pivot columns are the left-to-right pivots of its points'
     difference rows.  In the face's columns a facet's direction space is
@@ -389,9 +368,11 @@ def _facets_of(
                 functionals.append(u)
         memo[face] = (facets, columns, functionals, idx)
         return facets
-    degree, walk = {}, []  # walk: every facet found, grown as it is walked
+    # walk: every facet found, grown as it is walked; holder: each ridge one
+    # found facet holds, and that facet's place in the walk
+    degree, holder, walk = {}, {}, []
 
-    def found(g, values, u=None, u_values=None):  # a facet registers its ridges as soon as it is found
+    def found(g, values):  # a facet registers its ridges as soon as it is found
         on = [m for m, x in enumerate(values) if not x]
         t = _last_nonzero(g)  # its columns are ours but the t-th
         facet = 0
@@ -400,23 +381,34 @@ def _facets_of(
         if facet in memo:
             ridges = memo[facet][0]
         else:
-            crossed = (u, u_values, g, on, t) if u is not None else None
-            ridges = _facets_of(pts, facet, j - 1, memo, [idx[m] for m in on], columns[: t - 1] + columns[t:], crossed)
+            held = None
+            if len(on) > j + 1:  # it will be wrapped: each open ridge inside it is one of its facets
+                held = [_ridge_seed(*walk[k][1:3], g, on, t) for ridge, k in holder.items() if ridge & facet == ridge]
+            ridges = _facets_of(pts, facet, j - 1, memo, [idx[m] for m in on], columns[: t - 1] + columns[t:], held)
+        k = len(walk)
         for ridge in ridges:
-            degree[ridge] = degree.get(ridge, 0) + 1
+            if ridge in degree:
+                degree[ridge] += 1
+                holder.pop(ridge, None)
+            else:
+                degree[ridge] = 1
+                holder[ridge] = k
         walk.append((facet, g, values, t))
 
-    if seed is None:
+    if seeds:
+        for seed in seeds:
+            found(*seed)
+    else:
         _, u = _first_facet(sub, j)
         found(u, _values(u, sub))
-    else:
-        found(*_ridge_seed(*seed))
-    for facet, u, u_values, t in walk:
+    for k, (facet, u, u_values, t) in enumerate(walk):
         for r, ridge in enumerate(memo[facet][0]):
             if degree[ridge] > 1:  # its other facet is found already
                 continue
             w = _facet_functional(pts, facet, r, memo)
-            found(*_rotate(sub, u_values, u, w[:t] + (0,) + w[t:]), u, u_values)
+            found(*_rotate(sub, u_values, u, w[:t] + (0,) + w[t:]))
+        # every ridge it holds is closed now, so no seed reads its values again
+        walk[k] = (facet, u, None, t)
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
     memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk], idx)

@@ -1,7 +1,8 @@
 """Test-only builders and oracles: zonotope vertex candidates, random delta
 specs, the transcribed sign exponent of the minimal Delta term, Delta's
-Leibniz polynomial, and a plain Fraction elimination that shares no code
-with the exact kernel."""
+Leibniz polynomial, a plain Fraction elimination that shares no code
+with the exact kernel, the exhaustive facet scan that checks the hull, and
+the Fraction Minkowski sums that check the direct oracle's integer ones."""
 
 import itertools
 import math
@@ -9,7 +10,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from polysum.detasym import DeltaSpec, _monomials
-from polysum.hull import PointSet
+from polysum.exact import hyperplane
+from polysum.hull import PointSet, _side_scan
 
 
 def zonotope_points(generators) -> PointSet:
@@ -98,3 +100,43 @@ def fraction_elimination(rows):
     elif len(pivots) < len(a):
         det = Fraction(0)
     return len(pivots), tuple(pivots), det
+
+
+def canonical_key(coeffs) -> tuple[int, ...]:
+    """The integer functional made primitive, its first nonzero entry positive."""
+    g = 0
+    for c in coeffs:
+        g = math.gcd(g, c)
+    out = [c // g for c in coeffs]
+    for c in out:
+        if c:
+            if c < 0:
+                out = [-x for x in out]
+            break
+    return tuple(out)
+
+
+def facets_exhaustive(pts, k: int) -> list[frozenset]:
+    """Independent oracle for the gift-wrap: scan every k-subset of the
+    full-rank integer points for a supporting hyperplane."""
+    seen = set()
+    facets = []
+    for subset in itertools.combinations(range(len(pts)), k):
+        coeffs = hyperplane([(1, *pts[i]) for i in subset])
+        if coeffs is None:
+            continue
+        key = canonical_key(coeffs)
+        if key in seen:
+            continue
+        seen.add(key)
+        on = _side_scan(key, pts)
+        if on is not None:
+            facets.append(on)
+    return facets
+
+
+def fraction_sums(pps) -> list[tuple[Fraction, ...]]:
+    """Every sum of one point per part as Fractions, first copies kept, in
+    the order ``minksum_direct_lattice`` indexes them."""
+    picks = itertools.product(*(part.points for part in pps.parts))
+    return list(dict.fromkeys(tuple(map(sum, zip(*pick))) for pick in picks))

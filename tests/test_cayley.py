@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,8 @@ from polysum.cayley import (
     spanning_face_counts,
 )
 from polysum.hull import PointSet, convex_hull, verify_supporting
+
+from helpers import fraction_sums
 
 
 def test_cayley_embed_definition():
@@ -188,6 +191,22 @@ def test_oracle_equivalence_large_direct_hull():
     lat = convex_hull(ps)
     assert verify_supporting(lat, ps)
     assert minksum_via_cayley(pps) == minksum_direct(pps) == lat.f_vector
+
+
+def test_direct_lattice_of_mixed_denominators_is_the_fraction_sums_hull():
+    """The sums are formed in integers after a per-coordinate scaling; that
+    lattice must be the one of the Fraction sums, indexed the same way."""
+    rng = random.Random(1729)
+    denominators = (1, 2, 3, 4, 6, 9)
+    for _ in range(12):
+        d = rng.choice([2, 3])
+        parts = [
+            [[Fraction(rng.randint(-6, 6), rng.choice(denominators)) for _ in range(d)] for _ in range(rng.randint(2, 5))]
+            for _ in range(rng.choice([2, 3]))
+        ]
+        parts[0].append(parts[0][0])  # a duplicate point
+        pps = PartitionedPointSet.from_rows(parts)
+        assert minksum_direct_lattice(pps) == convex_hull(PointSet.from_rows(fraction_sums(pps), ambient_dim=d))
 
 
 def test_trivial_upper_bound_property():

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polysum.hull as hull
+from polysum.cayley import PartitionedPointSet, minksum_direct_lattice
 from polysum.exact import affine_rank, hyperplane, int_row_space_pivots
 from polysum.hull import (
     PointSet,
-    _facets_exhaustive,
     _facets_of,
     _Prepared,
     _side_scan,
@@ -24,6 +25,8 @@ from polysum.hull import (
     neighborliness,
     verify_supporting,
 )
+
+from helpers import canonical_key, facets_exhaustive, fraction_sums
 
 
 def scale_translate(ps: PointSet, scale: Fraction, shift) -> PointSet:
@@ -211,14 +214,14 @@ def wrap_and_oracle(ps: PointSet):
     prep = _Prepared(ps)
     wrapped = wrap(prep)
     assert len(set(wrapped)) == len(wrapped)
-    return set(wrapped), set(_facets_exhaustive(prep.reduced, prep.rank))
+    return set(wrapped), set(facets_exhaustive(prep.reduced, prep.rank))
 
 
 def lattice_oracle(ps: PointSet) -> set[tuple[int, tuple[int, ...]]]:
     """(dim, vertices) of every face: the exhaustive facets closed under
     intersection, each face ranked from its points."""
     prep = _Prepared(ps)
-    facets = _facets_exhaustive(prep.reduced, prep.rank)
+    facets = facets_exhaustive(prep.reduced, prep.rank)
     faces = set(facets)
     frontier = set(facets)
     while frontier:
@@ -304,39 +307,93 @@ def test_each_face_is_wrapped_once(monkeypatch):
 
 
 def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
-    """Each face found by a rotation holds the ridge it was found across,
-    with the seed's functional: a wrapped face as its first facet, a simplex
-    or a face of j+2 points as the facet whose functional it makes on first
-    need.  The seed's values are the functional's."""
-    seeds = []
+    """A face a rotation found is entered with every open ridge of its
+    parent that lies inside it.  Only a wrapped face takes them, each seed is
+    one of its facets in the memo, the walk's first ones in the seeds' order,
+    with the seed's functional, and the seed's values are that functional's
+    at the face's points."""
+    entered = []
     facets_of = hull._facets_of
 
-    def recorded(pts, face, j, memo, idx=None, columns=None, seed=None):
-        if face not in memo and seed is not None:
-            seeds.append((face, seed, memo))
-        return facets_of(pts, face, j, memo, idx, columns, seed)
+    def recorded(pts, face, j, memo, idx=None, columns=None, seeds=None):
+        if face not in memo and seeds:
+            entered.append((face, seeds, memo))
+        return facets_of(pts, face, j, memo, idx, columns, seeds)
 
     monkeypatch.setattr(hull, "_facets_of", recorded)
     checked = wrapped = 0
-    for rows in functional_cases():
+    for rows in functional_cases() + [fraction_sums(PartitionedPointSet.from_rows(parts)) for parts in sum_cases().values()]:
         ps = PointSet.from_rows(rows)
         prep = _Prepared(ps)
-        seeds.clear()
+        entered.clear()
         convex_hull(ps)
-        for face, seed, memo in seeds:
-            u, values = hull._ridge_seed(*seed)
+        for face, seeds, memo in entered:
             facets, columns, functionals, _ = memo[face]
-            ridge = frozenset(i for i, x in zip(sorted(members(face)), values) if not x)
-            n = [members(f) for f in facets].index(ridge)
-            if face.bit_count() > len(columns) + 2:
-                assert (n, functionals[0]) == (0, u)
-                wrapped += 1
-            else:
-                assert hull._facet_functional(prep.reduced, face, n, memo) == u
-            assert hull._values(u, project(prep, members(face), columns).values()) == values
-            checked += 1
-    assert wrapped > 10
-    assert checked > 60
+            assert face.bit_count() > len(columns) + 2
+            sub = project(prep, members(face), columns)
+            for n, (u, values) in enumerate(seeds):
+                ridge = frozenset(i for i, x in zip(sub, values) if not x)
+                assert (members(facets[n]), functionals[n]) == (ridge, u)
+                assert hull._values(u, sub.values()) == values
+                checked += 1
+            wrapped += 1
+    assert wrapped > 40
+    assert checked > 120
+
+
+def sum_cases() -> dict[str, list[list[list[int]]]]:
+    """Summands whose sums have wrapped faces of several kinds: cubes (the
+    4-cube's facets), prisms (those of the triangle x triangle and of the
+    triangle x square), and faces of degenerate summands, which have
+    duplicate points and points inside edges."""
+    rng = random.Random(4242)
+
+    def segment(axis, d, length=1):
+        return [[0] * d, [length * (c == axis) for c in range(d)]]
+
+    triangle = [[0, 0, 0], [2, 0, 0], [0, 2, 0]]
+    cases = {
+        "4-cube": [segment(c, 4) for c in range(4)],
+        "triangle x square": [[p + [0] for p in triangle], segment(2, 4), segment(3, 4)],
+        "triangle x triangle": [[[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]],
+        # a point inside each edge and a duplicate: a 3x3x3 grid with repeats
+        "midpoints": [segment(c, 3, 2) + [[(c == a) for a in range(3)], [0, 0, 0]] for c in range(3)],
+        "triangle with a point inside an edge, and a square": [
+            triangle + [[1, 0, 0], [2, 0, 0]],
+            [[0, 0, 1], [0, 1, 1], [1, 0, 2], [1, 1, 2]],
+        ],
+    }
+    for n in range(4):
+        d = rng.choice([3, 4])
+        cases[f"random {n}"] = [[[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(3, 5))] for _ in range(2)]
+    return cases
+
+
+def test_seeded_wraps_match_the_oracle_on_minkowski_sums(monkeypatch):
+    """Faces of Minkowski sums entered with every open ridge of their
+    parent, often more than one, still give the exhaustive lattice."""
+    seeds_per_face, ridge_seeds = [], []
+    facets_of, ridge_seed = hull._facets_of, hull._ridge_seed
+
+    def recorded(pts, face, j, memo, idx=None, columns=None, seeds=None):
+        if face not in memo and seeds:
+            seeds_per_face.append(len(seeds))
+        return facets_of(pts, face, j, memo, idx, columns, seeds)
+
+    def counted(*args):
+        ridge_seeds.append(args)
+        return ridge_seed(*args)
+
+    monkeypatch.setattr(hull, "_facets_of", recorded)
+    monkeypatch.setattr(hull, "_ridge_seed", counted)
+    for name, parts in sum_cases().items():
+        pps = PartitionedPointSet.from_rows(parts)
+        lattice = minksum_direct_lattice(pps)
+        faces = {(dim, f) for dim, level in enumerate(lattice.levels) for f in level}
+        assert faces | {(-1, ())} == lattice_oracle(PointSet.from_rows(fraction_sums(pps))), name
+    assert len(ridge_seeds) == sum(seeds_per_face)
+    assert sum(n > 1 for n in seeds_per_face) > 10
+    assert max(seeds_per_face) >= 3
 
 
 def test_first_facet_is_a_facet(monkeypatch):
@@ -358,7 +415,7 @@ def test_first_facet_is_a_facet(monkeypatch):
         prep = _Prepared(PointSet.from_rows(rows))
         rotations.clear()
         facet, functional = hull._first_facet(prep.reduced, prep.rank)
-        assert facet in _facets_exhaustive(prep.reduced, prep.rank)
+        assert facet in facets_exhaustive(prep.reduced, prep.rank)
         assert turns is None or len(rotations) == turns
         values = hull._values(functional, prep.reduced)
         assert min(values) == 0
@@ -456,7 +513,7 @@ def test_carried_functionals_are_primitive_and_support_their_face():
                 facet = members(mask)
                 spanning = _spanning([sub[i] for i in sorted(facet)])
                 assert len(spanning) == len(columns)
-                key = hull._canonical_key(hyperplane([(1, *p) for p in spanning]))
+                key = canonical_key(hyperplane([(1, *p) for p in spanning]))
                 assert functional in (key, tuple(-c for c in key))
                 values = dict(zip(sub, hull._values(functional, sub.values())))
                 assert {i for i, x in values.items() if x == 0} == facet
@@ -551,7 +608,7 @@ def test_pencil_rotation_matches_candidate_rotation():
 
 
 def test_wrap_work_counts(monkeypatch):
-    counts = {"hyperplane": 0, "_rotate": 0, "int_row_space_pivots": 0, "_spanning": 0}
+    counts = {"hyperplane": 0, "_rotate": 0, "_ridge_seed": 0, "int_row_space_pivots": 0, "_spanning": 0}
     for name in counts:
         original = getattr(hull, name)
 
@@ -580,13 +637,15 @@ def test_wrap_work_counts(monkeypatch):
         assert lattice.f_vector[0] == len(rows)
         levels = lattice.levels
         walked = sum(
-            sum(set(g) <= set(f) for g in levels[dim - 1]) - 1
+            sum(set(g) <= set(f) for g in levels[dim - 1])
             for dim in range(1, len(levels))
             for f in levels[dim]
             if len(f) > dim + 2
         )
-        # each rotation of the walk finds a new facet: one per facet but the first
-        assert counts["_rotate"] == walked + sum(first_turns)
+        # a wrapped face's facets are its seeds and one per rotation of its
+        # walk, but that each face of the first-facet chain starts from one
+        # first facet, found by rotations of its own
+        assert counts["_rotate"] - sum(first_turns) == walked - counts["_ridge_seed"] - len(first_turns)
         # a facet's pivot columns are its face's minus one, so only the hull's
         # rank and each shadow step of a first facet eliminate
         assert counts["int_row_space_pivots"] == 1 + counts["_spanning"]
@@ -594,6 +653,7 @@ def test_wrap_work_counts(monkeypatch):
             lattice.f_vector,
             counts["hyperplane"],
             counts["_rotate"],
+            counts["_ridge_seed"],
             sum(first_turns),
             counts["int_row_space_pivots"],
         )
@@ -603,19 +663,38 @@ def test_wrap_work_counts(monkeypatch):
     # dependency, a ridge a wrap crosses in a simplex or such a face one,
     # and a first facet of the chain from the top one per rotation
     cube = list(itertools.product([0, 1], repeat=4))
-    # the 4-cube's 8 facets and each cube's 6: 7 + 8*5; the 24 squares have
-    # 2 + 2 points and are not wrapped.  Hyperplanes: the squares' 24
-    # dependencies and the 34 square edges the cubes' wraps cross; the chain
-    # is 4-cube, cube, so the rank and 3 + 2 shadow steps eliminate
-    assert work(cube) == ((16, 32, 24, 8), 58, 47, 0, 6)
+    # the 4-cube's 8 facets and each cube's 6: 8 + 8*6 = 56 facets, of which
+    # the chain's 2 first facets and 24 seeds need no rotation; one cube was
+    # the only one entered without a seed.  The 24 squares have 2 + 2 points
+    # and are not wrapped.  Hyperplanes: the squares' 24 dependencies and
+    # the 17 square edges the cubes' wraps cross; the chain is 4-cube, cube,
+    # so the rank and 3 + 2 shadow steps eliminate
+    assert work(cube) == ((16, 32, 24, 8), 41, 30, 24, 0, 6)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
-    # the 132 parallelograms among the 2-faces are no longer wrapped, which
-    # saves their 3 rotations each: 1580 - 396.  Hyperplanes: their 132
-    # dependencies, the 212 simplex and 328 parallelogram ridges the wraps
+    # the 132 parallelograms among the 2-faces are not wrapped.  Hyperplanes:
+    # their 132 dependencies, the simplex and parallelogram ridges the wraps
     # cross, and the chain's 9 shadow rotations
-    assert work(sums) == ((36, 156, 288, 252, 86), 681, 1184, 9, 10)
+    assert work(sums) == ((36, 156, 288, 252, 86), 300, 554, 882, 9, 10)
+
+
+def test_walk_frees_a_walked_facets_values():
+    """Once the walk is done with a facet, all its ridges are closed and its
+    values at every point are dropped.  This sum's 256 points hold 60
+    vertices and its top wrap finds 86 facets: keeping every facet's values
+    peaked at about 1,000 KB of traced memory, dropping them at about 240 KB."""
+    curve = [[t, t * t + t, t**3] for t in range(1, 17)]
+    other = [[-t, t * t + t, -(t**3)] for t in range(1, 17)]
+    ps = PointSet.from_rows([[a + b for a, b in zip(p, q)] for p in curve for q in other])
+    tracemalloc.start()
+    try:
+        lattice = convex_hull(ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lattice.f_vector == (60, 144, 86)
+    assert peak < 512 * 1024
 
 
 def corank_one_cases() -> dict[str, list[list[int]]]:
