@@ -31,17 +31,14 @@ from .construction import (
     moment_curve_point,
     verify_neighborly,
     verify_tightness,
-    witness_determinant,
 )
 from .detasym import (
     DeltaSpec,
-    build_delta,
     certify_positivity,
     delta_value,
     gvd,
     laplace_expand,
     leading_term,
-    vandermonde,
 )
 from .exact import affine_rank, determinant, rat, rat_to_str
 from .hull import FaceLattice, PointSet, convex_hull, is_face, neighborliness
@@ -54,7 +51,6 @@ __all__ = [
     "PointSet",
     "VertexProfile",
     "affine_rank",
-    "build_delta",
     "cayley_embed",
     "certify_positivity",
     "convex_hull",
@@ -79,10 +75,8 @@ __all__ = [
     "three_polytope_bounds",
     "trivial_upper_bound",
     "two_polytope_bound",
-    "vandermonde",
     "verify_neighborly",
     "verify_tightness",
-    "witness_determinant",
     "zonotope_bound",
 ]
 

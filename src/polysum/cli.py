@@ -92,7 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="certify positivity of a block determinant")
     p.add_argument("--spec", required=True)
-    p.add_argument("--find-tau0", action="store_true")
+    p.add_argument(
+        "--find-tau0", action="store_true", help="accepted and ignored: the tau0 search always runs"
+    )
     p.add_argument("--max-halvings", type=int, default=64)
     p.add_argument("--report")
 

@@ -18,9 +18,9 @@ drives tau (then zeta) down until every witness determinant - one per
 (spanning subset, outside vertex) pair - is strictly positive.  The sweep
 reads the curve coordinates as integers at one common scale and factors
 the r Cayley rows out of every witness (see ``_sweep_all_positive``), so a
-subset costs one (d-1) x d elimination and a vertex one dot product;
-``witness_determinant`` builds the full matrix in Fractions as the
-independent reference.  Everything is exact; there is no tolerance anywhere.
+subset costs one (d-1) x d elimination and a vertex one dot product.  The
+tests check it against the full witness matrix built in Fractions.
+Everything is exact; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from .bounds import phi
 from .cayley import (
     PartitionedPointSet,
     cayley_lattice,
-    cayley_prefix,
     minksum_direct,
     spanning_face_counts,
     sum_f_vector,
 )
 # SearchExhausted is also importable from here, where the searches raise it
-from .exact import SearchExhausted, determinant, hyperplane, rat, rat_to_str
+from .exact import SearchExhausted, hyperplane, rat, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
 from .jsonio import RunReport
 
@@ -157,11 +156,6 @@ def moment_curve_point(part: int, t: Fraction, params: ConstructionParams) -> tu
     return tuple(coords)
 
 
-def lifted_curve_point(part: int, t: Fraction, params: ConstructionParams) -> tuple[Fraction, ...]:
-    """Cayley embedding of the curve point: affine prefix + curve coordinates."""
-    return cayley_prefix(part - 1, params.r) + moment_curve_point(part, t, params)
-
-
 def generate_family(params: ConstructionParams) -> PartitionedPointSet:
     """The r summand vertex sets at the current tau and zeta."""
     parts = []
@@ -192,65 +186,6 @@ def spanning_subsets(sizes: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
             ]
             for chosen in itertools.product(*pools):
                 yield tuple(itertools.chain.from_iterable(chosen))
-
-
-def _columns(
-    params: ConstructionParams, points: Sequence[int], tail: int
-) -> list[tuple[Fraction, ...]]:
-    """Witness columns (1, lifted curve point): the vertex and then the
-    epsilon-companion of each family point in ``points`` (indices into the
-    family, part by part), then the first ``tail`` tail anchors."""
-    where = [(i, j) for i, ni in enumerate(params.n) for j in range(ni)]
-    cols = [
-        (Fraction(1),) + lifted_curve_point(i + 1, params.curve_parameter(i, j, shifted), params)
-        for i, j in map(where.__getitem__, points)
-        for shifted in (False, True)
-    ]
-    cols += [
-        (Fraction(1),) + lifted_curve_point(params.r, lam * params.m_tail, params)
-        for lam in range(1, tail + 1)
-    ]
-    return cols
-
-
-def _witness_columns(
-    subset: Sequence[int],
-    x: Sequence[Fraction],
-    params: ConstructionParams,
-) -> tuple[list[tuple[Fraction, ...]], int]:
-    """Columns of the witness determinant and its global sign."""
-    d, r = params.d, params.r
-    part_of = [i for i, ni in enumerate(params.n) for _ in range(ni)]
-    if any(a >= b for a, b in zip(subset, subset[1:])):
-        raise ValueError(f"witness subset {tuple(subset)} is not strictly increasing")
-    if any(not 0 <= p < len(part_of) for p in subset):
-        raise ValueError(f"witness subset {tuple(subset)} has an index outside 0..{len(part_of) - 1}")
-    if len({part_of[p] for p in subset}) != r:
-        raise ValueError(f"witness subset {tuple(subset)} misses a part")
-    k = len(subset)
-    if not r <= k <= params.k_max:
-        raise ValueError(f"witness size {k} outside {r}..{params.k_max}")
-    if len(x) != d + r - 1:
-        raise ValueError("evaluation point must live in the lifted space")
-    cols = [(Fraction(1),) + tuple(rat(v) for v in x)]
-    cols += _columns(params, subset, d + r - 1 - 2 * k)
-    sign = (-1) ** (r * (r - 1) // 2)
-    return cols, sign
-
-
-def witness_determinant(
-    subset: Sequence[int],
-    x: Sequence[Fraction],
-    params: ConstructionParams,
-) -> Fraction:
-    """Signed (d+r)x(d+r) determinant vanishing exactly on the subset's hyperplane.
-
-    ``subset`` is a spanning subset as ``spanning_subsets`` yields it.
-    Positive on every family vertex outside the subset once the scale (and,
-    for ``params.zeta`` > 0, the lift) is below its certified threshold.
-    """
-    cols, sign = _witness_columns(subset, x, params)
-    return sign * determinant(list(zip(*cols)))
 
 
 def expected_check_count(params: ConstructionParams) -> int:

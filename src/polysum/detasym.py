@@ -29,8 +29,8 @@ has determinant 1).  The K <= 8 brute-force polynomial reads the full K x K
 table instead, each row cleared by the lcm of its own denominators, and
 expands it by minors blind to the blocks, so it checks the elimination
 independently.  A GVD det[x_j^mu_i] is int_det[(L x_j)^mu_i] / L^(sum mu), L
-the lcm of its own denominators.  ``build_delta`` and ``determinant`` stay
-the independent Fraction oracle.
+the lcm of its own denominators.  The independent Fraction oracle, the
+K x K matrix at a concrete tau, lives in the tests.
 """
 
 from __future__ import annotations
@@ -100,16 +100,6 @@ class DeltaSpec:
         return tuple(out)
 
 
-def vandermonde(x: Sequence[Fraction]) -> Fraction:
-    """prod_{i<j} (x_j - x_i); equals the determinant of the power matrix."""
-    xs = [rat(v) for v in x]
-    out = Fraction(1)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            out *= xs[j] - xs[i]
-    return out
-
-
 def gvd(x: Sequence[Fraction], mu: Sequence[int]) -> Fraction:
     """Generalized Vandermonde determinant det[x_j^{mu_i}]."""
     xs = [rat(v) for v in x]
@@ -172,14 +162,6 @@ def _monomials(spec: DeltaSpec) -> list[list[tuple[Fraction, int]]]:
         for p in range(2, spec.power_row_count + 2):
             table[2 * n + p - 2] += [(x**p, p * b) for x in xs]
     return table
-
-
-def build_delta(spec: DeltaSpec, tau: Fraction) -> list[list[Fraction]]:
-    """The K x K matrix of the block determinant at a concrete tau > 0, as rows."""
-    tau = rat(tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return [[coef * tau**exp if exp else coef for coef, exp in row] for row in _monomials(spec)]
 
 
 def _evaluator(spec: DeltaSpec) -> Callable[[Fraction], Fraction]:

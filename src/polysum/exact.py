@@ -6,8 +6,8 @@ a plain sequence of rows whose entries are ints, Fractions or "p/q" strings.
 One fraction-free (Bareiss 1968) row echelon pass on integer rows, after
 clearing denominators, gives the determinant, the rank with its leftmost
 pivot columns, and by back substitution the k+1 cofactors of a hyperplane
-through k integer points.  A plain cofactor expansion is kept as an
-independent determinant cross-check.  No floating point anywhere.
+through k integer points.  The independent determinant oracles live in
+the tests.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -161,27 +161,6 @@ def det_sign_rows(rows: Sequence[Sequence]) -> int:
     """Sign (-1/0/1) of the determinant of a square matrix given as rows."""
     d = determinant(rows)
     return (d > 0) - (d < 0)
-
-
-def determinant_cofactor(rows: Sequence[Sequence]) -> Fraction:
-    """Independent determinant oracle: recursive cofactor expansion."""
-
-    def rec(rows: list[list[Fraction]]) -> Fraction:
-        n = len(rows)
-        if n == 0:
-            return Fraction(1)
-        if n == 1:
-            return rows[0][0]
-        total = Fraction(0)
-        for j, head in enumerate(rows[0]):
-            if head == 0:
-                continue
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = head * rec(minor)
-            total += term if j % 2 == 0 else -term
-        return total
-
-    return rec(_square_rows(rows))
 
 
 def int_row_space_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:

@@ -119,7 +119,10 @@ def _reject_float(text: str):
 def read_json(path: str):
     """Parse a JSON input file, rejecting floats since they are not exact."""
     with open(path) as fh:
-        return json.load(fh, parse_float=_reject_float)
+        try:
+            return json.load(fh, parse_float=_reject_float)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def load_pointset(path: str) -> PointSet:

@@ -1,16 +1,22 @@
 """Test-only builders and oracles: zonotope vertex candidates, random delta
 specs, the transcribed sign exponent of the minimal Delta term, Delta's
-Leibniz polynomial, a plain Fraction elimination that shares no code
-with the exact kernel, the exhaustive facet scan that checks the hull, and
-the Fraction Minkowski sums that check the direct oracle's integer ones."""
+Leibniz polynomial and its K x K Fraction matrix, the Vandermonde product,
+a recursive cofactor determinant and a plain Fraction elimination that
+share no code with the exact kernel's elimination, the full Fraction
+witness matrix that checks the integer sweep, the exhaustive facet scan that
+checks the hull, and the Fraction Minkowski sums that check the direct
+oracle's integer ones."""
 
 import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
+from typing import Sequence
 
+from polysum.cayley import cayley_prefix
+from polysum.construction import ConstructionParams, moment_curve_point
 from polysum.detasym import DeltaSpec, _monomials
-from polysum.exact import hyperplane
+from polysum.exact import _square_rows, determinant, hyperplane, rat
 from polysum.hull import PointSet, _side_scan
 
 
@@ -53,6 +59,24 @@ def leibniz_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
     return {e: c for e, c in poly.items() if c}
 
 
+def build_delta(spec: DeltaSpec, tau: Fraction) -> list[list[Fraction]]:
+    """The K x K matrix of the block determinant at a concrete tau > 0, as rows."""
+    tau = rat(tau)
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    return [[coef * tau**exp if exp else coef for coef, exp in row] for row in _monomials(spec)]
+
+
+def vandermonde(x: Sequence[Fraction]) -> Fraction:
+    """prod_{i<j} (x_j - x_i); equals the determinant of the power matrix."""
+    xs = [rat(v) for v in x]
+    out = Fraction(1)
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            out *= xs[j] - xs[i]
+    return out
+
+
 def random_delta_spec(rng, max_total: int = 10) -> DeltaSpec:
     """Random spec with n in {2,3}, kappa_i in {2,3,4}, K <= max_total."""
     while True:
@@ -70,6 +94,27 @@ def random_delta_spec(rng, max_total: int = 10) -> DeltaSpec:
             vals.append(vals[-1] + Fraction(rng.randint(1, 4), 2))
         xs.append(tuple(vals))
     return DeltaSpec(kappa=kappa, beta=tuple(exps), x=tuple(xs))
+
+
+def determinant_cofactor(rows: Sequence[Sequence]) -> Fraction:
+    """Independent determinant oracle: recursive cofactor expansion."""
+
+    def rec(rows: list[list[Fraction]]) -> Fraction:
+        n = len(rows)
+        if n == 0:
+            return Fraction(1)
+        if n == 1:
+            return rows[0][0]
+        total = Fraction(0)
+        for j, head in enumerate(rows[0]):
+            if head == 0:
+                continue
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            term = head * rec(minor)
+            total += term if j % 2 == 0 else -term
+        return total
+
+    return rec(_square_rows(rows))
 
 
 def fraction_elimination(rows):
@@ -100,6 +145,70 @@ def fraction_elimination(rows):
     elif len(pivots) < len(a):
         det = Fraction(0)
     return len(pivots), tuple(pivots), det
+
+
+def lifted_curve_point(part: int, t: Fraction, params: ConstructionParams) -> tuple[Fraction, ...]:
+    """Cayley embedding of the curve point: affine prefix + curve coordinates."""
+    return cayley_prefix(part - 1, params.r) + moment_curve_point(part, t, params)
+
+
+def _columns(
+    params: ConstructionParams, points: Sequence[int], tail: int
+) -> list[tuple[Fraction, ...]]:
+    """Witness columns (1, lifted curve point): the vertex and then the
+    epsilon-companion of each family point in ``points`` (indices into the
+    family, part by part), then the first ``tail`` tail anchors."""
+    where = [(i, j) for i, ni in enumerate(params.n) for j in range(ni)]
+    cols = [
+        (Fraction(1),) + lifted_curve_point(i + 1, params.curve_parameter(i, j, shifted), params)
+        for i, j in map(where.__getitem__, points)
+        for shifted in (False, True)
+    ]
+    cols += [
+        (Fraction(1),) + lifted_curve_point(params.r, lam * params.m_tail, params)
+        for lam in range(1, tail + 1)
+    ]
+    return cols
+
+
+def _witness_columns(
+    subset: Sequence[int],
+    x: Sequence[Fraction],
+    params: ConstructionParams,
+) -> tuple[list[tuple[Fraction, ...]], int]:
+    """Columns of the witness determinant and its global sign."""
+    d, r = params.d, params.r
+    part_of = [i for i, ni in enumerate(params.n) for _ in range(ni)]
+    if any(a >= b for a, b in zip(subset, subset[1:])):
+        raise ValueError(f"witness subset {tuple(subset)} is not strictly increasing")
+    if any(not 0 <= p < len(part_of) for p in subset):
+        raise ValueError(f"witness subset {tuple(subset)} has an index outside 0..{len(part_of) - 1}")
+    if len({part_of[p] for p in subset}) != r:
+        raise ValueError(f"witness subset {tuple(subset)} misses a part")
+    k = len(subset)
+    if not r <= k <= params.k_max:
+        raise ValueError(f"witness size {k} outside {r}..{params.k_max}")
+    if len(x) != d + r - 1:
+        raise ValueError("evaluation point must live in the lifted space")
+    cols = [(Fraction(1),) + tuple(rat(v) for v in x)]
+    cols += _columns(params, subset, d + r - 1 - 2 * k)
+    sign = (-1) ** (r * (r - 1) // 2)
+    return cols, sign
+
+
+def witness_determinant(
+    subset: Sequence[int],
+    x: Sequence[Fraction],
+    params: ConstructionParams,
+) -> Fraction:
+    """Signed (d+r)x(d+r) determinant vanishing exactly on the subset's hyperplane.
+
+    ``subset`` is a spanning subset as ``spanning_subsets`` yields it.
+    Positive on every family vertex outside the subset once the scale (and,
+    for ``params.zeta`` > 0, the lift) is below its certified threshold.
+    """
+    cols, sign = _witness_columns(subset, x, params)
+    return sign * determinant(list(zip(*cols)))
 
 
 def canonical_key(coeffs) -> tuple[int, ...]:

@@ -354,6 +354,19 @@ def test_delta_command(tmp_path, capsys):
     assert "brute_force_lowest_degree" in names
 
 
+def test_delta_find_tau0_is_accepted_and_ignored(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kappa": [2, 2], "beta": [1, 0], "x": [["1", "2"], ["3", "5"]]}))
+    _, with_flag = run(["delta", "--spec", str(path), "--find-tau0"])
+    _, without = run(["delta", "--spec", str(path)])
+    assert with_flag.inputs.pop("find_tau0") is True and without.inputs.pop("find_tau0") is False
+    assert with_flag.to_dict() == without.to_dict()
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["delta", "--help"])
+    assert "accepted and ignored" in " ".join(capsys.readouterr().out.split())
+
+
 def passed_checks(*pairs):
     return [{"actual": a, "expected": e, "name": name, "pass": True} for name, e, a in pairs]
 
@@ -465,6 +478,17 @@ def test_float_coordinate_exit_2(tmp_path, capsys):
     assert (code, report) == (2, None)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["hull --inputs", "minksum --inputs", "delta --spec"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    argv = flag.split() + [str(path)] * (2 if flag.startswith("minksum") else 1)
+    code, report = run(argv)
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: JSON nested too deeply to parse"]
 
 
 def test_exhausted_halving_budget_exit_2(capsys):

@@ -26,21 +26,20 @@ from polysum.construction import (
     SearchExhausted,
     _integer_curve_points,
     _sweep_all_positive,
-    _witness_columns,
     certify_family,
     expected_check_count,
     find_tau_star,
     find_zeta_diamond,
     generate_family,
-    lifted_curve_point,
     moment_curve_point,
     spanning_subsets,
     verify_neighborly,
     verify_tightness,
-    witness_determinant,
 )
 from polysum.exact import hyperplane
 from polysum.hull import convex_hull, is_face
+
+from helpers import _witness_columns, lifted_curve_point, witness_determinant
 
 
 def params_33(tau=None, zeta=Fraction(0)):

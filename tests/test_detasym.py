@@ -11,18 +11,16 @@ import pytest
 import polysum.detasym as detasym
 from polysum.detasym import (
     DeltaSpec,
-    build_delta,
     certify_positivity,
     delta_polynomial,
     delta_value,
     gvd,
     laplace_expand,
     leading_term,
-    vandermonde,
 )
 from polysum.exact import determinant, int_det
 
-from helpers import leibniz_polynomial, random_delta_spec, sigma_closed_form
+from helpers import build_delta, leibniz_polynomial, random_delta_spec, sigma_closed_form, vandermonde
 
 
 def hand_spec():

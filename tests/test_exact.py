@@ -15,7 +15,6 @@ from polysum.exact import (
     clear_denominators,
     det_sign_rows,
     determinant,
-    determinant_cofactor,
     hyperplane,
     int_det,
     int_row_space_pivots,
@@ -23,7 +22,7 @@ from polysum.exact import (
     rat_to_str,
 )
 
-from helpers import fraction_elimination
+from helpers import determinant_cofactor, fraction_elimination
 
 
 def test_rat_parsing_and_serialization():
