@@ -31,11 +31,17 @@ class SearchExhausted(RuntimeError):
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction.
+
+    A string in exponent notation is refused: ``"1e99999999"`` would build
+    10^99999999 before any check could run.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact arithmetic; pass a Fraction, int or 'p/q' string")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"{value!r}: exponent notation is not allowed; write an integer, 'p/q' or a decimal")
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -5,11 +5,12 @@ arithmetic after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
 The face lattice is its levels: one set of faces per dimension, each face
-the sorted indices of its vertices, and the descent that finds the faces
-finds them one level at a time.  A simplex's facets are its
-subsets.  A j-face of j+2 points has one affine dependency, and by Gale
-duality its facets are what is left when a point outside the dependency's
-support, or one point of each sign, is left out: no rotation is needed.
+the sorted indices of its vertices.  One descent from the polytope finds
+every face that is not a simplex, and the levels are read off what it
+found one dimension at a time.  A simplex's facets are its subsets.  A
+j-face of j+2 points has one affine dependency, and by Gale duality its
+facets are what is left when a point outside the dependency's support, or
+one point of each sign, is left out: no rotation is needed.
 Every other face's facets are found by an exact gift-wrap.  A face found
 in its parent's wrap starts its own from every ridge of the parent that one
 found facet holds and that lies inside it, the ridge it was found across
@@ -25,13 +26,15 @@ primitive integer functional, so a rotation moves in the pencil of the
 facet's functional and the ridge's, at one dot product per point.  A face
 is wrapped in its pivot columns, and a facet's are its face's minus the
 last one its functional uses, so only the polytope's rank and the shadow
-steps of the first-facet chain cost an elimination.  While the walk runs,
-a face is the int bitmask of the points on it.  A memo keyed by that mask
-hands a face's facets, columns, functionals and ascending point indices to
-the wrap above it and to the lattice, so each face is wrapped at most
-once; a face that is not wrapped makes a facet's functional only when a
-wrap needs it.  The masks become sorted vertex tuples only when the
-lattice is built.  No floating point is used anywhere.
+steps of the first-facet chain cost an elimination.  A face is the int
+bitmask of the points on it, each distinct point the bit of its first
+index in the input.  A memo keyed by that mask hands a face's facets,
+columns, functionals and ascending point indices to the wrap above it and
+to the lattice, so each face is wrapped at most once; a face that is not
+wrapped makes a facet's functional only when a wrap needs it.  A face
+with no memo entry is a simplex whose facets clear one bit each.  A
+vertex tuple is a mask's set bits on the vertices, with the other copies
+of a repeated vertex added.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -287,16 +290,13 @@ def _oriented(h, row) -> tuple[int, ...]:
     return tuple(c // d for c in h)
 
 
-def _facets_of(
-    pts, face: int, j: int, memo: dict, idx=None, columns=None, seeds=None
-) -> list[int]:
+def _facets_of(pts, face: int, j: int, memo: dict, idx, columns, seeds=None) -> list[int]:
     """Facets of the j-face whose points are the set bits of ``face``.
 
     A face is the bitmask of its points' indices into ``pts``, and ``idx``
-    lists those indices in ascending order; a face the level walk enters
-    without them (always a simplex) reads them off its mask.  A simplex's
-    facets clear one bit each.  A face of j+2 points has one affine
-    dependency λ, sum λ_m (1, p_m) = 0, the cofactors of the (j+1)x(j+2)
+    lists those indices in ascending order.  A simplex's facets clear one
+    bit each.  A face of j+2 points has one affine dependency λ,
+    sum λ_m (1, p_m) = 0, the cofactors of the (j+1)x(j+2)
     matrix of its columns (1, p) (one ``hyperplane``).  By Gale duality
     (Ziegler 1995, Lecture 6) its facets are what is left when one point
     with λ_m = 0, or one point with λ_m > 0 and one with λ_m < 0, is left
@@ -335,13 +335,14 @@ def _facets_of(
     wrapped face holds every functional.  A simplex or a face of j+2 points
     makes a facet's functional only when a wrap crosses that ridge
     (``_facet_functional``), except that a facet leaving out a λ_m = 0
-    point gets its functional at once; a simplex keeps columns None when no
-    wrap reaches it.
+    point gets its functional at once.  Only the polytope's wrap enters
+    this function, so the memo holds the polytope, every facet of a wrapped
+    face and every facet of a face of j+2 points that leaves out a λ_m = 0
+    point; any other face of the lattice is a simplex, below a simplex or a
+    face of j+2 points, and ``convex_hull`` clears its bits itself.
     """
     if face in memo:
         return memo[face][0]
-    if idx is None:
-        idx = _indices(face)
     if len(idx) == j + 1:
         memo[face] = ([face ^ (1 << i) for i in idx], columns, [None] * len(idx), idx)
         return memo[face][0]
@@ -452,23 +453,24 @@ class _Prepared:
             self.rep_of.append(did)
         # scale each coordinate to integers: an affine map, so faces are kept
         coords, _ = clear_denominators(list(zip(*distinct)))
-        self.int_pts = [tuple(c[i] for c in coords) for i in range(len(distinct))]
+        int_pts = [tuple(c[i] for c in coords) for i in range(len(distinct))]
         # affine rank, and pivot columns that keep it: those of the difference rows
-        diffs = [[x - b for x, b in zip(p, self.int_pts[0])] for p in self.int_pts[1:]]
+        diffs = [[x - b for x, b in zip(p, int_pts[0])] for p in int_pts[1:]]
         self.rank, pivots = int_row_space_pivots(diffs)
-        self.reduced = [tuple(p[c] for c in pivots) for p in self.int_pts]
+        self.reduced = [tuple(p[c] for c in pivots) for p in int_pts]
 
 
 def convex_hull(points: PointSet) -> FaceLattice:
     """Complete face lattice of the convex hull of a rational point set.
 
-    Walks down from the polytope one dimension at a time: the (j-1)-faces
-    are the facets of the j-faces (see ``_facets_of``), so each step is one
-    level of the lattice and the last is the vertices.  A face is the
-    bitmask of its distinct points, and one memo keyed by it serves every
-    level, so each face is wrapped at most once.  Each mask is then decoded
-    once, to its vertices' indices, so points interior to the hull never
-    appear in any vertex set.
+    A face is the bitmask of its points, each distinct point the bit of its
+    first index in the input.  Wrapping the polytope (see ``_facets_of``)
+    enters every face that needs a wrap or a dependency, and the memo it
+    fills holds their facets, so the levels are read off it one dimension at
+    a time: a face with no entry is a simplex, whose facets clear one bit
+    each.  A vertex tuple is then the set bits of a face's mask on the
+    vertices, with the other copies of a repeated vertex ORed in, so points
+    interior to the hull never appear in any vertex set.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
@@ -480,16 +482,26 @@ def convex_hull(points: PointSet) -> FaceLattice:
         return FaceLattice(points.ambient_dim, n, (frozenset({tuple(range(n))}),))
 
     memo: dict[int, tuple] = {}
-    distinct = len(prep.int_pts)
-    top = (1 << distinct) - 1
-    _facets_of(prep.reduced, top, k, memo, list(range(distinct)), tuple(range(k)))
+    firsts = [m[0] for m in prep.members]
+    top = sum(1 << i for i in firsts)
+    _facets_of([prep.reduced[did] for did in prep.rep_of], top, k, memo, firsts, tuple(range(k)))
     levels = [{top}]
-    for j in range(k, 0, -1):
-        levels.append({g for f in levels[-1] for g in _facets_of(prep.reduced, f, j, memo)})
+    for _ in range(k):
+        level = set()
+        for f in levels[-1]:
+            entry = memo.get(f)
+            level.update(entry[0] if entry else (f ^ (1 << i) for i in _indices(f)))
+        levels.append(level)
     vertices = sum(levels[-1])
+    # each repeated vertex: its first index's bit and its other copies' bits
+    copies = [(1 << m[0], sum(1 << i for i in m[1:])) for m in prep.members if len(m) > 1 and vertices >> m[0] & 1]
 
     def expand(face: int) -> tuple[int, ...]:
-        return tuple(sorted(i for did in _indices(face & vertices) for i in prep.members[did]))
+        face &= vertices
+        for bit, rest in copies:
+            if face & bit:
+                face |= rest
+        return tuple(_indices(face))
 
     faces = tuple(frozenset(map(expand, level)) for level in reversed(levels))
     if len(frozenset().union(*faces)) != sum(map(len, levels)):

@@ -558,6 +558,39 @@ def test_malformed_delta_spec_exit_2(tmp_path, capsys, doc):
     assert len(err) == 1 and err[0].startswith('error: a delta spec is {"kappa"')
 
 
+HUGE = "1e99999999"
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["hull", "--inputs", "a.json"], {"a.json": {"ambient_dim": 2, "points": [["0", "0"], ["1", HUGE], ["0", "1"]]}}),
+        (
+            ["minksum", "--inputs", "a.json", "b.json", "--method", "both"],
+            {
+                "a.json": {"ambient_dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]},
+                "b.json": {"ambient_dim": 2, "points": [["0", "0"], [HUGE, "0"], ["0", "1"]]},
+            },
+        ),
+        (["delta", "--spec", "a.json"], {"a.json": {"kappa": [2, 2], "beta": [1, 0], "x": [["1", "2"], ["3", HUGE]]}}),
+        (["construct", "--d", "3", "--r", "2", "--n", "2,2", "--alpha", f"1,3;1,{HUGE}"], {}),
+    ],
+)
+def test_exponent_notation_exit_2(tmp_path, command, files):
+    # the number is refused as written, before 10^99999999 is built: a fresh
+    # process, so a parse that never ends fails on the timeout
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(polysum.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polysum.cli", *command],
+        env=env, capture_output=True, text=True, cwd=tmp_path, timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: '{HUGE}': exponent notation is not allowed; write an integer, 'p/q' or a decimal"]
+
+
 @pytest.mark.parametrize(
     "argv, missing",
     [

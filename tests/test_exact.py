@@ -29,6 +29,7 @@ def test_rat_parsing_and_serialization():
     assert rat("3/4") == Fraction(3, 4)
     assert rat("-7") == Fraction(-7)
     assert rat(5) == Fraction(5)
+    assert rat("0.25") == Fraction(1, 4)
     assert rat_to_str(Fraction(3, 4)) == "3/4"
     assert rat_to_str(Fraction(-8, 2)) == "-4"
     assert rat_to_str(Fraction(0)) == "0"
@@ -39,6 +40,10 @@ def test_rat_rejects_floats():
         rat(0.5)
     with pytest.raises(ValueError):
         rat("1/0")
+    # exponent notation too: Fraction would build 10^99999999 first
+    for text in ("1e99999999", "2E3", "-1.5e-7"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            rat(text)
 
 
 def test_rational_arithmetic_is_exact_and_canonical():

@@ -192,22 +192,29 @@ def test_random_hulls_supporting_and_facet_count(seed):
         assert lat.f_vector[-1] >= lat.polytope_dim + 1
 
 
-def members(mask: int) -> frozenset[int]:
-    """The point indices a face's bitmask holds."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+def members(prep: _Prepared, mask: int) -> frozenset[int]:
+    """The distinct points a face's bitmask holds, each set bit the first
+    index of its point in the input."""
+    return frozenset(prep.rep_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def input_points(prep: _Prepared) -> list[tuple[int, ...]]:
+    """The points ``_facets_of`` reads, indexed like the input: a repeated
+    point's copies sit at its later indices, which no mask holds."""
+    return [prep.reduced[d] for d in prep.rep_of]
 
 
 def wrap_top(prep: _Prepared, memo: dict) -> int:
     """Wrap the face that holds every point, as ``convex_hull`` does; its mask."""
-    n = len(prep.reduced)
-    top = (1 << n) - 1
-    _facets_of(prep.reduced, top, prep.rank, memo, list(range(n)), tuple(range(prep.rank)))
+    firsts = [m[0] for m in prep.members]
+    top = sum(1 << i for i in firsts)
+    _facets_of(input_points(prep), top, prep.rank, memo, firsts, tuple(range(prep.rank)))
     return top
 
 
 def wrap(prep: _Prepared) -> list[frozenset]:
     memo = {}
-    return [members(f) for f in memo[wrap_top(prep, memo)][0]]
+    return [members(prep, f) for f in memo[wrap_top(prep, memo)][0]]
 
 
 def wrap_and_oracle(ps: PointSet):
@@ -306,6 +313,42 @@ def test_each_face_is_wrapped_once(monkeypatch):
     assert firsts == [2]
 
 
+def test_lattice_is_read_off_the_wrap_memo(monkeypatch):
+    """Only the polytope's wrap enters ``_facets_of``: once it returns, the
+    levels are read off its memo, which holds the faces it entered alone."""
+    entered, late, memos = set(), [], []
+    depth = 0
+    facets_of = hull._facets_of
+
+    def recorded(pts, face, j, memo, *args):
+        nonlocal depth
+        if depth == 0 and memos:
+            late.append(face)  # entered after the top wrap returned
+        else:
+            entered.add(face)
+            memos.append(memo)
+        depth += 1
+        try:
+            return facets_of(pts, face, j, memo, *args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(hull, "_facets_of", recorded)
+    curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
+    other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
+    sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
+    c4_10 = [[t**e for e in range(1, 5)] for t in range(1, 11)]
+    # a simplicial polytope's wrap enters the polytope and its facets, each a
+    # simplex, and none of their faces
+    for rows, f_vector, memo_size in ((c4_10, (10, 45, 70, 35), 1 + 35), (sums, (36, 156, 288, 252, 86), None)):
+        entered.clear()
+        memos.clear()
+        assert convex_hull(PointSet.from_rows(rows)).f_vector == f_vector
+        assert late == []
+        assert set(memos[0]) == entered
+        assert memo_size is None or len(entered) == memo_size
+
+
 def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
     """A face a rotation found is entered with every open ridge of its
     parent that lies inside it.  Only a wrapped face takes them, each seed is
@@ -315,7 +358,7 @@ def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
     entered = []
     facets_of = hull._facets_of
 
-    def recorded(pts, face, j, memo, idx=None, columns=None, seeds=None):
+    def recorded(pts, face, j, memo, idx, columns, seeds=None):
         if face not in memo and seeds:
             entered.append((face, seeds, memo))
         return facets_of(pts, face, j, memo, idx, columns, seeds)
@@ -330,10 +373,10 @@ def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
         for face, seeds, memo in entered:
             facets, columns, functionals, _ = memo[face]
             assert face.bit_count() > len(columns) + 2
-            sub = project(prep, members(face), columns)
+            sub = project(prep, face, columns)
             for n, (u, values) in enumerate(seeds):
                 ridge = frozenset(i for i, x in zip(sub, values) if not x)
-                assert (members(facets[n]), functionals[n]) == (ridge, u)
+                assert (members(prep, facets[n]), functionals[n]) == (ridge, u)
                 assert hull._values(u, sub.values()) == values
                 checked += 1
             wrapped += 1
@@ -375,7 +418,7 @@ def test_seeded_wraps_match_the_oracle_on_minkowski_sums(monkeypatch):
     seeds_per_face, ridge_seeds = [], []
     facets_of, ridge_seed = hull._facets_of, hull._ridge_seed
 
-    def recorded(pts, face, j, memo, idx=None, columns=None, seeds=None):
+    def recorded(pts, face, j, memo, idx, columns, seeds=None):
         if face not in memo and seeds:
             seeds_per_face.append(len(seeds))
         return facets_of(pts, face, j, memo, idx, columns, seeds)
@@ -475,42 +518,51 @@ def functional_cases() -> list[list[list[int]]]:
         if rng.random() < 0.4:
             rows = [p + [p[0] - 3 * p[-1], 7] for p in rows]
         cases.append(rows)
+    # copies placed before later distinct points, so a point's first index in
+    # the input, its bit in a face's mask, differs from its place among the
+    # distinct points
+    for _ in range(6):
+        d = rng.randint(2, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(d + 3, 12))]
+        for _ in range(3):
+            at = rng.randint(1, len(rows) - 2)
+            rows.insert(at, list(rng.choice(rows[:at])))
+        cases.append(rows)
     return cases
 
 
 def full_memo(prep: _Prepared) -> dict:
-    """The memo ``convex_hull`` builds: every face's facets, level by level."""
+    """The memo ``convex_hull`` reads the lattice off: the polytope's wrap's."""
     memo = {}
-    level = {wrap_top(prep, memo)}
-    for j in range(prep.rank, 0, -1):
-        level = {g for f in level for g in _facets_of(prep.reduced, f, j, memo)}
+    wrap_top(prep, memo)
     return memo
 
 
-def project(prep: _Prepared, face, columns) -> dict[int, tuple[int, ...]]:
-    return {i: tuple(prep.reduced[i][c] for c in columns) for i in sorted(face)}
+def project(prep: _Prepared, mask: int, columns) -> dict[int, tuple[int, ...]]:
+    """A face's distinct points in ``columns``, ascending."""
+    return {i: tuple(prep.reduced[i][c] for c in columns) for i in sorted(members(prep, mask))}
 
 
 def test_carried_functionals_are_primitive_and_support_their_face():
     """Every functional a memo entry holds, and every one it makes on first
     need (a simplex's, or a face of j+2 points'), is primitive, zero exactly
     on its facet and positive on the rest of the face."""
-    checked = corank_one = 0
+    checked = corank_one = simplices = 0
     for rows in functional_cases():
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank == 0:
             continue
         memo = full_memo(prep)
         for face, (facets, columns, functionals, idx) in memo.items():
-            if columns is None:  # a simplex that no wrap reached
-                assert affine_rank([prep.reduced[i] for i in idx]) == len(idx) - 1
-                continue
-            sub = project(prep, members(face), columns)
+            sub = project(prep, face, columns)
             for n, (mask, functional) in enumerate(zip(facets, functionals)):
                 if functional is None:  # a ridge no wrap crossed: make it now
-                    functional = hull._facet_functional(prep.reduced, face, n, memo)
+                    functional = hull._facet_functional(input_points(prep), face, n, memo)
                     corank_one += len(idx) == len(columns) + 2
-                facet = members(mask)
+                facet = members(prep, mask)
+                if mask and mask not in memo:  # no wrap entered it: a simplex, whose facets clear one bit each
+                    assert affine_rank([prep.reduced[i] for i in facet]) == len(facet) - 1
+                    simplices += 1
                 spanning = _spanning([sub[i] for i in sorted(facet)])
                 assert len(spanning) == len(columns)
                 key = canonical_key(hyperplane([(1, *p) for p in spanning]))
@@ -521,6 +573,7 @@ def test_carried_functionals_are_primitive_and_support_their_face():
                 checked += 1
     assert checked > 1000
     assert corank_one > 100
+    assert simplices > 1000
 
 
 def difference_pivots(pts) -> tuple[int, ...]:
@@ -530,20 +583,24 @@ def difference_pivots(pts) -> tuple[int, ...]:
 
 
 def test_carried_columns_are_the_difference_row_pivots():
-    checked = 0
+    checked = shifted = 0
     # each case also with its coordinates reversed, so that other columns pivot
     for rows in functional_cases() + [[p[::-1] for p in rows] for rows in functional_cases()]:
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank == 0:
             continue
+        pts = input_points(prep)
         for face, (_, columns, _, idx) in full_memo(prep).items():
-            # each entry carries its face's ascending point indices
-            assert idx == sorted(members(face))
-            if columns is None:  # a simplex that no wrap reached
-                continue
-            assert columns == difference_pivots([prep.reduced[i] for i in idx])
+            # each entry carries its face's ascending point indices, each
+            # point's first index in the input
+            distinct = sorted(members(prep, face))
+            assert idx == hull._indices(face) == [prep.members[d][0] for d in distinct]
+            shifted += idx != distinct
+            assert columns == difference_pivots([pts[i] for i in idx])
             checked += 1
     assert checked > 600
+    # copies placed before later points shift their first indices
+    assert shifted > 250
 
 
 def rotate_by_candidates(pts, flat, away, start) -> frozenset:
@@ -577,18 +634,17 @@ def test_pencil_rotation_matches_candidate_rotation():
         if prep.rank < 2:
             continue
         memo = full_memo(prep)
-        # every wrapped face: its facets all carry a functional and columns
-        carried = [f for f, (_, columns, *_) in memo.items() if columns is not None and f.bit_count() > len(columns) + 2]
+        # every wrapped face: its facets all carry a functional
+        carried = [f for f, (_, columns, *_) in memo.items() if f.bit_count() > len(columns) + 2]
         for face in rng.sample(carried, min(4, len(carried))):
             facets, columns, functionals, _ = memo[face]
-            idx = sorted(members(face))
+            idx = sorted(members(prep, face))
             sub = [tuple(prep.reduced[i][c] for c in columns) for i in idx]
             at = {c: n for n, c in enumerate(columns, 1)}
             for facet, u in zip(facets, functionals):
                 u_values = hull._values(u, sub)
-                ridges = _facets_of(prep.reduced, facet, len(columns) - 1, memo)
-                for r, ridge in enumerate(ridges):
-                    w = hull._facet_functional(prep.reduced, facet, r, memo)
+                for r, ridge in enumerate(memo[facet][0]):
+                    w = hull._facet_functional(input_points(prep), facet, r, memo)
                     ridge_columns = memo[facet][1]
                     # the ridge functional zero-filled over the face's columns
                     v = [w[0]] + [0] * len(columns)
@@ -596,13 +652,13 @@ def test_pencil_rotation_matches_candidate_rotation():
                         v[at[c]] = x
                     _, values = hull._rotate(sub, u_values, u, v)
                     pencil = frozenset(idx[n] for n, x in enumerate(values) if not x)
-                    on_facet, on_ridge = members(facet), members(ridge)
+                    on_facet, on_ridge = members(prep, facet), members(prep, ridge)
                     flat = _spanning([sub[n] for n, i in enumerate(idx) if i in on_ridge])
                     away = sub[idx.index(min(on_facet - on_ridge))]
                     start = next(n for n, i in enumerate(idx) if i not in on_facet)
                     oracle = rotate_by_candidates(sub, flat, away, start)
                     assert pencil == frozenset(idx[n] for n in oracle)
-                    assert pencil in map(members, facets) and pencil != on_facet
+                    assert pencil in {members(prep, f) for f in facets} and pencil != on_facet
                     triples += 1
     assert triples > 500
 
@@ -732,9 +788,9 @@ def test_corank_one_faces_match_the_oracle(monkeypatch):
             wrapped, oracle = wrap_and_oracle(variant)
             assert wrapped == oracle, name
             prep = _Prepared(variant)
+            pts = input_points(prep)
             for face, (_, columns, _, idx) in full_memo(prep).items():
-                if columns is not None:
-                    assert columns == difference_pivots([prep.reduced[i] for i in idx]), name
+                assert columns == difference_pivots([pts[i] for i in idx]), name
 
     lattice = convex_hull(PointSet.from_rows(corank_one_cases()["square pyramid"]))
     assert lattice.f_vector == (5, 8, 5)
