@@ -28,7 +28,6 @@ from .construction import (
     find_tau_star,
     find_zeta_diamond,
     generate_family,
-    moment_curve_point,
     verify_neighborly,
     verify_tightness,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "many_summand_f0_bounds",
     "minksum_direct",
     "minksum_via_cayley",
-    "moment_curve_point",
     "neighborliness",
     "phi",
     "rat",

@@ -110,18 +110,14 @@ def three_polytope_bounds(m1: int, m2: int) -> tuple[int, int, int]:
     return f0, f1, f2
 
 
-def moment_curve_points(dim: int, count: int) -> PointSet:
-    """count points on the moment curve t -> (t, t^2, ..., t^dim), t = 1..count."""
-    rows = [[Fraction(t) ** e for e in range(1, dim + 1)] for t in range(1, count + 1)]
-    return PointSet.from_rows(rows)
-
-
 @lru_cache(maxsize=None)
 def cyclic_fvector_hull(dim: int, n: int) -> tuple[int, ...]:
-    """f-vector of the cyclic polytope C_dim(n) from an exact hull."""
+    """f-vector of the cyclic polytope C_dim(n) from an exact hull of the n
+    moment-curve points (t, t^2, ..., t^dim), t = 1..n."""
     if n < dim + 1:
         raise ValueError("cyclic polytope needs at least dim+1 vertices")
-    return convex_hull(moment_curve_points(dim, n)).f_vector
+    rows = [[t**e for e in range(1, dim + 1)] for t in range(1, n + 1)]
+    return convex_hull(PointSet.from_rows(rows)).f_vector
 
 
 def cyclic_fvector(dim: int, n: int) -> tuple[int, ...]:

@@ -195,7 +195,7 @@ def _cmd_minksum(args, report: RunReport) -> None:
 
 def _cmd_construct(args, report: RunReport) -> None:
     params = ConstructionParams.defaults(args.d, args.r, args.n)
-    if args.alpha:
+    if args.alpha is not None:
         params = dataclasses.replace(params, alpha=_parse_alpha(args.alpha))
     params, tau_cert, zeta_cert = certify_family(params, args.max_halvings)
     family = generate_family(params)

@@ -13,14 +13,18 @@ the thresholds tau and zeta, which are certified; zeta = 0 is the unlifted
 family.  Everything else is derived: the scale exponents nu, the companion
 offset EPSILON and the tail anchor of the witness determinants.
 
+One function, ``_curve_rows``, knows the lifted curve: the curve parameter
+of every vertex, companion and tail anchor, and the coordinate layout.  It
+gives integer rows at one positive scale L.  ``generate_family`` divides
+the vertex rows by L; the witness sweep reads the same rows as they are.
+
 "Small enough" is certified constructively: a geometric halving search
 drives tau (then zeta) down until every witness determinant - one per
 (spanning subset, outside vertex) pair - is strictly positive.  The sweep
-reads the curve coordinates as integers at one common scale and factors
-the r Cayley rows out of every witness (see ``_sweep_all_positive``), so a
-subset costs one (d-1) x d elimination and a vertex one dot product.  The
-tests check it against the full witness matrix built in Fractions.
-Everything is exact; there is no tolerance anywhere.
+factors the r Cayley rows out of every witness (see
+``_sweep_all_positive``), so a subset costs one (d-1) x d elimination and a
+vertex one dot product.  The tests check it against the full witness matrix
+built in Fractions.  Everything is exact; there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .cayley import (
     sum_f_vector,
 )
 # SearchExhausted is also importable from here, where the searches raise it
-from .exact import SearchExhausted, hyperplane, rat, rat_to_str
+from .exact import SearchExhausted, hyperplane, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
 from .jsonio import RunReport
 
@@ -57,8 +61,7 @@ class ConstructionParams:
     increasing, consecutive values more than EPSILON apart).  tau and zeta
     are the scale and lift thresholds the witness searches certify; tau is
     None until then, and zeta = 0 is the unlifted family.  The scale
-    exponents ``nu``, the companion offset ``epsilon`` and the tail anchor
-    ``m_tail`` are derived from these.
+    exponents ``nu`` and the tail anchor ``m_tail`` are derived from these.
     """
 
     d: int
@@ -105,10 +108,6 @@ class ConstructionParams:
         return tuple(range(self.r - 1, -1, -1))
 
     @property
-    def epsilon(self) -> Fraction:
-        return EPSILON
-
-    @property
     def m_tail(self) -> Fraction:
         """Anchor of the witness tail columns: the least integer above both
         n_r and the last part's largest shifted alpha (n_r + 1 for the defaults)."""
@@ -118,55 +117,72 @@ class ConstructionParams:
     def k_max(self) -> int:
         return (self.d + self.r - 1) // 2
 
-    def curve_parameter(self, part: int, j: int, shifted: bool = False) -> Fraction:
-        """t value of the j-th point on part ``part`` (0-based), optionally eps-shifted."""
-        if self.tau is None:
-            raise ValueError("tau not set")
-        a = self.alpha[part][j]
-        if shifted:
-            a = a + EPSILON
-        return a * self.tau ** self.nu[part]
 
+def _curve_rows(params: ConstructionParams) -> tuple[list[list[int]], int]:
+    """The lifted curve's points as integer rows at one positive scale L, and L.
 
-def moment_curve_point(part: int, t: Fraction, params: ConstructionParams) -> tuple[Fraction, ...]:
-    """Point of the part-th embedded moment curve at parameter t (> 0).
+    Rows come in pairs, family point by family point (part 1's first): the
+    vertex at t = alpha_{i,j} * tau^{nu_i}, then its companion at
+    (alpha_{i,j} + EPSILON) * tau^{nu_i}.  The d-r-1 tail anchors of the
+    witnesses follow, at t = lam * m_tail (lam = 1..d-r-1) on part r's
+    curve.  A point of 0-based part i at t holds t in slot i,
+    t^2..t^{d-r+1} in slots r..d-1, and zeta*t^{d-r+2}..zeta*t^d in the
+    other first-r slots from left to right, so those vanish at zeta = 0.
 
-    Coordinate ``part`` carries t, coordinates r+1..d carry t^2..t^{d-r+1},
-    and the other first-r slots carry zeta*t^{d-r+2}..zeta*t^d from left to
-    right (zeta = ``params.zeta``), so they vanish on the unlifted curve
-    (zeta = 0).
+    With q the lcm of the t denominators and zeta = zn/zd, L = zd * q^D,
+    where D is the top power of t in use (d, or d-r+1 when zeta = 0).
+    t = a/q makes the t^e entry a^e * zd * q^(D-e) and the zeta*t^e entry
+    a^e * zn * q^(D-e).
     """
     d, r = params.d, params.r
-    if not 1 <= part <= r:
-        raise ValueError(f"part {part} outside 1..{r}")
-    t = rat(t)
-    if t <= 0:
-        raise ValueError("curve parameter must be positive")
-    coords = [Fraction(0)] * d
-    coords[part - 1] = t
-    for m in range(1, d - r + 1):
-        coords[r - 1 + m] = t ** (m + 1)
-    z = rat(params.zeta)
-    exponent = d - r + 2
-    for j in range(1, r + 1):
-        if j == part:
-            continue
-        coords[j - 1] = z * t**exponent
-        exponent += 1
-    return tuple(coords)
+    if params.tau is None:
+        raise ValueError("tau not set")
+    tn, td = params.tau.numerator, params.tau.denominator
+    en, ed = EPSILON.numerator, EPSILON.denominator
+    m = params.m_tail
+    # (part, numerator, denominator) of each t, kept in integers: Fraction
+    # arithmetic here nearly doubles a sweep that fails at its first witness
+    ts = []
+    for i, (alphas, nu) in enumerate(zip(params.alpha, params.nu)):
+        tn_nu, td_nu = tn**nu, td**nu
+        for a in alphas:
+            an, ad = a.numerator, a.denominator
+            ts += [(i, an * tn_nu, ad * td_nu), (i, (an * ed + en * ad) * tn_nu, ad * ed * td_nu)]
+    ts += [(r - 1, lam * m.numerator, m.denominator) for lam in range(1, d - r)]
+    zn, zd = params.zeta.numerator, params.zeta.denominator
+    top = d if zn else d - r + 1
+    q = math.lcm(*(den for _, _, den in ts))
+    plain = [zd * q ** (top - e) for e in range(top + 1)]
+    lifted = [zn * q ** (top - e) for e in range(top + 1)]
+    rows = []
+    for part, num, den in ts:
+        a = num * (q // den)
+        power = [1]
+        for _ in range(top):
+            power.append(power[-1] * a)
+        row = [0] * d
+        row[part] = power[1] * plain[1]
+        for e in range(2, d - r + 2):
+            row[r - 2 + e] = power[e] * plain[e]
+        if zn:
+            slots = [j for j in range(r) if j != part]
+            for j, e in zip(slots, range(d - r + 2, d + 1)):
+                row[j] = power[e] * lifted[e]
+        rows.append(row)
+    return rows, plain[0]  # zd * q^top
 
 
 def generate_family(params: ConstructionParams) -> PartitionedPointSet:
-    """The r summand vertex sets at the current tau and zeta."""
+    """The r summand vertex sets at the current tau and zeta: the vertex
+    rows of ``_curve_rows`` divided by its scale, labelled v1, v2, ...
+    within each part."""
+    rows, scale = _curve_rows(params)
+    vertices = iter(rows[: 2 * sum(params.n) : 2])
     parts = []
-    for i in range(1, params.r + 1):
-        rows = []
-        labels = []
-        for j in range(params.n[i - 1]):
-            t = params.curve_parameter(i - 1, j)
-            rows.append(moment_curve_point(i, t, params))
-            labels.append(f"v{j + 1}")
-        parts.append(PointSet.from_rows(rows, labels=labels, ambient_dim=params.d))
+    for ni in params.n:
+        points = [[Fraction(v, scale) for v in next(vertices)] for _ in range(ni)]
+        labels = [f"v{j}" for j in range(1, ni + 1)]
+        parts.append(PointSet.from_rows(points, labels=labels, ambient_dim=params.d))
     return PartitionedPointSet(tuple(parts))
 
 
@@ -196,46 +212,12 @@ def expected_check_count(params: ConstructionParams) -> int:
     )
 
 
-def _integer_curve_points(
-    params: ConstructionParams, points: Sequence[tuple[int, int, int]]
-) -> list[list[int]]:
-    """``moment_curve_point(part + 1, num / den, params)`` for each (part, num,
-    den) in ``points``, all times one positive integer L.
-
-    With q the lcm of the dens and zeta = zn/zd, L = zd * q^D, where D is
-    the top power of t in use (d, or d-r+1 when zeta = 0).  t = a/q makes
-    the t^e entry a^e * zd * q^(D-e) and the zeta*t^e entry a^e * zn * q^(D-e).
-    """
-    d, r = params.d, params.r
-    zn, zd = params.zeta.numerator, params.zeta.denominator
-    top = d if zn else d - r + 1
-    q = math.lcm(*(den for _, _, den in points))
-    plain = [zd * q ** (top - e) for e in range(top + 1)]
-    lifted = [zn * q ** (top - e) for e in range(top + 1)]
-    rows = []
-    for part, num, den in points:
-        a = num * (q // den)
-        power = [1]
-        for _ in range(top):
-            power.append(power[-1] * a)
-        row = [0] * d
-        row[part] = power[1] * plain[1]
-        for e in range(2, d - r + 2):
-            row[r - 2 + e] = power[e] * plain[e]
-        if zn:
-            slots = [j for j in range(r) if j != part]
-            for j, e in zip(slots, range(d - r + 2, d + 1)):
-                row[j] = power[e] * lifted[e]
-        rows.append(row)
-    return rows
-
-
 def _sweep_all_positive(params: ConstructionParams) -> tuple[bool, int]:
     """Evaluate every (subset, outside vertex) witness sign at the params'
     tau and zeta; early exit on failure.
 
     A witness column is (1, Cayley prefix, y) with y a curve point, and every
-    y is read in integers at one positive scale L (``_integer_curve_points``).
+    y is read in integers at one positive scale L (``_curve_rows``).
     Per part j, rep_j is the vertex column of the subset's first point in
     part j.  Subtracting rep_j from every other column of part j (the
     evaluated vertex x included; the tail anchors are part r's) zeroes their
@@ -249,21 +231,7 @@ def _sweep_all_positive(params: ConstructionParams) -> tuple[bool, int]:
     """
     d, r = params.d, params.r
     total = sum(params.n)
-    if params.tau is None:
-        raise ValueError("tau not set")
-    tn, td = params.tau.numerator, params.tau.denominator
-    en, ed = EPSILON.numerator, EPSILON.denominator
-    # (part, t numerator, t denominator) per point, then of its companion;
-    # then the tail anchors, which lie on part r's curve
-    ts = []
-    for i, (alphas, nu) in enumerate(zip(params.alpha, params.nu)):
-        tn_nu, td_nu = tn**nu, td**nu
-        for a in alphas:
-            an, ad = a.numerator, a.denominator
-            ts += [(i, an * tn_nu, ad * td_nu), (i, (an * ed + en * ad) * tn_nu, ad * ed * td_nu)]
-    m = params.m_tail
-    ts += [(r - 1, lam * m.numerator, m.denominator) for lam in range(1, d - r)]
-    rows = _integer_curve_points(params, ts)
+    rows, _ = _curve_rows(params)
     vertices, tails = rows[: 2 * total : 2], rows[2 * total :]
     part_of = [i for i, ni in enumerate(params.n) for _ in range(ni)]
     checked = 0

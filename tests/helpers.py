@@ -2,10 +2,12 @@
 specs, the transcribed sign exponent of the minimal Delta term, Delta's
 Leibniz polynomial and its K x K Fraction matrix, the Vandermonde product,
 a recursive cofactor determinant and a plain Fraction elimination that
-share no code with the exact kernel's elimination, the full Fraction
-witness matrix that checks the integer sweep, the exhaustive facet scan that
-checks the hull, and the Fraction Minkowski sums that check the direct
-oracle's integer ones."""
+share no code with the exact kernel's elimination, the Fraction lifted
+curve (``curve_parameter``, ``moment_curve_point``) that checks
+``construction._curve_rows``, the one program builder of that curve, the
+full Fraction witness matrix that checks the integer sweep, the exhaustive
+facet scan that checks the hull, and the Fraction Minkowski sums that check
+the direct oracle's integer ones."""
 
 import itertools
 import math
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from polysum.cayley import cayley_prefix
-from polysum.construction import ConstructionParams, moment_curve_point
+from polysum.construction import EPSILON, ConstructionParams
 from polysum.detasym import DeltaSpec, _monomials
 from polysum.exact import _square_rows, determinant, hyperplane, rat
 from polysum.hull import PointSet, _side_scan
@@ -147,6 +149,44 @@ def fraction_elimination(rows):
     return len(pivots), tuple(pivots), det
 
 
+def curve_parameter(params: ConstructionParams, part: int, j: int, shifted: bool = False) -> Fraction:
+    """t value of the j-th point on part ``part`` (0-based), optionally eps-shifted."""
+    if params.tau is None:
+        raise ValueError("tau not set")
+    a = params.alpha[part][j]
+    if shifted:
+        a = a + EPSILON
+    return a * params.tau ** params.nu[part]
+
+
+def moment_curve_point(part: int, t: Fraction, params: ConstructionParams) -> tuple[Fraction, ...]:
+    """Point of the part-th embedded moment curve at parameter t (> 0).
+
+    Coordinate ``part`` carries t, coordinates r+1..d carry t^2..t^{d-r+1},
+    and the other first-r slots carry zeta*t^{d-r+2}..zeta*t^d from left to
+    right (zeta = ``params.zeta``), so they vanish on the unlifted curve
+    (zeta = 0).
+    """
+    d, r = params.d, params.r
+    if not 1 <= part <= r:
+        raise ValueError(f"part {part} outside 1..{r}")
+    t = rat(t)
+    if t <= 0:
+        raise ValueError("curve parameter must be positive")
+    coords = [Fraction(0)] * d
+    coords[part - 1] = t
+    for m in range(1, d - r + 1):
+        coords[r - 1 + m] = t ** (m + 1)
+    z = rat(params.zeta)
+    exponent = d - r + 2
+    for j in range(1, r + 1):
+        if j == part:
+            continue
+        coords[j - 1] = z * t**exponent
+        exponent += 1
+    return tuple(coords)
+
+
 def lifted_curve_point(part: int, t: Fraction, params: ConstructionParams) -> tuple[Fraction, ...]:
     """Cayley embedding of the curve point: affine prefix + curve coordinates."""
     return cayley_prefix(part - 1, params.r) + moment_curve_point(part, t, params)
@@ -160,7 +200,7 @@ def _columns(
     family, part by part), then the first ``tail`` tail anchors."""
     where = [(i, j) for i, ni in enumerate(params.n) for j in range(ni)]
     cols = [
-        (Fraction(1),) + lifted_curve_point(i + 1, params.curve_parameter(i, j, shifted), params)
+        (Fraction(1),) + lifted_curve_point(i + 1, curve_parameter(params, i, j, shifted), params)
         for i, j in map(where.__getitem__, points)
         for shifted in (False, True)
     ]

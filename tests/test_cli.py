@@ -274,6 +274,16 @@ def test_construct_rejects_close_alphas(capsys):
     assert "more than 1/4 apart" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["", " "], ids=["empty", "blank"])
+def test_construct_rejects_empty_alpha(alpha, capsys):
+    # an empty --alpha is bad input, not a request for the default alphas
+    code, report = run(["construct", "--d", "3", "--r", "2", "--n", "2,2", "--alpha", alpha])
+    assert code == 2 and report is None
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha must provide n_i values for part i\n"
+
+
 def test_verify_tight_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, report = run(["verify-tight", "--d", "3", "--r", "2", "--n", "3,3", "--report", str(out)])

@@ -22,16 +22,16 @@ from polysum.cayley import (
     spanning_face_counts,
 )
 from polysum.construction import (
+    EPSILON,
     ConstructionParams,
     SearchExhausted,
-    _integer_curve_points,
+    _curve_rows,
     _sweep_all_positive,
     certify_family,
     expected_check_count,
     find_tau_star,
     find_zeta_diamond,
     generate_family,
-    moment_curve_point,
     spanning_subsets,
     verify_neighborly,
     verify_tightness,
@@ -39,7 +39,13 @@ from polysum.construction import (
 from polysum.exact import hyperplane
 from polysum.hull import convex_hull, is_face
 
-from helpers import _witness_columns, lifted_curve_point, witness_determinant
+from helpers import (
+    _witness_columns,
+    curve_parameter,
+    lifted_curve_point,
+    moment_curve_point,
+    witness_determinant,
+)
 
 
 def params_33(tau=None, zeta=Fraction(0)):
@@ -55,30 +61,30 @@ def points_of(params):
 def test_defaults_satisfy_constraints():
     p = ConstructionParams.defaults(5, 3, (4, 5, 6))
     assert p.nu == (2, 1, 0)
-    assert p.epsilon == Fraction(1, 4)
+    assert EPSILON == Fraction(1, 4)
     assert p.m_tail == 7
     for a in p.alpha:
-        assert all(x + p.epsilon < y for x, y in zip(a, a[1:]))
-    assert p.m_tail > p.alpha[-1][-1] + p.epsilon
-    # nu, epsilon and the tail anchor are derived: for the defaults they are
-    # r - i, 1/4 and n_r + 1 at every d <= 7
+        assert all(x + EPSILON < y for x, y in zip(a, a[1:]))
+    assert p.m_tail > p.alpha[-1][-1] + EPSILON
+    # nu and the tail anchor are derived: for the defaults they are r - i
+    # and n_r + 1 at every d <= 7
     rng = random.Random(7)
     for d in range(3, 8):
         for r in range(2, d):
             n = tuple(rng.randint(1, 9) for _ in range(r))
             p = ConstructionParams.defaults(d, r, n)
             assert p.nu == tuple(r - i for i in range(1, r + 1))
-            assert (p.epsilon, p.m_tail) == (Fraction(1, 4), n[-1] + 1)
+            assert p.m_tail == n[-1] + 1
 
 
 def test_derived_parameters_follow_alpha():
     # the alpha of the construct --alpha CLI test keeps the anchor at n_r + 1
     base = ConstructionParams.defaults(3, 2, (2, 2))
     p = dataclasses.replace(base, alpha=((1, 3), (Fraction(1, 2), Fraction(5, 2))))
-    assert (p.nu, p.epsilon, p.m_tail) == ((1, 0), Fraction(1, 4), 3)
+    assert (p.nu, p.m_tail) == ((1, 0), 3)
     # a last alpha past n_r moves the anchor beyond it
     p = dataclasses.replace(base, alpha=((1, 5), (1, 5)))
-    assert p.m_tail == 6 > p.alpha[-1][-1] + p.epsilon
+    assert p.m_tail == 6 > p.alpha[-1][-1] + EPSILON
     p = dataclasses.replace(base, alpha=((1, 5), (1, Fraction(23, 4))))
     assert p.m_tail == 7
 
@@ -136,6 +142,10 @@ def test_generate_family_regression_pin():
     part2 = [tuple(map(int, p)) for p in fam.parts[1].points]
     assert part1 == [(1, 0, 1), (2, 0, 4), (3, 0, 9)]
     assert part2 == [(0, 1, 1), (0, 2, 4), (0, 3, 9)]
+    # the Fraction curve oracle gives the same points
+    p = params_33(tau=Fraction(1))
+    oracle = [moment_curve_point(i, curve_parameter(p, i - 1, j), p) for i in (1, 2) for j in range(3)]
+    assert oracle == part1 + part2
 
 
 def test_unperturbed_parts_live_in_flats():
@@ -219,7 +229,7 @@ def test_witness_vanishes_on_column_points():
     sub = (1, 3)
     for i in (1, 2):
         for j, shifted in ((1, False), (1, True)) if i == 1 else ((0, False), (0, True)):
-            t = p.curve_parameter(i - 1, j, shifted=shifted)
+            t = curve_parameter(p, i - 1, j, shifted=shifted)
             x = lifted_curve_point(i, t, p)
             assert witness_determinant(sub, x, p) == 0
     # tail column point for a size-2 subset in d=4 (d+r-1=5 odd: one tail column)
@@ -278,7 +288,7 @@ def _delta_spec_for_witness(params, subset, part_u, j_u):
         vals = []
         for j in (j for i, j in map(where.__getitem__, subset) if i == part):
             vals.append(params.alpha[part][j])
-            vals.append(params.alpha[part][j] + params.epsilon)
+            vals.append(params.alpha[part][j] + EPSILON)
         if part == part_u:
             vals.append(params.alpha[part][j_u])
         if part == params.r - 1:
@@ -311,7 +321,7 @@ def test_witness_equals_block_determinant():
             for subset in rng.sample(subsets, min(3, len(subsets))):
                 outside = [ij for q, ij in enumerate(points_of(p)) if q not in subset]
                 part_u, j_u = rng.choice(outside)
-                t = p.curve_parameter(part_u, j_u)
+                t = curve_parameter(p, part_u, j_u)
                 x = lifted_curve_point(part_u + 1, t, p)
                 h_val = witness_determinant(subset, x, p)
                 spec = _delta_spec_for_witness(p, subset, part_u, j_u)
@@ -341,7 +351,7 @@ def _reference_sweep(params):
             for q, (i, j) in enumerate(points_of(params)):
                 if q in subset:
                     continue
-                x = lifted_curve_point(i + 1, params.curve_parameter(i, j), params)
+                x = lifted_curve_point(i + 1, curve_parameter(params, i, j), params)
                 checked += 1
                 if witness_determinant(subset, x, params) <= 0:
                     return False, checked
@@ -378,22 +388,38 @@ def test_integer_sweep_matches_fraction_oracle(d, r, n, alpha_seed):
         assert _sweep_all_positive(candidate) == _reference_sweep(candidate), h
 
 
-def test_integer_curve_points_are_the_curve_at_one_scale():
-    # rows are L * moment_curve_point for one positive integer L, with and
-    # without the lift, at parameters of unrelated denominators
-    rng = random.Random(23)
-    for d, r in [(3, 2), (5, 2), (5, 3), (6, 4)]:
-        for zeta in (Fraction(0), Fraction(3, 64)):
-            p = dataclasses.replace(ConstructionParams.defaults(d, r, (3,) * r), zeta=zeta)
-            points = [(rng.randrange(r), rng.randint(1, 99), rng.randint(1, 30)) for _ in range(6)]
-            rows = _integer_curve_points(p, points)
-            part, num, den = points[0]
-            scale = rows[0][part] / Fraction(num, den)
-            assert scale.denominator == 1 and scale > 0
-            for row, (part, num, den) in zip(rows, points):
-                assert all(isinstance(v, int) for v in row)
-                curve = moment_curve_point(part + 1, Fraction(num, den), p)
-                assert row == [scale * v for v in curve]
+def test_curve_rows_and_family_are_the_fraction_curve():
+    # every row of the one builder is L times the Fraction curve (vertex,
+    # companion, then tail anchor) for one positive integer L, and
+    # generate_family is the vertex rows over L, labels included; seeded
+    # admissible alphas with denominators 3, 7 and 11, r = 2..4, unlifted
+    # and at the certified zeta
+    rng = random.Random(29)
+    for d, r, n in [(4, 2, (3, 4)), (5, 3, (3, 2, 3)), (6, 4, (2, 3, 2, 2))]:
+        alpha = []
+        for ni in n:
+            a = [Fraction(rng.randint(1, 8), rng.choice((3, 7, 11)))]
+            while len(a) < ni:
+                a.append(a[-1] + EPSILON + Fraction(rng.randint(1, 6), rng.choice((3, 7, 11))))
+            alpha.append(tuple(a))
+        certified, _, _ = certify_family(ConstructionParams(d=d, r=r, n=n, alpha=tuple(alpha)))
+        for p in (dataclasses.replace(certified, zeta=Fraction(0)), certified):
+            where = points_of(p)
+            curve = [
+                moment_curve_point(i + 1, curve_parameter(p, i, j, shifted), p)
+                for i, j in where
+                for shifted in (False, True)
+            ]
+            curve += [moment_curve_point(r, lam * p.m_tail, p) for lam in range(1, d - r)]
+            rows, scale = _curve_rows(p)
+            assert type(scale) is int and scale > 0
+            assert all(type(v) is int for row in rows for v in row)
+            assert rows == [[scale * v for v in y] for y in curve], (d, r, p.zeta)
+            family = generate_family(p)
+            for i, part in enumerate(family.parts):
+                assert part.ambient_dim == d
+                assert part.labels == tuple(f"v{j}" for j in range(1, n[i] + 1))
+                assert part.points == tuple(curve[2 * q] for q, (k, _) in enumerate(where) if k == i)
 
 
 def test_hyperplane_expands_witness_determinant():
@@ -412,8 +438,8 @@ def test_hyperplane_expands_witness_determinant():
     for base, tau, zeta in cases:
         p = dataclasses.replace(base, tau=tau, zeta=zeta)
         where = points_of(p)
-        vertex = [moment_curve_point(i + 1, p.curve_parameter(i, j), p) for i, j in where]
-        companion = [moment_curve_point(i + 1, p.curve_parameter(i, j, True), p) for i, j in where]
+        vertex = [moment_curve_point(i + 1, curve_parameter(p, i, j), p) for i, j in where]
+        companion = [moment_curve_point(i + 1, curve_parameter(p, i, j, True), p) for i, j in where]
         tails = [moment_curve_point(p.r, lam * p.m_tail, p) for lam in range(1, p.d - p.r)]
         scale = math.lcm(*(v.denominator for y in vertex + companion + tails for v in y))
 
@@ -476,7 +502,7 @@ def test_witness_sign_matches_hull_face_membership():
             for j in range(3):
                 if 3 * (i - 1) + j in sub:
                     continue
-                t = p.curve_parameter(i - 1, j)
+                t = curve_parameter(p, i - 1, j)
                 x = lifted_curve_point(i, t, p)
                 assert witness_determinant(sub, x, p) > 0
 
