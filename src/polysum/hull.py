@@ -5,34 +5,20 @@ arithmetic after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
 The face lattice is its levels: one set of faces per dimension, each face
-the sorted indices of its vertices.  One descent from the polytope finds
-every face that is not a simplex, and the levels are read off what it
-found one dimension at a time.  A simplex's facets are its subsets.  A
-j-face of j+2 points has one affine dependency, and by Gale duality its
-facets are what is left when a point outside the dependency's support, or
-one point of each sign, is left out: no rotation is needed.
-Every other face's facets are found by an exact gift-wrap.  A face found
-in its parent's wrap starts its own from every ridge of the parent that one
-found facet holds and that lies inside it, the ridge it was found across
-among them: each is one of its facets, whose functional within it follows
-from the holder's and its own.  Only the polytope and the chain of first
-facets below it search for a first facet, by rotations alone.  Each facet
-found counts its ridges, its own facets one dimension down, and the wrap
-rotates only about a ridge that one found facet holds, so every rotation
-finds a new facet; every ridge must end in exactly two facets, which
-certifies completeness.  A facet's values at the face's points are dropped
-once the wrap has crossed all its ridges.  Each facet keeps its
-primitive integer functional, so a rotation moves in the pencil of the
-facet's functional and the ridge's, at one dot product per point.  A face
-is wrapped in its pivot columns, and a facet's are its face's minus the
-last one its functional uses, so only the polytope's rank and the shadow
-steps of the first-facet chain cost an elimination.  A face is the int
-bitmask of the points on it, each distinct point the bit of its first
-index in the input.  A memo keyed by that mask hands a face's facets,
-columns, functionals and ascending point indices to the wrap above it and
-to the lattice, so each face is wrapped at most once; a face that is not
-wrapped makes a facet's functional only when a wrap needs it.  A face
-with no memo entry is a simplex whose facets clear one bit each.  A
+the int bitmask of the points on it, each distinct point the bit of its
+first index in the input.  Three steps find every face's facets, each the
+one that fits its size.  The polytope alone is gift-wrapped: a first facet
+by induction on coordinate shadows, then one rotation per further facet,
+each in the pencil of a found facet's primitive integer functional and a
+ridge's, at one dot product per point.  Every ridge must end in exactly
+two facets, which certifies completeness, and a facet's values at the
+points are dropped once the wrap has crossed all its ridges.  A facet that
+is not a simplex gets its own facets, and their functionals, from one
+double-description pass over its points in its pivot columns, the
+polytope's minus the last one its functional uses.  Every lower face that
+is not a simplex takes as its facets the inclusion-maximal intersections
+with the other facets of a face it is a facet of.  A simplex's facets
+clear one bit each.  Only two levels of facet lists are kept at a time.  A
 vertex tuple is a mask's set bits on the vertices, with the other copies
 of a repeated vertex added.  No floating point is used anywhere.
 """
@@ -204,8 +190,7 @@ def _rotate(pts, u_values, u, v) -> tuple[tuple[int, ...], list[int]]:
 
 def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> tuple[frozenset, tuple[int, ...]]:
     """A facet of full-rank points and its functional, by induction on their
-    coordinate shadows.  Only a face entered without a ridge needs it: the
-    polytope and the chain of first facets below it (see ``_facets_of``).
+    coordinate shadows: where the polytope's wrap starts (see ``_wrap``).
 
     The m-shadow (the first m coordinates) is full-rank too.  The points of
     minimal x_0 are a facet of the 1-shadow, with functional x_0 - min, and
@@ -237,25 +222,6 @@ def _spanning(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [points[i] for i in pivots]
 
 
-def _ridge_seed(u, u_values, g, on, t) -> tuple[tuple[int, ...], list[int]]:
-    """A ridge of a face's wrap, as a facet of a found facet that holds it.
-
-    ``u`` (valued ``u_values``) is the functional of the facet that holds
-    the ridge and ``g`` that of the facet found, on-set ``on``, whose last
-    nonzero position is ``t``; the two facets meet in the ridge.  On
-    {g = 0}, sign(g_t)*(g_t*u - u_t*g) equals
-    |g_t|*u, so it is nonnegative there and zero exactly on the ridge; its
-    t-th coefficient is 0, so dropping it gives a functional over the found
-    facet's columns.  Returns that functional, made primitive, and its values
-    at the found facet's points: no elimination and no point scan.
-    """
-    gt, ut = abs(g[t]), u[t] if g[t] > 0 else -u[t]
-    s = [gt * a - ut * b for a, b in zip(u, g)]
-    del s[t]
-    d = math.gcd(*s)
-    return tuple(c // d for c in s), [gt * u_values[m] // d for m in on]
-
-
 def _indices(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
     out = []
@@ -264,14 +230,6 @@ def _indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _rows(pts, idx, columns) -> list[tuple[int, ...]]:
-    """The points ``idx`` of ``pts`` in the coordinates ``columns``."""
-    if len(columns) < 2:  # itemgetter returns a bare item for one column
-        return [tuple(pts[i][c] for c in columns) for i in idx]
-    get = operator.itemgetter(*columns)
-    return list(map(get, map(pts.__getitem__, idx)))
 
 
 def _last_nonzero(g) -> int:
@@ -290,147 +248,148 @@ def _oriented(h, row) -> tuple[int, ...]:
     return tuple(c // d for c in h)
 
 
-def _facets_of(pts, face: int, j: int, memo: dict, idx, columns, seeds=None) -> list[int]:
-    """Facets of the j-face whose points are the set bits of ``face``.
+def _double_description(rows) -> list[tuple[tuple[int, ...], int]]:
+    """Facets of full-rank points, by the double description method.
 
-    A face is the bitmask of its points' indices into ``pts``, and ``idx``
-    lists those indices in ascending order.  A simplex's facets clear one
-    bit each.  A face of j+2 points has one affine dependency λ,
-    sum λ_m (1, p_m) = 0, the cofactors of the (j+1)x(j+2)
-    matrix of its columns (1, p) (one ``hyperplane``).  By Gale duality
-    (Ziegler 1995, Lecture 6) its facets are what is left when one point
-    with λ_m = 0, or one point with λ_m > 0 and one with λ_m < 0, is left
-    out: an affine functional that is positive on the points left out and
-    zero on the rest sums to zero against λ.  Leaving out a pair leaves a
-    simplex; leaving out a λ_m = 0 point leaves a face of j+1 points with
-    the same dependency, which this face enters at once in its columns.
-
-    Any other face is gift-wrapped once (Chand & Kapur 1970; Swart 1985) in
-    its pivot ``columns``.  A face its parent's wrap finds gets ``seeds``:
-    each ridge of the parent that one found facet holds and that lies inside
-    the face is one of the face's facets, and ``_ridge_seed`` makes its
-    functional and values from the holder's.  The ridge a rotation crossed
-    is always one of them.  The walk starts from all the seeds; the top face
-    and the chain of first facets below it, entered without any, call
-    ``_first_facet``.  Each facet found counts its ridges at once: its own
-    facets, from ``memo`` (keyed by mask) or one level down; a segment's one
-    ridge is the empty face.  A ridge that one found facet holds is crossed
-    with one ``_rotate`` in the pencil of that facet's functional and the
-    ridge's, so each rotation finds a new facet, and a face of m facets
-    entered with s seeds costs m - s rotations.  Once a facet's ridges are
-    all crossed no seed reads its values, so the walk drops them.  Every
-    ridge must end in exactly two facets, which certifies completeness.
-    Simplices and faces of j+2 points ignore ``seeds``, so only a facet that
-    will be wrapped is given any.
-
-    A face's pivot columns are the left-to-right pivots of its points'
-    difference rows.  In the face's columns a facet's direction space is
-    the hyperplane {u = 0} of its functional ``u``, whose one circuit is
-    the support of ``u``; so the facet's columns are the face's minus the
-    one at the last position t where u_t != 0, and a ridge functional over
-    the facet's columns is one over the face's with a 0 inserted at t.
-
-    ``memo[face]`` is (facet masks, pivot columns, each facet's primitive
-    functional over those columns, nonnegative on the face, ``idx``).  A
-    wrapped face holds every functional.  A simplex or a face of j+2 points
-    makes a facet's functional only when a wrap crosses that ridge
-    (``_facet_functional``), except that a facet leaving out a λ_m = 0
-    point gets its functional at once.  Only the polytope's wrap enters
-    this function, so the memo holds the polytope, every facet of a wrapped
-    face and every facet of a face of j+2 points that leaves out a λ_m = 0
-    point; any other face of the lattice is a simplex, below a simplex or a
-    face of j+2 points, and ``convex_hull`` clears its bits itself.
+    ``rows`` are the points' rows (1, p).  The functionals nonnegative on
+    every row form a pointed cone whose extreme rays are the facets'
+    functionals (Motzkin et al. 1953; Fukuda & Prodon 1996).  The cone of
+    an affine basis of the points, the pivots of their columns, is
+    simplicial: each ray is the hyperplane through all basis points but
+    one, positive on that one.  ``_cut`` then adds the other points one at
+    a time.  Returns each facet's primitive functional, positive on the
+    rows off it, and its zero mask over the rows' positions.
     """
-    if face in memo:
-        return memo[face][0]
-    if len(idx) == j + 1:
-        memo[face] = ([face ^ (1 << i) for i in idx], columns, [None] * len(idx), idx)
-        return memo[face][0]
-    sub = _rows(pts, idx, columns)
-    if len(idx) == j + 2:
-        lam = hyperplane([(1,) * len(sub), *zip(*sub)])
-        if lam is None:
-            raise AssertionError(f"{j + 2} points spanning a {j}-face have no affine dependency")
-        facets, functionals = [], []
-        k = next(n for n, y in enumerate(lam) if y)
-        for m, x in enumerate(lam):
-            if x > 0:
-                for n, y in enumerate(lam):
-                    if y < 0:
-                        facets.append(face ^ (1 << idx[m]) ^ (1 << idx[n]))
-                        functionals.append(None)
-            elif not x:  # the rest less the point k of λ's support is independent
-                rows = [(1, *p) for p in sub]
-                u = _oriented(hyperplane([r for n, r in enumerate(rows) if n != m and n != k]), rows[m])
-                t = _last_nonzero(u)
-                facet = face ^ (1 << idx[m])
-                _facets_of(pts, facet, j - 1, memo, idx[:m] + idx[m + 1 :], columns[: t - 1] + columns[t:])
-                facets.append(facet)
-                functionals.append(u)
-        memo[face] = (facets, columns, functionals, idx)
-        return facets
-    # walk: every facet found, grown as it is walked; holder: each ridge one
-    # found facet holds, and that facet's place in the walk
-    degree, holder, walk = {}, {}, []
+    _, basis = int_row_space_pivots(list(zip(*rows)))
+    rays = []
+    for i in basis:
+        others = [b for b in basis if b != i]
+        rays.append((_oriented(hyperplane([rows[b] for b in others]), rows[i]), sum(1 << b for b in others)))
+    size = len(rows) // 8 + 1  # bytes of a zero mask with a spare top bit
+    for m, row in enumerate(rows):
+        if m not in basis:
+            rays = _cut(rays, row, 1 << m, len(basis) - 2, size)
+    return rays
 
-    def found(g, values):  # a facet registers its ridges as soon as it is found
-        on = [m for m, x in enumerate(values) if not x]
-        t = _last_nonzero(g)  # its columns are ours but the t-th
-        facet = 0
-        for m in on:
-            facet |= 1 << idx[m]
-        if facet in memo:
-            ridges = memo[facet][0]
+
+def _cut(rays, row, bit: int, need: int, size: int) -> list[tuple[tuple[int, ...], int]]:
+    """The extreme rays of a pointed cone cut by one more constraint.
+
+    ``rays`` are (primitive functional, zero mask over the constraints so
+    far); the new constraint is the point ``row``, its bit ``bit``.  A ray
+    positive there stays, one zero there stays with the bit added, and one
+    negative there goes.  Each adjacent pair of a positive and a negative
+    ray gives the new ray of their plane that vanishes at ``row``.
+    Adjacency is combinatorial: the pair's common zero mask holds at least
+    ``need`` (the cone's dimension less two) constraints and no third ray's
+    zero mask contains it, so the smallest face holding both rays is
+    2-dimensional.  That test reads every ray's mask at once: each is a
+    field of ``size`` bytes in one int, whose top bit is a guard.
+    """
+    kept, pos, neg = [], [], []
+    for h, z in rays:
+        v = sum(map(operator.mul, h, row))
+        if v > 0:
+            kept.append((h, z))
+            pos.append((h, z, v))
+        elif v < 0:
+            neg.append((h, z, v))
         else:
-            held = None
-            if len(on) > j + 1:  # it will be wrapped: each open ridge inside it is one of its facets
-                held = [_ridge_seed(*walk[k][1:3], g, on, t) for ridge, k in holder.items() if ridge & facet == ridge]
-            ridges = _facets_of(pts, facet, j - 1, memo, [idx[m] for m in on], columns[: t - 1] + columns[t:], held)
-        k = len(walk)
-        for ridge in ridges:
-            if ridge in degree:
-                degree[ridge] += 1
-                holder.pop(ridge, None)
-            else:
-                degree[ridge] = 1
-                holder[ridge] = k
-        walk.append((facet, g, values, t))
+            kept.append((h, z | bit))
+    fields = None
+    guard = 8 * size - 1
+    for hp, zp, vp in pos:
+        for hn, zn, vn in neg:
+            z = zp & zn
+            if z.bit_count() < need:
+                continue
+            if fields is None:  # each field the complement of its ray's mask
+                ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(rays), "little")
+                low = ones * ((1 << guard) - 1)
+                fields = low ^ int.from_bytes(b"".join([y.to_bytes(size, "little") for _, y in rays]), "little")
+            # a field of z & fields is zero just where its ray's mask holds z;
+            # adding ``low`` carries into every other field's guard bit
+            if len(rays) - ((z * ones & fields) + low >> guard & ones).bit_count() != 2:
+                continue
+            g = [vp * b - vn * a for a, b in zip(hp, hn)]
+            d = math.gcd(*g)
+            kept.append((tuple(c // d for c in g), z | bit))
+    return kept
 
-    if seeds:
-        for seed in seeds:
-            found(*seed)
-    else:
-        _, u = _first_facet(sub, j)
-        found(u, _values(u, sub))
-    for k, (facet, u, u_values, t) in enumerate(walk):
-        for r, ridge in enumerate(memo[facet][0]):
+
+def _wrap(pts, bits, k: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Facets of the polytope of the full-rank points ``pts``, by one
+    gift-wrap (Chand & Kapur 1970; Swart 1985).
+
+    Point m is the bit ``bits[m]`` of a face's mask.  ``_first_facet``
+    finds one facet, and each facet counts its ridges, its own facets, as
+    soon as it is found.  A simplex's clear one bit each; any other facet's
+    come from ``_double_description`` over its points in its pivot
+    columns, which are the polytope's minus the one at the last position t
+    where its functional u is nonzero: in the polytope's columns its
+    direction space is {u = 0}, whose one circuit is u's support.  A ridge
+    that one found facet holds is crossed with one ``_rotate`` in the pencil
+    of that facet's functional and the ridge's, taken over the polytope's
+    columns with a 0 inserted at t, so a wrap of m facets makes m - 1
+    rotations.  A simplex facet makes a ridge's functional only when a
+    rotation crosses it, with one ``hyperplane``.  Once the walk has crossed
+    all of a facet's ridges its values are dropped.  Every ridge must end
+    in exactly two facets, which certifies completeness.  Returns the
+    facets in the order found and each non-simplex facet's facets.
+    """
+    degree, below, walk = {}, {}, []
+
+    def found(u, values):
+        on = [m for m, x in enumerate(values) if not x]
+        t = _last_nonzero(u)
+        facet = sum(bits[m] for m in on)
+        rows = [(1, *p[: t - 1], *p[t:]) for p in map(pts.__getitem__, on)]
+        if len(on) == k:
+            ridges, functionals = [facet ^ bits[m] for m in on], [None] * k
+        else:
+            ridges, functionals = [], []
+            for h, zero in _double_description(rows):
+                ridges.append(sum(bits[on[n]] for n in _indices(zero)))
+                functionals.append(h)
+            below[facet] = ridges
+        for ridge in ridges:
+            degree[ridge] = degree.get(ridge, 0) + 1
+        walk.append((facet, u, values, t, ridges, functionals, rows))
+
+    _, u = _first_facet(pts, k)
+    found(u, _values(u, pts))
+    for n, (facet, u, values, t, ridges, functionals, rows) in enumerate(walk):
+        for r, ridge in enumerate(ridges):
             if degree[ridge] > 1:  # its other facet is found already
                 continue
-            w = _facet_functional(pts, facet, r, memo)
-            found(*_rotate(sub, u_values, u, w[:t] + (0,) + w[t:]))
-        # every ridge it holds is closed now, so no seed reads its values again
-        walk[k] = (facet, u, None, t)
+            w = functionals[r] or _oriented(hyperplane(rows[:r] + rows[r + 1 :]), rows[r])
+            found(*_rotate(pts, values, u, w[:t] + (0,) + w[t:]))
+        walk[n] = facet  # every ridge it holds is closed now: drop its values
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
-    memo[face] = ([facet for facet, *_ in walk], columns, [u for _, u, *_ in walk], idx)
-    return memo[face][0]
+    return walk, below
 
 
-def _facet_functional(pts, face: int, n: int, memo: dict) -> tuple[int, ...]:
-    """The n-th facet's functional of a face in ``memo``, over its columns.
+def _intersected(children: dict[int, list[int]], j: int) -> dict[int, list[int]]:
+    """Facets of every (j-1)-face that is not a simplex and is a facet of
+    a face in ``children``, which maps j-faces to their facets.
 
-    A simplex's, and those of a face of j+2 points that leave out two of
-    them, are made on first need (see ``_facets_of``): one ``hyperplane``
-    through the facet's j points in the face's columns, made primitive and
-    positive on a point the facet leaves out.
+    A j-face G's ridges each lie in exactly two of its facets, so a facet R
+    of G has as its facets the inclusion-maximal sets among R & S, for the
+    other facets S of G.
     """
-    facets, columns, functionals, idx = memo[face]
-    if functionals[n] is None:
-        facet = facets[n]
-        rows = [(1, *p) for p in _rows(pts, idx, columns)]
-        h = hyperplane([r for r, i in zip(rows, idx) if facet >> i & 1])
-        functionals[n] = _oriented(h, next(r for r, i in zip(rows, idx) if not facet >> i & 1))
-    return functionals[n]
+    out = {}
+    for facets in children.values():
+        for r in facets:
+            if r.bit_count() > j and r not in out:
+                meets = {r & s for s in facets}
+                meets -= {r, 0}
+                maximal = []
+                for m in sorted(meets, key=int.bit_count, reverse=True):
+                    if not any(m & x == m for x in maximal):
+                        maximal.append(m)
+                out[r] = maximal
+    return out
 
 
 class _Prepared:
@@ -464,13 +423,14 @@ def convex_hull(points: PointSet) -> FaceLattice:
     """Complete face lattice of the convex hull of a rational point set.
 
     A face is the bitmask of its points, each distinct point the bit of its
-    first index in the input.  Wrapping the polytope (see ``_facets_of``)
-    enters every face that needs a wrap or a dependency, and the memo it
-    fills holds their facets, so the levels are read off it one dimension at
-    a time: a face with no entry is a simplex, whose facets clear one bit
-    each.  A vertex tuple is then the set bits of a face's mask on the
-    vertices, with the other copies of a repeated vertex ORed in, so points
-    interior to the hull never appear in any vertex set.
+    first index in the input.  The levels are built from the polytope down,
+    with the facet lists of the non-simplex faces of two levels at a time.
+    The polytope's facets come from ``_wrap``, which also hands over each
+    non-simplex facet's own facets from ``_double_description``; a lower
+    non-simplex face's come from ``_intersected``, and a simplex's clear
+    one bit each.  A vertex tuple is then the set bits of a face's mask on
+    the vertices, with the other copies of a repeated vertex ORed in, so
+    points interior to the hull never appear in any vertex set.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
@@ -481,17 +441,19 @@ def convex_hull(points: PointSet) -> FaceLattice:
     if k == 0:
         return FaceLattice(points.ambient_dim, n, (frozenset({tuple(range(n))}),))
 
-    memo: dict[int, tuple] = {}
-    firsts = [m[0] for m in prep.members]
-    top = sum(1 << i for i in firsts)
-    _facets_of([prep.reduced[did] for did in prep.rep_of], top, k, memo, firsts, tuple(range(k)))
-    levels = [{top}]
-    for _ in range(k):
+    bits = [1 << m[0] for m in prep.members]
+    top = sum(bits)
+    levels, children, below = [{top}], {}, {}
+    if len(bits) > k + 1:
+        facets, below = _wrap(prep.reduced, bits, k)
+        children = {top: facets}
+    for j in range(k, 0, -1):
         level = set()
-        for f in levels[-1]:
-            entry = memo.get(f)
-            level.update(entry[0] if entry else (f ^ (1 << i) for i in _indices(f)))
+        for g in levels[-1]:
+            level.update(children.get(g) or (g ^ (1 << i) for i in _indices(g)))
         levels.append(level)
+        children = below
+        below = _intersected(children, j - 1)
     vertices = sum(levels[-1])
     # each repeated vertex: its first index's bit and its other copies' bits
     copies = [(1 << m[0], sum(1 << i for i in m[1:])) for m in prep.members if len(m) > 1 and vertices >> m[0] & 1]

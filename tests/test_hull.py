@@ -16,7 +16,6 @@ from polysum.cayley import PartitionedPointSet, minksum_direct_lattice
 from polysum.exact import affine_rank, hyperplane, int_row_space_pivots
 from polysum.hull import (
     PointSet,
-    _facets_of,
     _Prepared,
     _side_scan,
     _spanning,
@@ -26,7 +25,7 @@ from polysum.hull import (
     verify_supporting,
 )
 
-from helpers import canonical_key, facets_exhaustive, fraction_sums
+from helpers import facets_exhaustive, fraction_sums
 
 
 def scale_translate(ps: PointSet, scale: Fraction, shift) -> PointSet:
@@ -198,23 +197,25 @@ def members(prep: _Prepared, mask: int) -> frozenset[int]:
     return frozenset(prep.rep_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def input_points(prep: _Prepared) -> list[tuple[int, ...]]:
-    """The points ``_facets_of`` reads, indexed like the input: a repeated
-    point's copies sit at its later indices, which no mask holds."""
-    return [prep.reduced[d] for d in prep.rep_of]
-
-
-def wrap_top(prep: _Prepared, memo: dict) -> int:
-    """Wrap the face that holds every point, as ``convex_hull`` does; its mask."""
-    firsts = [m[0] for m in prep.members]
-    top = sum(1 << i for i in firsts)
-    _facets_of(input_points(prep), top, prep.rank, memo, firsts, tuple(range(prep.rank)))
-    return top
-
-
 def wrap(prep: _Prepared) -> list[frozenset]:
-    memo = {}
-    return [members(prep, f) for f in memo[wrap_top(prep, memo)][0]]
+    """The polytope's facets from its gift-wrap, each distinct point the bit
+    of its first index in the input, as ``convex_hull`` runs it."""
+    facets, _ = hull._wrap(prep.reduced, [1 << m[0] for m in prep.members], prep.rank)
+    return [members(prep, f) for f in facets]
+
+
+def record(monkeypatch, name: str) -> list:
+    """Each call of ``hull.<name>`` from here on, as (args, result)."""
+    calls = []
+    original = getattr(hull, name)
+
+    def recorded(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(hull, name, recorded)
+    return calls
 
 
 def wrap_and_oracle(ps: PointSet):
@@ -224,17 +225,19 @@ def wrap_and_oracle(ps: PointSet):
     return set(wrapped), set(facets_exhaustive(prep.reduced, prep.rank))
 
 
-def lattice_oracle(ps: PointSet) -> set[tuple[int, tuple[int, ...]]]:
-    """(dim, vertices) of every face: the exhaustive facets closed under
-    intersection, each face ranked from its points."""
+def lattice_oracle(ps: PointSet, facets=None) -> set[tuple[int, tuple[int, ...]]]:
+    """(dim, vertices) of every face: the exhaustive facets (or ``facets``,
+    found by them) closed under intersection, each face ranked from its
+    points' integer difference rows."""
     prep = _Prepared(ps)
-    facets = facets_exhaustive(prep.reduced, prep.rank)
+    if facets is None:
+        facets = facets_exhaustive(prep.reduced, prep.rank)
     faces = set(facets)
     frontier = set(facets)
     while frontier:
         frontier = {a & b for a in frontier for b in facets} - faces - {frozenset()}
         faces |= frontier
-    dims = {f: affine_rank([prep.reduced[i] for i in f]) for f in faces}
+    dims = {f: len(difference_pivots([prep.reduced[i] for i in sorted(f)])) for f in faces}
     vertices = {i for f in faces if dims[f] == 0 for i in f}
 
     def expand(f):
@@ -278,110 +281,133 @@ def test_lattice_matches_intersection_closure():
         assert faces | {(-1, ())} == lattice_oracle(ps)
 
 
-def test_each_face_is_wrapped_once(monkeypatch):
-    wraps, firsts = [], []
-    facets_of, first_facet = hull._facets_of, hull._first_facet
-
-    def counted(pts, face, j, memo, *args):
-        if face not in memo and face.bit_count() > j + 2:  # a wrap: no memo entry, over j+2 points
-            wraps.append(j)
-        return facets_of(pts, face, j, memo, *args)
+def test_only_the_polytope_is_wrapped(monkeypatch):
+    """One gift-wrap, of the polytope: one first facet, then one rotation
+    per further facet.  Each facet that is not a simplex gets one double
+    description pass over its points, and a simplex none."""
+    rotations = record(monkeypatch, "_rotate")
+    passes = record(monkeypatch, "_double_description")
+    first_facet, firsts = hull._first_facet, []
 
     def first_counted(pts, k):
-        firsts.append(k)
-        return first_facet(pts, k)
+        before = len(rotations)
+        out = first_facet(pts, k)
+        firsts.append((k, len(rotations) - before))
+        return out
 
-    monkeypatch.setattr(hull, "_facets_of", counted)
     monkeypatch.setattr(hull, "_first_facet", first_counted)
-    lat = convex_hull(PointSet.from_rows(list(itertools.product([0, 1], repeat=4))))
-    assert lat.f_vector == (16, 32, 24, 8)
-    # one wrap per face of dimension >= 3: 8 cubes and the 4-cube; a square
-    # has j + 2 points, so its facets come from its affine dependency
-    assert len(wraps) == 9 == sum(lat.f_vector[3:]) + 1
-    # every other face is entered across a ridge, which seeds its wrap, so
-    # only the chain of first facets from the top face searches for one, and
-    # it stops at the first square
-    assert firsts == [4, 3]
+    truncated = [p for p in itertools.product([0, 2], repeat=3) if p != (2, 2, 2)] + [(2, 2, 1), (2, 1, 2), (1, 2, 2)]
+    for rows, f_vector, points_per_pass in (
+        # 8 cubes of 8 points each
+        (list(itertools.product([0, 1], repeat=4)), (16, 32, 24, 8), [8] * 8),
+        # a square with a point inside each edge: each facet is such an edge
+        (list(itertools.product(range(3), repeat=2)), (4, 4), [3] * 4),
+        # a cube with one corner cut off: 3 squares, 3 pentagons and a triangle
+        (truncated, (10, 15, 7), [4, 4, 4, 5, 5, 5]),
+    ):
+        for calls in (rotations, passes, firsts):
+            calls.clear()
+        lattice = convex_hull(PointSet.from_rows(rows))
+        assert lattice.f_vector == f_vector
+        [(k, turns)] = firsts
+        assert k == lattice.polytope_dim
+        assert len(rotations) - turns == f_vector[-1] - 1
+        assert sorted(len(args[0]) for args, _ in passes) == points_per_pass
 
-    # an edge with a point inside is no simplex but has j + 2 points: only
-    # the square is wrapped, and its first facet is such an edge
-    wraps.clear()
-    firsts.clear()
-    lat = convex_hull(PointSet.from_rows(list(itertools.product(range(3), repeat=2))))
-    assert lat.f_vector == (4, 4)
-    assert wraps == [2]
-    assert firsts == [2]
 
+def test_lower_faces_are_intersections_of_facets(monkeypatch):
+    """Once the polytope's wrap returns, every level below its facets'
+    facets is set operations on masks: no hyperplane, rotation, elimination
+    or double description runs, and the lattice is the exhaustive one."""
+    names = ("hyperplane", "_rotate", "int_row_space_pivots", "_double_description", "_first_facet")
+    calls = {name: record(monkeypatch, name) for name in names}
+    wrap_, at_return = hull._wrap, []
 
-def test_lattice_is_read_off_the_wrap_memo(monkeypatch):
-    """Only the polytope's wrap enters ``_facets_of``: once it returns, the
-    levels are read off its memo, which holds the faces it entered alone."""
-    entered, late, memos = set(), [], []
-    depth = 0
-    facets_of = hull._facets_of
+    def wrapped(*args):
+        out = wrap_(*args)
+        at_return.append({name: len(c) for name, c in calls.items()})
+        return out
 
-    def recorded(pts, face, j, memo, *args):
-        nonlocal depth
-        if depth == 0 and memos:
-            late.append(face)  # entered after the top wrap returned
-        else:
-            entered.add(face)
-            memos.append(memo)
-        depth += 1
-        try:
-            return facets_of(pts, face, j, memo, *args)
-        finally:
-            depth -= 1
-
-    monkeypatch.setattr(hull, "_facets_of", recorded)
+    monkeypatch.setattr(hull, "_wrap", wrapped)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
-    c4_10 = [[t**e for e in range(1, 5)] for t in range(1, 11)]
-    # a simplicial polytope's wrap enters the polytope and its facets, each a
-    # simplex, and none of their faces
-    for rows, f_vector, memo_size in ((c4_10, (10, 45, 70, 35), 1 + 35), (sums, (36, 156, 288, 252, 86), None)):
-        entered.clear()
-        memos.clear()
-        assert convex_hull(PointSet.from_rows(rows)).f_vector == f_vector
-        assert late == []
-        assert set(memos[0]) == entered
-        assert memo_size is None or len(entered) == memo_size
+    cube = [list(p) for p in itertools.product([0, 2], repeat=4)]
+    # the 4-cube with a point inside a square, one inside an edge and its centre
+    cube += [[1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]]
+    for rows, f_vector, oracle in ((sums, (36, 156, 288, 252, 86), False), (cube, (16, 32, 24, 8), True)):
+        for c in calls.values():
+            c.clear()
+        at_return.clear()
+        ps = PointSet.from_rows(rows)
+        lattice = convex_hull(ps)
+        assert at_return == [{name: len(c) for name, c in calls.items()}]
+        assert lattice.f_vector == f_vector
+        if oracle:
+            faces = {(dim, f) for dim, level in enumerate(lattice.levels) for f in level}
+            assert faces | {(-1, ())} == lattice_oracle(ps)
 
 
-def test_seeded_first_facet_is_the_memo_entrys(monkeypatch):
-    """A face a rotation found is entered with every open ridge of its
-    parent that lies inside it.  Only a wrapped face takes them, each seed is
-    one of its facets in the memo, the walk's first ones in the seeds' order,
-    with the seed's functional, and the seed's values are that functional's
-    at the face's points."""
-    entered = []
-    facets_of = hull._facets_of
+def dd_cases() -> list[list[list[int]]]:
+    """1,200 seeded point sets for the double description pass: d = 1..5 in
+    the boxes [-1, 1]..[-3, 3], a quarter with duplicate points and a
+    quarter embedded in a higher dimension, and a pyramid over C_5(10)."""
+    rng = random.Random(1953)
+    cases = []
+    for n in range(1200):
+        d = n % 5 + 1
+        box = rng.randint(1, 3)
+        rows = [[rng.randint(-box, box) for _ in range(d)] for _ in range(rng.randint(d + 1, d + 5))]
+        if n % 4 == 1:
+            rows += rng.sample(rows, 2)
+        elif n % 4 == 2:
+            rows = [p + [sum(p) - 2 * p[0], 3] for p in rows]
+        cases.append(rows)
+    cases.append([[t**e for e in range(1, 6)] + [0] for t in range(1, 11)] + [[0] * 5 + [1]])
+    return cases
 
-    def recorded(pts, face, j, memo, idx, columns, seeds=None):
-        if face not in memo and seeds:
-            entered.append((face, seeds, memo))
-        return facets_of(pts, face, j, memo, idx, columns, seeds)
 
-    monkeypatch.setattr(hull, "_facets_of", recorded)
-    checked = wrapped = 0
-    for rows in functional_cases() + [fraction_sums(PartitionedPointSet.from_rows(parts)) for parts in sum_cases().values()]:
+def test_double_description_matches_exhaustive():
+    """A double description pass over full-rank points gives the exhaustive
+    facets, each with its primitive functional, zero exactly on the facet
+    and positive on every other point, and the whole lattice is the
+    exhaustive facets closed under intersection."""
+    checked = degenerate = 0
+    for rows in dd_cases():
         ps = PointSet.from_rows(rows)
         prep = _Prepared(ps)
-        entered.clear()
-        convex_hull(ps)
-        for face, seeds, memo in entered:
-            facets, columns, functionals, _ = memo[face]
-            assert face.bit_count() > len(columns) + 2
-            sub = project(prep, face, columns)
-            for n, (u, values) in enumerate(seeds):
-                ridge = frozenset(i for i, x in zip(sub, values) if not x)
-                assert (members(prep, facets[n]), functionals[n]) == (ridge, u)
-                assert hull._values(u, sub.values()) == values
-                checked += 1
-            wrapped += 1
-    assert wrapped > 40
-    assert checked > 120
+        if prep.rank == 0:
+            continue
+        lifted = [(1, *p) for p in prep.reduced]
+        facets = {}
+        for h, zero in hull._double_description(lifted):
+            assert math.gcd(*h) == 1
+            values = [sum(map(operator.mul, h, row)) for row in lifted]
+            assert all(x > 0 for n, x in enumerate(values) if not zero >> n & 1)
+            assert all(x == 0 for n, x in enumerate(values) if zero >> n & 1)
+            facets[frozenset(hull._indices(zero))] = h
+        exhaustive = facets_exhaustive(prep.reduced, prep.rank)
+        assert set(facets) == set(exhaustive)
+        degenerate += any(len(f) > prep.rank for f in facets)
+        faces = {(dim, f) for dim, level in enumerate(convex_hull(ps).levels) for f in level}
+        assert faces | {(-1, ())} == lattice_oracle(ps, exhaustive)
+        checked += 1
+    assert checked > 1100
+    assert degenerate > 300
+
+
+def test_dropped_ray_breaks_the_ridge_count(monkeypatch):
+    """A facet's double description that lost one of its facets leaves a
+    ridge of the wrap outside exactly two facets."""
+    double_description = hull._double_description
+
+    def dropped(rows):
+        return double_description(rows)[1:]
+
+    monkeypatch.setattr(hull, "_double_description", dropped)
+    for rows in ([list(p) for p in itertools.product([0, 1], repeat=3)], list(itertools.product(range(3), repeat=2))):
+        with pytest.raises(AssertionError, match="ridge outside exactly two facets"):
+            convex_hull(PointSet.from_rows(rows))
 
 
 def sum_cases() -> dict[str, list[list[list[int]]]]:
@@ -412,31 +438,16 @@ def sum_cases() -> dict[str, list[list[list[int]]]]:
     return cases
 
 
-def test_seeded_wraps_match_the_oracle_on_minkowski_sums(monkeypatch):
-    """Faces of Minkowski sums entered with every open ridge of their
-    parent, often more than one, still give the exhaustive lattice."""
-    seeds_per_face, ridge_seeds = [], []
-    facets_of, ridge_seed = hull._facets_of, hull._ridge_seed
-
-    def recorded(pts, face, j, memo, idx, columns, seeds=None):
-        if face not in memo and seeds:
-            seeds_per_face.append(len(seeds))
-        return facets_of(pts, face, j, memo, idx, columns, seeds)
-
-    def counted(*args):
-        ridge_seeds.append(args)
-        return ridge_seed(*args)
-
-    monkeypatch.setattr(hull, "_facets_of", recorded)
-    monkeypatch.setattr(hull, "_ridge_seed", counted)
+def test_lattices_match_the_oracle_on_minkowski_sums(monkeypatch):
+    """Faces of Minkowski sums, whose facets are prisms, cubes and faces of
+    degenerate summands, still give the exhaustive lattice."""
+    passes = record(monkeypatch, "_double_description")
     for name, parts in sum_cases().items():
         pps = PartitionedPointSet.from_rows(parts)
         lattice = minksum_direct_lattice(pps)
         faces = {(dim, f) for dim, level in enumerate(lattice.levels) for f in level}
         assert faces | {(-1, ())} == lattice_oracle(PointSet.from_rows(fraction_sums(pps))), name
-    assert len(ridge_seeds) == sum(seeds_per_face)
-    assert sum(n > 1 for n in seeds_per_face) > 10
-    assert max(seeds_per_face) >= 3
+    assert len(passes) > 40
 
 
 def test_first_facet_is_a_facet(monkeypatch):
@@ -531,49 +542,51 @@ def functional_cases() -> list[list[list[int]]]:
     return cases
 
 
-def full_memo(prep: _Prepared) -> dict:
-    """The memo ``convex_hull`` reads the lattice off: the polytope's wrap's."""
-    memo = {}
-    wrap_top(prep, memo)
-    return memo
+def top_rotations(rotations: list, prep: _Prepared) -> list:
+    """The recorded ``_rotate`` calls of the polytope's wrap, in order; a
+    shadow step of the first facet rotates other points."""
+    return [(args, out) for args, out in rotations if args[0] is prep.reduced]
 
 
-def project(prep: _Prepared, mask: int, columns) -> dict[int, tuple[int, ...]]:
-    """A face's distinct points in ``columns``, ascending."""
-    return {i: tuple(prep.reduced[i][c] for c in columns) for i in sorted(members(prep, mask))}
-
-
-def test_carried_functionals_are_primitive_and_support_their_face():
-    """Every functional a memo entry holds, and every one it makes on first
-    need (a simplex's, or a face of j+2 points'), is primitive, zero exactly
-    on its facet and positive on the rest of the face."""
-    checked = corank_one = simplices = 0
-    for rows in functional_cases():
+def test_carried_functionals_are_primitive_and_support_their_face(monkeypatch):
+    """Every functional the polytope's wrap holds is primitive, zero exactly
+    on its facet and positive on the rest of the points, and every ridge
+    functional it turns about (a facet's double description gave it, or one
+    hyperplane in a simplex) is primitive, zero exactly on a ridge of that
+    facet and positive on the rest of the facet."""
+    rotations = record(monkeypatch, "_rotate")
+    firsts = record(monkeypatch, "_first_facet")
+    checked = ridges = in_simplices = 0
+    # each case also with its coordinates reversed, so that other columns pivot
+    for rows in functional_cases() + [[p[::-1] for p in rows] for rows in functional_cases()]:
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank == 0:
             continue
-        memo = full_memo(prep)
-        for face, (facets, columns, functionals, idx) in memo.items():
-            sub = project(prep, face, columns)
-            for n, (mask, functional) in enumerate(zip(facets, functionals)):
-                if functional is None:  # a ridge no wrap crossed: make it now
-                    functional = hull._facet_functional(input_points(prep), face, n, memo)
-                    corank_one += len(idx) == len(columns) + 2
-                facet = members(prep, mask)
-                if mask and mask not in memo:  # no wrap entered it: a simplex, whose facets clear one bit each
-                    assert affine_rank([prep.reduced[i] for i in facet]) == len(facet) - 1
-                    simplices += 1
-                spanning = _spanning([sub[i] for i in sorted(facet)])
-                assert len(spanning) == len(columns)
-                key = canonical_key(hyperplane([(1, *p) for p in spanning]))
-                assert functional in (key, tuple(-c for c in key))
-                values = dict(zip(sub, hull._values(functional, sub.values())))
-                assert {i for i, x in values.items() if x == 0} == facet
-                assert all(x > 0 for i, x in values.items() if i not in facet)
-                checked += 1
-    assert checked > 1000
-    assert corank_one > 100
-    assert simplices > 1000
+        rotations.clear()
+        firsts.clear()
+        facets = set(wrap(prep))
+        pts = prep.reduced
+        [(_, (_, first))] = firsts
+        turns = top_rotations(rotations, prep)
+        for u in [first] + [out[0] for _, out in turns]:
+            values = hull._values(u, pts)
+            assert math.gcd(*u) == 1 and min(values) == 0
+            assert frozenset(i for i, x in enumerate(values) if not x) in facets
+            checked += 1
+        for (_, u_values, u, v), _ in turns:
+            on = [i for i, x in enumerate(u_values) if not x]
+            values = dict(zip(on, hull._values(v, [pts[i] for i in on])))
+            ridge = frozenset(i for i, x in values.items() if not x)
+            assert math.gcd(*v) == 1
+            assert all(x > 0 for i, x in values.items() if i not in ridge)
+            assert ridge in {frozenset(on) & g for g in facets if g != frozenset(on)}
+            assert (len(difference_pivots([pts[i] for i in sorted(ridge)])) if ridge else -1) == prep.rank - 2
+            checked += 1
+            ridges += 1
+            in_simplices += len(on) == prep.rank
+    assert checked > 1800
+    assert ridges - in_simplices > 100
+    assert in_simplices > 750
 
 
 def difference_pivots(pts) -> tuple[int, ...]:
@@ -582,23 +595,32 @@ def difference_pivots(pts) -> tuple[int, ...]:
     return int_row_space_pivots([[x - b for x, b in zip(p, pts[0])] for p in pts[1:]])[1]
 
 
-def test_carried_columns_are_the_difference_row_pivots():
+def test_carried_columns_are_the_difference_row_pivots(monkeypatch):
+    """A facet's pivot columns, the polytope's minus the last one its
+    functional uses, are those of its points' difference rows, and its mask
+    holds each of its points' first index in the input."""
+    rotations = record(monkeypatch, "_rotate")
+    firsts = record(monkeypatch, "_first_facet")
     checked = shifted = 0
     # each case also with its coordinates reversed, so that other columns pivot
     for rows in functional_cases() + [[p[::-1] for p in rows] for rows in functional_cases()]:
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank == 0:
             continue
-        pts = input_points(prep)
-        for face, (_, columns, _, idx) in full_memo(prep).items():
-            # each entry carries its face's ascending point indices, each
-            # point's first index in the input
-            distinct = sorted(members(prep, face))
-            assert idx == hull._indices(face) == [prep.members[d][0] for d in distinct]
-            shifted += idx != distinct
-            assert columns == difference_pivots([pts[i] for i in idx])
+        rotations.clear()
+        firsts.clear()
+        masks, _ = hull._wrap(prep.reduced, [1 << m[0] for m in prep.members], prep.rank)
+        [(_, (_, first))] = firsts
+        functionals = [first] + [out[0] for _, out in top_rotations(rotations, prep)]
+        assert len(functionals) == len(masks)
+        for mask, u in zip(masks, functionals):
+            on = [i for i, x in enumerate(hull._values(u, prep.reduced)) if not x]
+            assert hull._indices(mask) == [prep.members[d][0] for d in on]
+            shifted += hull._indices(mask) != on
+            t = max(n for n, c in enumerate(u) if c)
+            assert tuple(c for c in range(prep.rank) if c != t - 1) == difference_pivots([prep.reduced[i] for i in on])
             checked += 1
-    assert checked > 600
+    assert checked > 950
     # copies placed before later points shift their first indices
     assert shifted > 250
 
@@ -626,45 +648,34 @@ def rotate_by_candidates(pts, flat, away, start) -> frozenset:
     return on
 
 
-def test_pencil_rotation_matches_candidate_rotation():
-    rng = random.Random(1618)
+def test_pencil_rotation_matches_candidate_rotation(monkeypatch):
+    """Every rotation of the polytope's wrap lands on the facet that the
+    slow candidate rotation about the same ridge finds."""
+    rotations = record(monkeypatch, "_rotate")
     triples = 0
-    for rows in functional_cases():
+    # each case also with its coordinates reversed, so that other columns pivot
+    for rows in functional_cases() + [[p[::-1] for p in rows] for rows in functional_cases()]:
         prep = _Prepared(PointSet.from_rows(rows))
         if prep.rank < 2:
             continue
-        memo = full_memo(prep)
-        # every wrapped face: its facets all carry a functional
-        carried = [f for f, (_, columns, *_) in memo.items() if f.bit_count() > len(columns) + 2]
-        for face in rng.sample(carried, min(4, len(carried))):
-            facets, columns, functionals, _ = memo[face]
-            idx = sorted(members(prep, face))
-            sub = [tuple(prep.reduced[i][c] for c in columns) for i in idx]
-            at = {c: n for n, c in enumerate(columns, 1)}
-            for facet, u in zip(facets, functionals):
-                u_values = hull._values(u, sub)
-                for r, ridge in enumerate(memo[facet][0]):
-                    w = hull._facet_functional(input_points(prep), facet, r, memo)
-                    ridge_columns = memo[facet][1]
-                    # the ridge functional zero-filled over the face's columns
-                    v = [w[0]] + [0] * len(columns)
-                    for c, x in zip(ridge_columns, w[1:]):
-                        v[at[c]] = x
-                    _, values = hull._rotate(sub, u_values, u, v)
-                    pencil = frozenset(idx[n] for n, x in enumerate(values) if not x)
-                    on_facet, on_ridge = members(prep, facet), members(prep, ridge)
-                    flat = _spanning([sub[n] for n, i in enumerate(idx) if i in on_ridge])
-                    away = sub[idx.index(min(on_facet - on_ridge))]
-                    start = next(n for n, i in enumerate(idx) if i not in on_facet)
-                    oracle = rotate_by_candidates(sub, flat, away, start)
-                    assert pencil == frozenset(idx[n] for n in oracle)
-                    assert pencil in {members(prep, f) for f in facets} and pencil != on_facet
-                    triples += 1
-    assert triples > 500
+        rotations.clear()
+        facets = set(wrap(prep))
+        pts = prep.reduced
+        for (_, u_values, u, v), (_, values) in top_rotations(rotations, prep):
+            on_facet = [i for i, x in enumerate(u_values) if not x]
+            on_ridge = [i for i, x in zip(on_facet, hull._values(v, [pts[i] for i in on_facet])) if not x]
+            flat = _spanning([pts[i] for i in on_ridge])
+            away = pts[min(set(on_facet) - set(on_ridge))]
+            start = next(i for i, x in enumerate(u_values) if x)
+            pencil = frozenset(i for i, x in enumerate(values) if not x)
+            assert pencil == rotate_by_candidates(pts, flat, away, start)
+            assert pencil in facets and pencil != frozenset(on_facet)
+            triples += 1
+    assert triples > 850
 
 
 def test_wrap_work_counts(monkeypatch):
-    counts = {"hyperplane": 0, "_rotate": 0, "_ridge_seed": 0, "int_row_space_pivots": 0, "_spanning": 0}
+    counts = {"hyperplane": 0, "_rotate": 0, "int_row_space_pivots": 0, "_spanning": 0, "_double_description": 0}
     for name in counts:
         original = getattr(hull, name)
 
@@ -673,8 +684,8 @@ def test_wrap_work_counts(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(hull, name, counted)
-    first_facet = hull._first_facet
-    first_turns = []
+    first_facet, cut = hull._first_facet, hull._cut
+    first_turns, pairs = [], []
 
     def first_counted(*args):
         before = counts["_rotate"]
@@ -682,64 +693,60 @@ def test_wrap_work_counts(monkeypatch):
         first_turns.append(counts["_rotate"] - before)
         return out
 
+    def cut_counted(rays, row, *args):
+        signs = [sum(map(operator.mul, h, row)) for h, _ in rays]
+        pairs.append(sum(x > 0 for x in signs) * sum(x < 0 for x in signs))
+        return cut(rays, row, *args)
+
     monkeypatch.setattr(hull, "_first_facet", first_counted)
+    monkeypatch.setattr(hull, "_cut", cut_counted)
 
     def work(rows):
         for name in counts:
             counts[name] = 0
         first_turns.clear()
+        pairs.clear()
         lattice = convex_hull(PointSet.from_rows(rows))
-        # every point is a vertex, so a face is wrapped iff it has over dim + 2
-        assert lattice.f_vector[0] == len(rows)
-        levels = lattice.levels
-        walked = sum(
-            sum(set(g) <= set(f) for g in levels[dim - 1])
-            for dim in range(1, len(levels))
-            for f in levels[dim]
-            if len(f) > dim + 2
-        )
-        # a wrapped face's facets are its seeds and one per rotation of its
-        # walk, but that each face of the first-facet chain starts from one
-        # first facet, found by rotations of its own
-        assert counts["_rotate"] - sum(first_turns) == walked - counts["_ridge_seed"] - len(first_turns)
-        # a facet's pivot columns are its face's minus one, so only the hull's
-        # rank and each shadow step of a first facet eliminate
-        assert counts["int_row_space_pivots"] == 1 + counts["_spanning"]
+        # every rotation of the wrap past its first facet finds a new facet
+        assert counts["_rotate"] - sum(first_turns) == lattice.f_vector[-1] - 1
+        # one elimination for the rank, one per shadow step of the first
+        # facet and one per double description pass, for its affine basis
+        assert counts["int_row_space_pivots"] == 1 + counts["_spanning"] + counts["_double_description"]
         return (
             lattice.f_vector,
             counts["hyperplane"],
             counts["_rotate"],
-            counts["_ridge_seed"],
             sum(first_turns),
-            counts["int_row_space_pivots"],
+            counts["_double_description"],
+            len(pairs),
+            sum(pairs),
         )
 
-    # one elimination per candidate point would cost 378 on the 4-cube and
-    # 6,723 on the sums; now a face of j + 2 points pays one for its affine
-    # dependency, a ridge a wrap crosses in a simplex or such a face one,
-    # and a first facet of the chain from the top one per rotation
     cube = list(itertools.product([0, 1], repeat=4))
-    # the 4-cube's 8 facets and each cube's 6: 8 + 8*6 = 56 facets, of which
-    # the chain's 2 first facets and 24 seeds need no rotation; one cube was
-    # the only one entered without a seed.  The 24 squares have 2 + 2 points
-    # and are not wrapped.  Hyperplanes: the squares' 24 dependencies and
-    # the 17 square edges the cubes' wraps cross; the chain is 4-cube, cube,
-    # so the rank and 3 + 2 shadow steps eliminate
-    assert work(cube) == ((16, 32, 24, 8), 41, 30, 24, 0, 6)
+    # the 8 facets are cubes, so 8 passes, each from a simplex cone of 4
+    # rays (4 hyperplanes) and 4 cuts; the lowest square of the first facet
+    # is a facet of every shadow, so the chain makes no rotation
+    # each of the 8 facets is a cube: one pass from a simplex cone of 4 rays
+    # (4 hyperplanes), then 4 cuts with 80 (+, -) ray pairs in all.  The
+    # lowest square is a facet of every shadow, so the first facet costs no
+    # rotation
+    assert work(cube) == ((16, 32, 24, 8), 32, 7, 0, 8, 32, 80)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
-    # the 132 parallelograms among the 2-faces are not wrapped.  Hyperplanes:
-    # their 132 dependencies, the simplex and parallelogram ridges the wraps
-    # cross, and the chain's 9 shadow rotations
-    assert work(sums) == ((36, 156, 288, 252, 86), 300, 554, 882, 9, 10)
+    # hyperplanes: 5 per pass for its simplex cone, one per ridge of a
+    # simplex facet the wrap crosses, and the chain's 9 shadow rotations
+    # 74 of the 86 facets are not simplices: 5 hyperplanes each for the
+    # simplex cone, 7 for ridges of the 12 simplex facets the wrap crosses,
+    # and 4 for the first facet's shadow rotations
+    assert work(sums) == ((36, 156, 288, 252, 86), 381, 89, 4, 74, 254, 508)
 
 
 def test_walk_frees_a_walked_facets_values():
     """Once the walk is done with a facet, all its ridges are closed and its
     values at every point are dropped.  This sum's 256 points hold 60
     vertices and its top wrap finds 86 facets: keeping every facet's values
-    peaked at about 1,000 KB of traced memory, dropping them at about 240 KB."""
+    peaked at about 1,000 KB of traced memory, dropping them at about 215 KB."""
     curve = [[t, t * t + t, t**3] for t in range(1, 17)]
     other = [[-t, t * t + t, -(t**3)] for t in range(1, 17)]
     ps = PointSet.from_rows([[a + b for a, b in zip(p, q)] for p in curve for q in other])
@@ -770,11 +777,11 @@ def corank_one_cases() -> dict[str, list[list[int]]]:
 
 
 def test_corank_one_faces_match_the_oracle(monkeypatch):
-    def never(*args):
-        raise AssertionError("a face of at most j + 2 points was gift-wrapped")
-
-    monkeypatch.setattr(hull, "_rotate", never)
-    monkeypatch.setattr(hull, "_first_facet", never)
+    """Faces of j + 2 points, which have one affine dependency, get the
+    exhaustive lattice: a facet's from its double description pass, a lower
+    face's from its parent's facets.  Each pass reads its facet's points in
+    pivot columns where they are full-rank."""
+    passes = record(monkeypatch, "_double_description")
     shift = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
     for name, rows in corank_one_cases().items():
         ps = PointSet.from_rows(rows)
@@ -783,14 +790,15 @@ def test_corank_one_faces_match_the_oracle(monkeypatch):
             scale_translate(ps, Fraction(3, 2), shift[: ps.ambient_dim]),
             PointSet.from_rows(rows[::-1] + rows[:2]),  # reordered, with duplicates
         ):
+            passes.clear()
             faces = {(dim, f) for dim, level in enumerate(convex_hull(variant).levels) for f in level}
             assert faces | {(-1, ())} == lattice_oracle(variant), name
             wrapped, oracle = wrap_and_oracle(variant)
             assert wrapped == oracle, name
-            prep = _Prepared(variant)
-            pts = input_points(prep)
-            for face, (_, columns, _, idx) in full_memo(prep).items():
-                assert columns == difference_pivots([pts[i] for i in idx]), name
+            k = _Prepared(variant).rank
+            assert len(passes) == 2 * sum(len(f) > k for f in oracle), name
+            for (lifted,), _ in passes:
+                assert len(difference_pivots([row[1:] for row in lifted])) == len(lifted[0]) - 1 == k - 1, name
 
     lattice = convex_hull(PointSet.from_rows(corank_one_cases()["square pyramid"]))
     assert lattice.f_vector == (5, 8, 5)
