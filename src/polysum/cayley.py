@@ -76,18 +76,23 @@ def spanning_face_counts(lattice: FaceLattice, pps: PartitionedPointSet) -> tupl
 
     Entry j counts the spanning j-faces, j = 0..polytope_dim-1.  The lattice
     must be built on the Cayley embedding of ``pps`` (point counts agree and
-    index order is part-by-part).
+    index order is part-by-part), so each part is one run of bits in a
+    face's mask.
     """
     if lattice.n_points != pps.total_points:
         raise ValueError(
             f"lattice over {lattice.n_points} points, partition has {pps.total_points}"
         )
-    r = pps.r
-    part_of = [i for i, part in enumerate(pps.parts) for _ in part.points]
-    return tuple(
-        sum(len({part_of[i] for i in face}) == r for face in level)
-        for level in lattice.levels[:-1]
-    )
+    parts, start = [], 0
+    for part in pps.parts:
+        parts.append((1 << len(part)) - 1 << start)
+        start += len(part)
+    counts = []
+    for level in lattice.masks[:-1]:
+        for part in parts:  # keep the faces with a vertex in this part
+            level = [face for face in level if face & part]
+        counts.append(len(level))
+    return tuple(counts)
 
 
 def minksum_direct_lattice(pps: PartitionedPointSet) -> FaceLattice:

@@ -5,9 +5,10 @@ Every geometric predicate in this package bottoms out here.  Scalars are
 a plain sequence of rows whose entries are ints, Fractions or "p/q" strings.
 One fraction-free (Bareiss 1968) row echelon pass on integer rows, after
 clearing denominators, gives the determinant, the rank with its leftmost
-pivot columns, and by back substitution the k+1 cofactors of a hyperplane
-through k integer points.  The independent determinant oracles live in
-the tests.  No floating point anywhere.
+pivot columns, by back substitution the k+1 cofactors of a hyperplane
+through k integer points, and on [B | I] the n extreme rays of the
+simplicial cone of an n x n matrix B.  The independent determinant
+oracles live in the tests.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -136,6 +137,44 @@ def hyperplane(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     for ai, p in zip(reversed(a), reversed(pivots)):
         c[p] = -sum(ai[j] * c[j] for j in range(p + 1, k + 1)) // ai[p]
     return tuple(c)
+
+
+def cone_rays(rows: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...]]]:
+    """Extreme rays of the simplicial cone {h : row . h >= 0 for every row}
+    of n integer rows of length n, by one elimination.
+
+    Ray i vanishes on every row but row i and is positive there: column i
+    of adj(B), for B the matrix of the rows, times the sign of det B, made
+    primitive.  Returns None when the rows are linearly dependent.
+
+    The echelon pass on [B | I] gives [U | M] with U = M B upper
+    triangular, and B is nonsingular exactly when its pivots are the first
+    n columns; the last one is D = +-det B.  Then X = D B^-1 solves
+    U X = D M, and back substitution from the last row up divides exactly,
+    because X = +-adj(B) is an integer matrix.
+    """
+    n = len(rows)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    pivots, _ = _echelon(a)
+    if pivots != list(range(n)):
+        return None
+    d = a[-1][n - 1] if n else 1
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        ai = a[i]
+        row = [d * m for m in ai[n:]]
+        for j in range(i + 1, n):
+            f = ai[j]
+            if f:
+                row = [y - f * z for y, z in zip(row, x[j])]
+        x[i] = [y // ai[i] for y in row]
+    rays = []
+    for column in zip(*x):
+        g = math.gcd(*column)
+        if d < 0:
+            g = -g
+        rays.append(tuple(c // g for c in column))
+    return rays
 
 
 def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:

@@ -18,9 +18,11 @@ double-description pass over its points in its pivot columns, the
 polytope's minus the last one its functional uses.  Every lower face that
 is not a simplex takes as its facets the inclusion-maximal intersections
 with the other facets of a face it is a facet of.  A simplex's facets
-clear one bit each.  Only two levels of facet lists are kept at a time.  A
-vertex tuple is a mask's set bits on the vertices, with the other copies
-of a repeated vertex added.  No floating point is used anywhere.
+clear one bit each.  Only two levels of facet lists are kept at a time.
+The lattice keeps each face as the mask of its vertices, and f-vectors,
+face queries and spanning counts read the masks.  A vertex tuple, a mask's
+set bits with the other copies of a repeated vertex added, is built only
+when the tuples are asked for.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .exact import clear_denominators, hyperplane, int_row_space_pivots, rat
+from .exact import clear_denominators, cone_rays, hyperplane, int_row_space_pivots, rat
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,20 @@ class PointSet:
 class FaceLattice:
     """Complete face lattice of a polytope, one level per dimension.
 
-    ``levels[j]`` is the set of j-faces for j = 0..polytope_dim, each face
-    given by its sorted vertex indices into the hulled points (a vertex
-    repeated among the points lists every copy).  The top level holds the
-    polytope alone; the empty face is implied.
+    ``masks[j]`` is the set of j-faces for j = 0..polytope_dim, each face
+    the int bitmask of its vertices, each distinct vertex the bit of its
+    first index among the hulled points.  ``copies`` pairs the bit of each
+    vertex given by several equal points with the bits of its other
+    copies.  The top level holds the polytope alone; the empty face is
+    implied.  Counts and face queries read the masks.  ``levels`` is the
+    same lattice as sorted vertex index tuples, in which a repeated vertex
+    lists every copy; it is built on first use.
     """
 
     ambient_dim: int
     n_points: int
-    levels: tuple[frozenset[tuple[int, ...]], ...]
+    masks: tuple[frozenset[int], ...]
+    copies: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         euler = sum((-1) ** k * fk for k, fk in enumerate(self.f_vector))
@@ -92,25 +100,46 @@ class FaceLattice:
 
     @property
     def polytope_dim(self) -> int:
-        return len(self.levels) - 1
+        return len(self.masks) - 1
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         """Numbers of j-faces for j = 0..polytope_dim-1."""
-        return tuple(map(len, self.levels[:-1]))
+        return tuple(map(len, self.masks[:-1]))
+
+    def _vertex_tuple(self, face: int) -> tuple[int, ...]:
+        """A face's mask as its sorted vertex indices, every copy included."""
+        for bit, rest in self.copies:
+            if face & bit:
+                face |= rest
+        return tuple(_indices(face))
+
+    @cached_property
+    def levels(self) -> tuple[frozenset[tuple[int, ...]], ...]:
+        """``levels[j]``: the j-faces as sorted vertex index tuples."""
+        return tuple(frozenset(map(self._vertex_tuple, level)) for level in self.masks)
 
     @property
     def vertex_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(i for vertex in self.levels[0] for i in vertex))
+        [top] = self.masks[-1]
+        return self._vertex_tuple(top)
 
 
 def is_face(lattice: FaceLattice, vertex_indices: Sequence[int]) -> bool:
-    """True iff the sorted index set is the vertex set of a face."""
-    idx = tuple(sorted(set(vertex_indices)))
+    """True iff the index set is the vertex set of a face, every copy of a
+    repeated vertex included."""
+    idx = sorted(set(vertex_indices))
     for i in idx:
         if i < 0 or i >= lattice.n_points:
             raise IndexError(f"vertex index {i} out of range 0..{lattice.n_points - 1}")
-    return not idx or any(idx in level for level in lattice.levels)
+    mask = sum(1 << i for i in idx)
+    for bit, rest in lattice.copies:
+        group = bit | rest
+        if mask & group:
+            if mask & group != group:
+                return False
+            mask ^= rest
+    return not mask or any(mask in level for level in lattice.masks)
 
 
 def neighborliness(lattice: FaceLattice) -> int:
@@ -121,10 +150,11 @@ def neighborliness(lattice: FaceLattice) -> int:
     """
     if lattice.polytope_dim == 0:
         return 0
-    verts = sorted(lattice.levels[0])
+    verts = sorted(lattice.masks[0])
+    faces = frozenset().union(*lattice.masks)
     best = 0
     for size in range(1, len(verts)):
-        if all(is_face(lattice, sum(c, ())) for c in itertools.combinations(verts, size)):
+        if all(sum(c) in faces for c in itertools.combinations(verts, size)):
             best = size
         else:
             break
@@ -222,14 +252,19 @@ def _spanning(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [points[i] for i in pivots]
 
 
-def _indices(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, each as an int of its own, ascending."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        out.append(low)
         mask ^= low
     return out
+
+
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [low.bit_length() - 1 for low in _bits(mask)]
 
 
 def _last_nonzero(g) -> int:
@@ -256,15 +291,14 @@ def _double_description(rows) -> list[tuple[tuple[int, ...], int]]:
     functionals (Motzkin et al. 1953; Fukuda & Prodon 1996).  The cone of
     an affine basis of the points, the pivots of their columns, is
     simplicial: each ray is the hyperplane through all basis points but
-    one, positive on that one.  ``_cut`` then adds the other points one at
-    a time.  Returns each facet's primitive functional, positive on the
-    rows off it, and its zero mask over the rows' positions.
+    one, positive on that one, and one ``cone_rays`` elimination gives them
+    all.  ``_cut`` then adds the other points one at a time.  Returns each
+    facet's primitive functional, positive on the rows off it, and its zero
+    mask over the rows' positions.
     """
     _, basis = int_row_space_pivots(list(zip(*rows)))
-    rays = []
-    for i in basis:
-        others = [b for b in basis if b != i]
-        rays.append((_oriented(hyperplane([rows[b] for b in others]), rows[i]), sum(1 << b for b in others)))
+    everyone = sum(1 << b for b in basis)
+    rays = [(h, everyone ^ 1 << b) for h, b in zip(cone_rays([rows[b] for b in basis]), basis)]
     size = len(rows) // 8 + 1  # bytes of a zero mask with a spare top bit
     for m, row in enumerate(rows):
         if m not in basis:
@@ -428,19 +462,14 @@ def convex_hull(points: PointSet) -> FaceLattice:
     The polytope's facets come from ``_wrap``, which also hands over each
     non-simplex facet's own facets from ``_double_description``; a lower
     non-simplex face's come from ``_intersected``, and a simplex's clear
-    one bit each.  A vertex tuple is then the set bits of a face's mask on
-    the vertices, with the other copies of a repeated vertex ORed in, so
-    points interior to the hull never appear in any vertex set.
+    one bit each.  Each mask then keeps only its vertices' bits, so points
+    that are no vertex of the hull never appear in a face, and the
+    lattice's vertex tuples are left to ``FaceLattice.levels``.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
     prep = _Prepared(points)
     k = prep.rank
-    n = len(points)
-
-    if k == 0:
-        return FaceLattice(points.ambient_dim, n, (frozenset({tuple(range(n))}),))
-
     bits = [1 << m[0] for m in prep.members]
     top = sum(bits)
     levels, children, below = [{top}], {}, {}
@@ -450,25 +479,19 @@ def convex_hull(points: PointSet) -> FaceLattice:
     for j in range(k, 0, -1):
         level = set()
         for g in levels[-1]:
-            level.update(children.get(g) or (g ^ (1 << i) for i in _indices(g)))
+            level.update(children.get(g) or [g ^ b for b in _bits(g)])
         levels.append(level)
         children = below
         below = _intersected(children, j - 1)
+    n_faces = sum(map(len, levels))
     vertices = sum(levels[-1])
-    # each repeated vertex: its first index's bit and its other copies' bits
-    copies = [(1 << m[0], sum(1 << i for i in m[1:])) for m in prep.members if len(m) > 1 and vertices >> m[0] & 1]
-
-    def expand(face: int) -> tuple[int, ...]:
-        face &= vertices
-        for bit, rest in copies:
-            if face & bit:
-                face |= rest
-        return tuple(_indices(face))
-
-    faces = tuple(frozenset(map(expand, level)) for level in reversed(levels))
-    if len(frozenset().union(*faces)) != sum(map(len, levels)):
+    if vertices != top:  # drop the points that are no vertex
+        levels = [{face & vertices for face in level} for level in levels]
+    masks = tuple(map(frozenset, reversed(levels)))
+    if len(frozenset().union(*masks)) != n_faces:
         raise AssertionError("two faces share a vertex set")
-    return FaceLattice(points.ambient_dim, n, faces)
+    copies = tuple((1 << m[0], sum(1 << i for i in m[1:])) for m in prep.members if len(m) > 1 and vertices >> m[0] & 1)
+    return FaceLattice(points.ambient_dim, len(points), masks, copies)
 
 
 def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:

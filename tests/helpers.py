@@ -289,3 +289,10 @@ def fraction_sums(pps) -> list[tuple[Fraction, ...]]:
     the order ``minksum_direct_lattice`` indexes them."""
     picks = itertools.product(*(part.points for part in pps.parts))
     return list(dict.fromkeys(tuple(map(sum, zip(*pick))) for pick in picks))
+
+
+def spanning_counts_by_parts(lattice, pps) -> tuple[int, ...]:
+    """Spanning face counts the slow way (test oracle): each face's vertex
+    tuple mapped to the set of its points' parts, which must hold all r."""
+    part_of = [i for i, part in enumerate(pps.parts) for _ in part.points]
+    return tuple(sum(len({part_of[i] for i in face}) == pps.r for face in level) for level in lattice.levels[:-1])

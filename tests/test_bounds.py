@@ -1,6 +1,8 @@
 """Tests for the face-count bound formulas."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,9 @@ from polysum.bounds import (
     two_polytope_bound,
     zonotope_bound,
 )
+from polysum.cayley import PartitionedPointSet, minksum_direct, minksum_via_cayley
+from polysum.construction import ConstructionParams, certify_family, generate_family
+from polysum.exact import int_det
 from polysum.hull import convex_hull
 
 from helpers import zonotope_points
@@ -184,6 +189,41 @@ def test_zonotope_bound_against_hulls():
         gens = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
         cube = convex_hull(zonotope_points(gens))
         assert cube.f_vector[0] == 2**d == zonotope_bound(0, d, d)
+
+
+def generic_generators(rng, d: int, n: int) -> list[list[int]]:
+    """n integer vectors in R^d with every d of them linearly independent,
+    each d-subset checked by ``int_det``."""
+    while True:
+        gens = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(n)]
+        if all(int_det([gens[i] for i in rows]) for rows in itertools.combinations(range(n), d)):
+            return gens
+
+
+@pytest.mark.parametrize("d, n", [(3, 4), (3, 6), (4, 5), (4, 7), (5, 7)])
+def test_generic_zonotopes_attain_the_zonotope_bound(d, n):
+    """The Minkowski sum of n segments whose generators are in general
+    position has the most faces a sum of n non-parallel edges can have, by
+    both Minkowski oracles."""
+    gens = generic_generators(random.Random(100 * d + n), d, n)
+    pps = PartitionedPointSet.from_rows([[[0] * d, g] for g in gens])
+    expected = tuple(zonotope_bound(l, n, d) for l in range(d))
+    assert minksum_via_cayley(pps) == expected
+    assert minksum_direct(pps) == expected
+
+
+@pytest.mark.parametrize("d, n1, n2", [(3, 4, 4), (3, 5, 7), (4, 5, 5), (4, 6, 9), (5, 6, 6)])
+def test_two_summand_family_attains_the_two_polytope_bound(d, n1, n2):
+    """At r = 2 the certified family's f-vector is at most the two-polytope
+    bound at every k, a theorem, and equals it, a fact measured on these
+    instances, past the range where it attains phi."""
+    params, _, _ = certify_family(ConstructionParams.defaults(d, 2, [n1, n2]))
+    family = generate_family(params)
+    f = minksum_via_cayley(family)
+    assert f == minksum_direct(family)
+    bound = tuple(two_polytope_bound(k + 1, d, n1, n2) for k in range(d))
+    assert all(fk <= b for fk, b in zip(f, bound))
+    assert f == bound
 
 
 def test_many_summand_f0_bounds():

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic kernel."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from polysum.exact import (
     DimensionError,
     affine_rank,
     clear_denominators,
+    cone_rays,
     det_sign_rows,
     determinant,
     hyperplane,
@@ -167,6 +169,56 @@ def _matrix_case(rng, m, n):
         for row in rows:
             row[j] = sum(c * row[i] for i, c in enumerate(coefs))
     return rows
+
+
+def _adjugate_rays(rows):
+    """The cone's rays from cofactors (test oracle): ray i is column i of
+    adj(B), (-1)^(i+j) det(B without row i and column j) for j = 0..n-1,
+    times the sign of det B and made primitive; None when det B = 0."""
+    det = determinant_cofactor(rows)
+    if not det:
+        return None
+    rays = []
+    for i in range(len(rows)):
+        rest = rows[:i] + rows[i + 1 :]
+        column = [int((-1) ** (i + j) * determinant_cofactor([r[:j] + r[j + 1 :] for r in rest])) for j in range(len(rows))]
+        g = math.gcd(*column) if det > 0 else -math.gcd(*column)
+        rays.append(tuple(c // g for c in column))
+    return rays
+
+
+def test_cone_rays_match_the_adjugate():
+    """Each ray of the simplicial cone vanishes on all rows but one, is
+    positive there and is primitive: the adjugate's column from cofactor
+    determinants.  The larger matrices are sparser, so that the oracle's
+    expansion stays small."""
+    rng = random.Random(1968)
+    singular = swapped = 0
+    checked = [0] * 10
+    for n in range(1, 10):
+        density = {6: 0.7, 7: 0.55, 8: 0.45, 9: 0.35}.get(n, 0.9)
+        for _ in range({7: 20, 8: 12, 9: 12}.get(n, 40)):
+            bits = rng.choice((2, 20, 70, 130))  # 70 and 130: entries above 2**64
+            rows = [[rng.randint(-(2**bits), 2**bits) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+            for row, j in zip(rows, rng.sample(range(n), n)):  # a nonzero Leibniz term, mostly
+                row[j] = row[j] or rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+            if n >= 2 and rng.random() < 0.4:  # zero leading entries: the pivot search must swap
+                for row in rows[: rng.randint(1, n - 1)]:
+                    row[0] = 0
+            if rng.random() < 0.25:  # one row a combination of the others
+                i = rng.randrange(n)
+                coefs = [rng.randint(-3, 3) * (j != i) for j in range(n)]
+                rows[i] = [sum(c * row[j] for c, row in zip(coefs, rows)) for j in range(n)]
+            expected = _adjugate_rays(rows)
+            got = cone_rays(rows)
+            assert got == expected, rows
+            singular += got is None
+            swapped += got is not None and rows[0][0] == 0
+            checked[n] += got is not None
+            for i, h in enumerate(got or ()):
+                values = [sum(map(operator.mul, row, h)) for row in rows]
+                assert values[i] > 0 and not any(values[:i] + values[i + 1 :])
+    assert min(checked[1:]) >= 5 and singular > 60 and swapped > 40
 
 
 def test_int_row_space_pivots_matches_fraction_elimination():

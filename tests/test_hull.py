@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polysum.hull as hull
-from polysum.cayley import PartitionedPointSet, minksum_direct_lattice
+from polysum.cayley import PartitionedPointSet, cayley_lattice, minksum_direct_lattice, spanning_face_counts
+from polysum.cli import run_command
 from polysum.exact import affine_rank, hyperplane, int_row_space_pivots
 from polysum.hull import (
     PointSet,
@@ -25,7 +26,7 @@ from polysum.hull import (
     verify_supporting,
 )
 
-from helpers import facets_exhaustive, fraction_sums
+from helpers import facets_exhaustive, fraction_sums, spanning_counts_by_parts
 
 
 def scale_translate(ps: PointSet, scale: Fraction, shift) -> PointSet:
@@ -675,7 +676,7 @@ def test_pencil_rotation_matches_candidate_rotation(monkeypatch):
 
 
 def test_wrap_work_counts(monkeypatch):
-    counts = {"hyperplane": 0, "_rotate": 0, "int_row_space_pivots": 0, "_spanning": 0, "_double_description": 0}
+    counts = {"hyperplane": 0, "cone_rays": 0, "_rotate": 0, "int_row_space_pivots": 0, "_spanning": 0, "_double_description": 0}
     for name in counts:
         original = getattr(hull, name)
 
@@ -712,6 +713,8 @@ def test_wrap_work_counts(monkeypatch):
         # one elimination for the rank, one per shadow step of the first
         # facet and one per double description pass, for its affine basis
         assert counts["int_row_space_pivots"] == 1 + counts["_spanning"] + counts["_double_description"]
+        # and one more per pass for all the rays of its simplex cone
+        assert counts["cone_rays"] == counts["_double_description"]
         return (
             lattice.f_vector,
             counts["hyperplane"],
@@ -723,23 +726,18 @@ def test_wrap_work_counts(monkeypatch):
         )
 
     cube = list(itertools.product([0, 1], repeat=4))
-    # the 8 facets are cubes, so 8 passes, each from a simplex cone of 4
-    # rays (4 hyperplanes) and 4 cuts; the lowest square of the first facet
-    # is a facet of every shadow, so the chain makes no rotation
     # each of the 8 facets is a cube: one pass from a simplex cone of 4 rays
-    # (4 hyperplanes), then 4 cuts with 80 (+, -) ray pairs in all.  The
-    # lowest square is a facet of every shadow, so the first facet costs no
-    # rotation
-    assert work(cube) == ((16, 32, 24, 8), 32, 7, 0, 8, 32, 80)
+    # (one elimination, no hyperplane), then 4 cuts with 80 (+, -) ray pairs
+    # in all.  The lowest square is a facet of every shadow, so the first
+    # facet costs no rotation
+    assert work(cube) == ((16, 32, 24, 8), 0, 7, 0, 8, 32, 80)
     curve = [[t**e for e in range(1, 6)] for t in range(1, 7)]
     other = [[(-t) ** e + (e == 2) * t for e in range(1, 6)] for t in range(1, 7)]
     sums = [[a + b for a, b in zip(p, q)] for p in curve for q in other]
-    # hyperplanes: 5 per pass for its simplex cone, one per ridge of a
-    # simplex facet the wrap crosses, and the chain's 9 shadow rotations
-    # 74 of the 86 facets are not simplices: 5 hyperplanes each for the
-    # simplex cone, 7 for ridges of the 12 simplex facets the wrap crosses,
-    # and 4 for the first facet's shadow rotations
-    assert work(sums) == ((36, 156, 288, 252, 86), 381, 89, 4, 74, 254, 508)
+    # 74 of the 86 facets are not simplices, each one pass whose simplex cone
+    # takes no hyperplane; 7 hyperplanes for ridges of the 12 simplex facets
+    # the wrap crosses, and 4 for the first facet's shadow rotations
+    assert work(sums) == ((36, 156, 288, 252, 86), 11, 89, 4, 74, 254, 508)
 
 
 def test_walk_frees_a_walked_facets_values():
@@ -808,3 +806,101 @@ def test_corank_one_faces_match_the_oracle(monkeypatch):
         lattice = convex_hull(PointSet.from_rows(corank_one_cases()[name]))
         assert inner not in lattice.vertex_indices
         assert verify_supporting(lattice, PointSet.from_rows(corank_one_cases()[name]))
+
+
+def view_cases() -> list[list[list[Fraction]]]:
+    """1,200 seeded point sets for the lattice's tuple view and face
+    queries: d = 1..5 in the boxes [-1, 1]..[-3, 3], some with copies of
+    points placed before later ones, some with points inside the hull
+    (centroids of a few points), and some embedded in a higher dimension."""
+    rng = random.Random(1203)
+    cases = []
+    for n in range(1200):
+        d = n % 5 + 1
+        box = rng.randint(1, 3)
+        rows = [[Fraction(rng.randint(-box, box)) for _ in range(d)] for _ in range(rng.randint(d + 1, d + 5))]
+        if n % 3 == 0:
+            for _ in range(rng.randint(1, 2)):
+                some = rng.sample(rows, rng.randint(2, len(rows)))
+                rows.append([sum(c) / len(some) for c in zip(*some)])
+        if n % 4 == 1:
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randint(1, len(rows) - 1)
+                rows.insert(at, list(rng.choice(rows[:at])))
+        if n % 5 == 2:
+            rows = [p + [p[0] - 2 * p[-1], Fraction(3)] for p in rows]
+        cases.append(rows)
+    return cases
+
+
+def test_levels_view_and_face_queries_match_the_oracle():
+    """The tuple view of the mask lattice is the exhaustive lattice, with
+    every copy of a repeated vertex and no point that is no vertex, and
+    ``is_face`` on masks agrees with a lookup among those tuples: a face
+    that lacks one copy of a repeated vertex is no face."""
+    rng = random.Random(2002)
+    checked = copies = queries = 0
+    for rows in view_cases():
+        ps = PointSet.from_rows(rows)
+        lattice = convex_hull(ps)
+        faces = {(dim, f) for dim, level in enumerate(lattice.levels) for f in level}
+        if _Prepared(ps).rank:
+            assert faces | {(-1, ())} == lattice_oracle(ps)
+        else:
+            assert lattice.levels == (frozenset({tuple(range(len(rows)))}),)
+        assert lattice.vertex_indices == tuple(sorted(i for vertex in lattice.levels[0] for i in vertex))
+        tuples = {f for _, f in faces}
+
+        def looked_up(idx):
+            return not idx or tuple(sorted(set(idx))) in tuples
+
+        asked = [f for _, f in faces]
+        for f in asked[:]:  # each face less one copy of a repeated vertex
+            for vertex in lattice.levels[0]:
+                if len(vertex) > 1 and set(vertex) <= set(f):
+                    asked.append(tuple(i for i in f if i != vertex[-1]))
+                    copies += 1
+        asked += [rng.sample(range(len(rows)), rng.randint(0, len(rows))) for _ in range(20)]
+        for idx in asked:
+            assert is_face(lattice, idx) == looked_up(idx), (rows, idx)
+            queries += 1
+        checked += 1
+    assert checked == 1200 and copies > 1000 and queries > 30000
+
+
+def test_spanning_counts_match_the_parts_oracle():
+    """Counting on masks, one AND per part, gives the spanning counts of
+    the vertex tuples mapped to their parts."""
+    rng = random.Random(55)
+    cases = list(sum_cases().values())
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        parts = [[[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(2, 3))]
+        parts[0] += parts[0][:1]  # a repeated point
+        cases.append(parts)
+    spanning = 0
+    for parts in cases:
+        pps = PartitionedPointSet.from_rows(parts)
+        lattice = cayley_lattice(pps)
+        counts = spanning_face_counts(lattice, pps)
+        assert counts == spanning_counts_by_parts(lattice, pps), parts
+        spanning += sum(counts)
+    assert spanning > 1000
+
+
+def test_face_counts_never_build_vertex_tuples(monkeypatch, tmp_path):
+    """``minksum --method both`` and ``verify-tight`` read every count and
+    face query off the masks: the tuple view is never built."""
+
+    def refused(lattice):
+        raise AssertionError("vertex tuples built")
+
+    monkeypatch.setattr(hull.FaceLattice, "levels", property(refused))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{"ambient_dim": 3, "points": [["0","0","0"],["2","0","0"],["0","2","0"],["0","0","2"],["2","0","0"]]}')
+    b.write_text('{"ambient_dim": 3, "points": [["0","0","0"],["1","1","0"],["1","0","1"],["0","1","1"],["1","1","1"]]}')
+    for argv in (["minksum", "--inputs", str(a), str(b), "--method", "both"], ["verify-tight", "--d", "3", "--r", "2", "--n", "4,4"]):
+        code, report = run_command(argv)
+        assert code == 0 and report.passed, argv
+    with pytest.raises(AssertionError, match="vertex tuples built"):
+        convex_hull(square()).levels
