@@ -7,10 +7,11 @@ row n + i, and x^p * tau^(p * beta_i) in power row 2n + p - 2 for
 p = 2..K-2n+1; every other entry is 0.  As tau -> 0+ the determinant is
 dominated by a single product of generalized Vandermonde determinants with
 a known exponent, so it is strictly positive for all small tau.  This module
-evaluates the family exactly, finds a threshold tau0 by halving (see
-``certify_positivity`` for what it does not prove), computes the predicted
+evaluates the family exactly, finds the first halving threshold tau0 at
+which Delta(tau0) and Delta(tau0/2) are both positive, computes the predicted
 leading term, and cross-checks everything against brute-force expansions
-that know nothing about the block structure.
+that know nothing about the block structure.  That Delta > 0 on all of
+(0, tau0] is not proved here (``certify_positivity``).
 
 Delta(tau) is evaluated by block elimination.  With y = x tau^beta_i, in
 block i subtract column 0 from the others, expand along indicator row i and
@@ -280,9 +281,6 @@ class PositivityReport:
     halvings: int
     theta: int
     coefficient: Fraction
-    ratio_points: list[tuple[Fraction, Fraction]]
-    deviation_decreasing: bool
-    certified: bool
     # the memoized tau -> Delta(tau) the search evaluated; left out of to_dict
     delta: Callable[[Fraction], Fraction] = field(repr=False, compare=False)
 
@@ -292,55 +290,22 @@ class PositivityReport:
             "halvings": self.halvings,
             "theta": self.theta,
             "coefficient": rat_to_str(self.coefficient),
-            "ratio_points": [
-                {"tau": rat_to_str(t), "deviation": rat_to_str(d)}
-                for t, d in self.ratio_points
-            ],
-            "deviation_decreasing": self.deviation_decreasing,
-            "certified": self.certified,
         }
 
 
 def certify_positivity(spec: DeltaSpec, max_halvings: int = 64) -> PositivityReport:
     """Find tau0, the first 2^-h with Delta(2^-h) > 0 and Delta(2^-(h+1)) > 0,
-    then check that Delta(tau)/(coeff * tau^theta) approaches 1 as tau halves.
+    and the leading term's exponent theta and coefficient.
 
-    ``certified`` only says that this deviation from the leading term fell
-    between two probe points; neither it nor tau0 proves Delta > 0 on
-    (0, tau0].  The benchmark spec ``spec018-K7`` (kappa (4, 3), beta (3, 0),
-    x ((2, 4, 6, 8), (3/2, 3, 4))) gets tau0 = 1 and ``certified: true``, yet
-    Delta(13/16) ~ -79.3 and Delta(7/8) ~ -339.8.
+    Two positive values do not prove Delta > 0 on (0, tau0].  The benchmark
+    spec ``spec018-K7`` (kappa (4, 3), beta (3, 0), x ((2, 4, 6, 8),
+    (3/2, 3, 4))) gets tau0 = 1, yet Delta(13/16) ~ -79.3 and
+    Delta(7/8) ~ -339.8.
     """
     lt = leading_term(spec)
     delta = functools.cache(_evaluator(spec))  # each distinct tau is evaluated once
-    tau0 = None
-    halvings = 0
     for h in range(max_halvings + 1):
         t = Fraction(1, 2**h)
         if delta(t) > 0 and delta(t / 2) > 0:
-            tau0, halvings = t, h
-            break
-    if tau0 is None:
-        raise SearchExhausted("tau0 search", max_halvings)
-
-    def deviation(t: Fraction) -> Fraction:
-        return abs(delta(t) / (lt.coefficient * t**lt.theta) - 1)
-
-    t_probe = tau0 / 2
-    d1, d2 = deviation(t_probe), deviation(t_probe / 2)
-    budget = max_halvings
-    while budget and not (d2 < d1 or (d1 == 0 and d2 == 0)):
-        t_probe /= 2
-        d1, d2 = deviation(t_probe), deviation(t_probe / 2)
-        budget -= 1
-    decreasing = d2 < d1 or (d1 == 0 and d2 == 0)
-    return PositivityReport(
-        tau0=tau0,
-        halvings=halvings,
-        theta=lt.theta,
-        coefficient=lt.coefficient,
-        ratio_points=[(t_probe, d1), (t_probe / 2, d2)],
-        deviation_decreasing=decreasing,
-        certified=decreasing,
-        delta=delta,
-    )
+            return PositivityReport(t, h, lt.theta, lt.coefficient, delta)
+    raise SearchExhausted("tau0 search", max_halvings)

@@ -166,7 +166,7 @@ def test_criterion_6_block_determinant_certification():
         spec = random_delta_spec(rng, max_total=10)
         rep = certify_positivity(spec)
         if not (delta_value(spec, rep.tau0) > 0 and delta_value(spec, rep.tau0 / 2) > 0):
-            failures.append(f"spec {idx}: positivity not certified")
+            failures.append(f"spec {idx}: Delta not positive at both tau0 and tau0/2")
         if spec.K <= 8:
             poly = delta_polynomial(spec)
             lt = leading_term(spec)

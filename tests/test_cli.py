@@ -384,12 +384,13 @@ def passed_checks(*pairs):
 DELTA_POSITIVE = [
     ("delta_positive_at_tau0", True, True),
     ("delta_positive_at_half_tau0", True, True),
-    ("ratio_deviation_decreasing", True, True),
 ]
 
 
 # the K = 8 spec of CI: the brute-force polynomial runs
 K8_SPEC = {"kappa": [3, 3, 2], "beta": [4, 2, 0], "x": [["1/2", "1", "3/2"], ["1/3", "2/3", "5/3"], ["1/5", "2"]]}
+# the benchmark's spec018-K7: tau0 = 1 although Delta < 0 at 13/16 and 7/8
+K7_SPEC = {"kappa": [4, 3], "beta": [3, 0], "x": [["2", "4", "6", "8"], ["3/2", "3", "4"]]}
 # K = 14, past the brute-force cap; one block with kappa = 2
 K14_SPEC = {
     "kappa": [5, 4, 3, 2],
@@ -408,9 +409,6 @@ K14_SPEC = {
                 "halvings": 1,
                 "theta": 20,
                 "coefficient": "8/15",
-                "ratio_points": [{"deviation": "9/128", "tau": "1/4"}, {"deviation": "9/512", "tau": "1/8"}],
-                "deviation_decreasing": True,
-                "certified": True,
             },
             passed_checks(
                 *DELTA_POSITIVE,
@@ -430,20 +428,21 @@ K14_SPEC = {
                 "halvings": 2,
                 "theta": 62,
                 "coefficient": "23746321076569/24461180928000",
-                "ratio_points": [
-                    {"deviation": "2158507170582938812140629/2761296856973898615357440", "tau": "1/8"},
-                    {
-                        "deviation": "13059788401735151783828946034187/25651696728542421236247240376320",
-                        "tau": "1/16",
-                    },
-                ],
-                "deviation_decreasing": True,
-                "certified": True,
             },
             passed_checks(*DELTA_POSITIVE),
         ),
+        (
+            K7_SPEC,
+            {"tau0": "1", "halvings": 0, "theta": 18, "coefficient": "143280"},
+            passed_checks(
+                *DELTA_POSITIVE,
+                ("brute_force_lowest_degree", 18, 18),
+                ("brute_force_leading_coefficient", "143280", "143280"),
+                ("brute_force_matches_evaluator", ["56880", "22095/65536"], ["56880", "22095/65536"]),
+            ),
+        ),
     ],
-    ids=["K8", "K14"],
+    ids=["K8", "K14", "K7"],
 )
 def test_delta_report_is_pinned(tmp_path, spec, positivity, checks):
     path = tmp_path / "spec.json"

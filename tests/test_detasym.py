@@ -246,10 +246,9 @@ def test_certify_positivity_evaluates_each_tau_once(monkeypatch):
         calls.clear()
         report = certify_positivity(spec)
         # one GVD per block for the leading term, then one determinant per tau
-        # tried: every tau tried is 2^-j, for j = 0 up to the last probe point
-        smallest = report.ratio_points[-1][0]
-        assert smallest.numerator == 1 and smallest.denominator.bit_count() == 1
-        assert len(calls) == spec.n + smallest.denominator.bit_length()
+        # tried: every tau tried is 2^-j, for j = 0..halvings + 1
+        assert report.tau0 == Fraction(1, 2**report.halvings)
+        assert len(calls) == spec.n + report.halvings + 2
 
 
 def test_delta_positive_below_threshold():
@@ -257,7 +256,6 @@ def test_delta_positive_below_threshold():
     for _ in range(10):
         spec = random_delta_spec(rng)
         report = certify_positivity(spec)
-        assert report.certified
         assert delta_value(spec, report.tau0) > 0
         assert delta_value(spec, report.tau0 / 2) > 0
 
@@ -369,9 +367,10 @@ def test_build_delta_block_structure():
 
 def test_degenerate_two_block_spec_certifies_at_one():
     report = certify_positivity(hand_spec())
-    assert report.tau0 == 1
-    # Delta(tau) = coeff * tau exactly: both probe deviations vanish
-    assert all(d == 0 for _, d in report.ratio_points)
+    assert report.tau0 == 1 and report.halvings == 0
+    assert (report.theta, report.coefficient) == (1, 2)
+    # Delta(tau) = coeff * tau exactly
+    assert report.delta(Fraction(1)) == 2 and report.delta(Fraction(1, 2)) == 1
 
 
 def test_ratio_deviation_small_at_fixed_probe():
@@ -386,14 +385,18 @@ def test_ratio_deviation_small_at_fixed_probe():
         assert dev < bound
 
 
-def test_ratio_deviation_decreases():
-    rng = random.Random(11)
-    for _ in range(5):
-        spec = random_delta_spec(rng)
-        report = certify_positivity(spec)
-        (t1, d1), (t2, d2) = report.ratio_points
-        assert t2 == t1 / 2
-        assert d2 < d1 or (d1 == 0 and d2 == 0)
+def test_tau0_is_not_a_proof_of_positivity_below_it():
+    # the benchmark's spec018-K7: both halving points are positive, yet
+    # Delta changes sign at least twice inside (tau0/2, tau0)
+    spec = DeltaSpec(
+        (4, 3),
+        (3, 0),
+        (tuple(map(Fraction, (2, 4, 6, 8))), (Fraction(3, 2), Fraction(3), Fraction(4))),
+    )
+    report = certify_positivity(spec)
+    assert (report.tau0, report.halvings) == (1, 0)
+    assert delta_value(spec, Fraction(13, 16)) < 0
+    assert delta_value(spec, Fraction(7, 8)) < 0
 
 
 def test_sigma_closed_form_parity():
