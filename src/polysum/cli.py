@@ -275,7 +275,7 @@ def _cmd_selftest(args, report: RunReport) -> None:
         shift = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)]
         moved = PointSet(d, tuple(tuple(s * x + dx for x, dx in zip(p, shift)) for p in ps.points))
         lat2 = convex_hull(moved)
-        if lat.levels != lat2.levels:
+        if lat.masks != lat2.masks:
             invariance_ok = False
     report.check_that("euler_relation_on_random_hulls", euler_ok)
     report.check_that("facets_support_all_points", supporting_ok)

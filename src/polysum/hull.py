@@ -5,8 +5,9 @@ arithmetic after clearing denominators (a positive per-coordinate scaling,
 which is an invertible linear map and so preserves the face lattice).
 
 The face lattice is its levels: one set of faces per dimension, each face
-the int bitmask of the points on it, each distinct point the bit of its
-first index in the input.  Three steps find every face's facets, each the
+the int bitmask of the points on it.  While the lattice is built, each
+distinct point is the bit of its first index in the input.  Three steps
+find every face's facets, each the
 one that fits its size.  The polytope alone is gift-wrapped: a first facet
 by induction on coordinate shadows, then one rotation per further facet,
 each in the pencil of a found facet's primitive integer functional and a
@@ -19,10 +20,11 @@ polytope's minus the last one its functional uses.  Every lower face that
 is not a simplex takes as its facets the inclusion-maximal intersections
 with the other facets of a face it is a facet of.  A simplex's facets
 clear one bit each.  Only two levels of facet lists are kept at a time.
-The lattice keeps each face as the mask of its vertices, and f-vectors,
-face queries and spanning counts read the masks.  A vertex tuple, a mask's
-set bits with the other copies of a repeated vertex added, is built only
-when the tuples are asked for.  No floating point is used anywhere.
+At the end each mask keeps its vertices' bits and gains the other copies
+of a repeated vertex, so the lattice keeps each face as the mask of every
+input index on its vertices.  F-vectors, face queries and spanning counts
+read the masks, and vertex tuples are built only when they are asked for.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -76,19 +78,16 @@ class FaceLattice:
     """Complete face lattice of a polytope, one level per dimension.
 
     ``masks[j]`` is the set of j-faces for j = 0..polytope_dim, each face
-    the int bitmask of its vertices, each distinct vertex the bit of its
-    first index among the hulled points.  ``copies`` pairs the bit of each
-    vertex given by several equal points with the bits of its other
-    copies.  The top level holds the polytope alone; the empty face is
-    implied.  Counts and face queries read the masks.  ``levels`` is the
-    same lattice as sorted vertex index tuples, in which a repeated vertex
-    lists every copy; it is built on first use.
+    the int bitmask of the input indices of its vertices, every copy of a
+    vertex given by several equal points included.  The top level holds the
+    polytope alone; the empty face is implied.  Counts and face queries read
+    the masks.  ``levels`` is the same lattice as sorted index tuples, built
+    on first use.
     """
 
     ambient_dim: int
     n_points: int
     masks: tuple[frozenset[int], ...]
-    copies: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         euler = sum((-1) ** k * fk for k, fk in enumerate(self.f_vector))
@@ -107,38 +106,25 @@ class FaceLattice:
         """Numbers of j-faces for j = 0..polytope_dim-1."""
         return tuple(map(len, self.masks[:-1]))
 
-    def _vertex_tuple(self, face: int) -> tuple[int, ...]:
-        """A face's mask as its sorted vertex indices, every copy included."""
-        for bit, rest in self.copies:
-            if face & bit:
-                face |= rest
-        return tuple(_indices(face))
-
     @cached_property
     def levels(self) -> tuple[frozenset[tuple[int, ...]], ...]:
         """``levels[j]``: the j-faces as sorted vertex index tuples."""
-        return tuple(frozenset(map(self._vertex_tuple, level)) for level in self.masks)
+        return tuple(frozenset(tuple(_indices(face)) for face in level) for level in self.masks)
 
     @property
     def vertex_indices(self) -> tuple[int, ...]:
         [top] = self.masks[-1]
-        return self._vertex_tuple(top)
+        return tuple(_indices(top))
 
 
 def is_face(lattice: FaceLattice, vertex_indices: Sequence[int]) -> bool:
-    """True iff the index set is the vertex set of a face, every copy of a
-    repeated vertex included."""
-    idx = sorted(set(vertex_indices))
-    for i in idx:
+    """True iff the index set is the vertex set of a face: a face's mask,
+    so it holds every copy of a repeated vertex and no other point."""
+    mask = 0
+    for i in vertex_indices:
         if i < 0 or i >= lattice.n_points:
             raise IndexError(f"vertex index {i} out of range 0..{lattice.n_points - 1}")
-    mask = sum(1 << i for i in idx)
-    for bit, rest in lattice.copies:
-        group = bit | rest
-        if mask & group:
-            if mask & group != group:
-                return False
-            mask ^= rest
+        mask |= 1 << i
     return not mask or any(mask in level for level in lattice.masks)
 
 
@@ -164,25 +150,6 @@ def neighborliness(lattice: FaceLattice) -> int:
 # ---------------------------------------------------------------------------
 # internal machinery
 # ---------------------------------------------------------------------------
-
-
-def _side_scan(coeffs, pts) -> Optional[frozenset]:
-    """Indices on the hyperplane if it supports all points, else None."""
-    c0 = coeffs[0]
-    rest = coeffs[1:]
-    on = []
-    has_pos = has_neg = False
-    for i, p in enumerate(pts):
-        v = c0 + sum(map(operator.mul, rest, p))
-        if v > 0:
-            has_pos = True
-        elif v < 0:
-            has_neg = True
-        else:
-            on.append(i)
-        if has_pos and has_neg:
-            return None
-    return frozenset(on)
 
 
 def _values(functional, pts) -> list[int]:
@@ -218,7 +185,7 @@ def _rotate(pts, u_values, u, v) -> tuple[tuple[int, ...], list[int]]:
     return tuple(x // d for x in g), values
 
 
-def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> tuple[frozenset, tuple[int, ...]]:
+def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> tuple[tuple[int, ...], list[int]]:
     """A facet of full-rank points and its functional, by induction on their
     coordinate shadows: where the polytope's wrap starts (see ``_wrap``).
 
@@ -228,7 +195,8 @@ def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> tuple[frozenset, tup
     m-shadow: its functional carries up with a zero coefficient.  Its points
     there are a facet, or else a ridge: then the hyperplane through the ridge
     and one point off it spans the pencil with it, and one rotation reaches a
-    facet.  Returns the facet's on-set and primitive functional.
+    facet.  Returns the facet's primitive functional and its values at the
+    points.
     """
     low = min(p[0] for p in pts)
     u = (-low, 1)
@@ -242,7 +210,7 @@ def _first_facet(pts: Sequence[tuple[int, ...]], k: int) -> tuple[frozenset, tup
         off = next(i for i, x in enumerate(values) if x)
         v = hyperplane([(1, *q) for q in flat + [shadow[off]]])
         u, values = _rotate(shadow, values, u, v)
-    return frozenset(i for i, x in enumerate(values) if not x), u
+    return u, values
 
 
 def _spanning(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -390,8 +358,7 @@ def _wrap(pts, bits, k: int) -> tuple[list[int], dict[int, list[int]]]:
             degree[ridge] = degree.get(ridge, 0) + 1
         walk.append((facet, u, values, t, ridges, functionals, rows))
 
-    _, u = _first_facet(pts, k)
-    found(u, _values(u, pts))
+    found(*_first_facet(pts, k))
     for n, (facet, u, values, t, ridges, functionals, rows) in enumerate(walk):
         for r, ridge in enumerate(ridges):
             if degree[ridge] > 1:  # its other facet is found already
@@ -456,15 +423,16 @@ class _Prepared:
 def convex_hull(points: PointSet) -> FaceLattice:
     """Complete face lattice of the convex hull of a rational point set.
 
-    A face is the bitmask of its points, each distinct point the bit of its
-    first index in the input.  The levels are built from the polytope down,
-    with the facet lists of the non-simplex faces of two levels at a time.
-    The polytope's facets come from ``_wrap``, which also hands over each
-    non-simplex facet's own facets from ``_double_description``; a lower
-    non-simplex face's come from ``_intersected``, and a simplex's clear
-    one bit each.  Each mask then keeps only its vertices' bits, so points
-    that are no vertex of the hull never appear in a face, and the
-    lattice's vertex tuples are left to ``FaceLattice.levels``.
+    While the levels are built a face is the bitmask of its points, each
+    distinct point the bit of its first index in the input.  They are built
+    from the polytope down, with the facet lists of the non-simplex faces
+    of two levels at a time.  The polytope's facets come from ``_wrap``,
+    which also hands over each non-simplex facet's own facets from
+    ``_double_description``; a lower non-simplex face's come from
+    ``_intersected``, and a simplex's clear one bit each.  Each mask then
+    keeps only its vertices' bits, so points that are no vertex of the hull
+    never appear in a face, and each repeated vertex gains the bits of its
+    other copies.  That last step is the one place copies are handled.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
@@ -487,11 +455,14 @@ def convex_hull(points: PointSet) -> FaceLattice:
     vertices = sum(levels[-1])
     if vertices != top:  # drop the points that are no vertex
         levels = [{face & vertices for face in level} for level in levels]
+    for m in prep.members:  # give each repeated vertex its other copies
+        if len(m) > 1 and vertices >> m[0] & 1:
+            first, rest = 1 << m[0], sum(1 << i for i in m[1:])
+            levels = [{face | rest if face & first else face for face in level} for level in levels]
     masks = tuple(map(frozenset, reversed(levels)))
     if len(frozenset().union(*masks)) != n_faces:
         raise AssertionError("two faces share a vertex set")
-    copies = tuple((1 << m[0], sum(1 << i for i in m[1:])) for m in prep.members if len(m) > 1 and vertices >> m[0] & 1)
-    return FaceLattice(points.ambient_dim, len(points), masks, copies)
+    return FaceLattice(points.ambient_dim, len(points), masks)
 
 
 def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:
@@ -502,20 +473,11 @@ def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:
         return False
     if k == 0:
         return True
-    for facet in lattice.levels[-2]:
-        dids = sorted({prep.rep_of[i] for i in facet})
-        pts = [prep.reduced[d] for d in dids]
-        if k == 1:
-            if len(dids) != 1:
-                return False
-            continue
-        chosen = _spanning(pts)
+    for facet in lattice.masks[-2]:
+        chosen = _spanning([prep.reduced[prep.rep_of[i]] for i in _indices(facet)])
         if len(chosen) != k:
             return False
-        coeffs = hyperplane([(1, *p) for p in chosen])
-        if coeffs is None:
-            return False
-        if _side_scan(coeffs, prep.reduced) is None:
+        values = _values(hyperplane([(1, *p) for p in chosen]), prep.reduced)
+        if min(values) < 0 < max(values):
             return False
     return True
-

@@ -11,15 +11,16 @@ the direct oracle's integer ones."""
 
 import itertools
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from polysum.cayley import cayley_prefix
 from polysum.construction import EPSILON, ConstructionParams
 from polysum.detasym import DeltaSpec, _monomials
 from polysum.exact import _square_rows, determinant, hyperplane, rat
-from polysum.hull import PointSet, _side_scan
+from polysum.hull import PointSet
 
 
 def zonotope_points(generators) -> PointSet:
@@ -263,6 +264,25 @@ def canonical_key(coeffs) -> tuple[int, ...]:
                 out = [-x for x in out]
             break
     return tuple(out)
+
+
+def _side_scan(coeffs, pts) -> Optional[frozenset]:
+    """Indices on the hyperplane if it supports all points, else None."""
+    c0 = coeffs[0]
+    rest = coeffs[1:]
+    on = []
+    has_pos = has_neg = False
+    for i, p in enumerate(pts):
+        v = c0 + sum(map(operator.mul, rest, p))
+        if v > 0:
+            has_pos = True
+        elif v < 0:
+            has_neg = True
+        else:
+            on.append(i)
+        if has_pos and has_neg:
+            return None
+    return frozenset(on)
 
 
 def facets_exhaustive(pts, k: int) -> list[frozenset]:

@@ -1,5 +1,6 @@
 """Tests for exact convex hulls and face lattices."""
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -18,7 +19,6 @@ from polysum.exact import affine_rank, hyperplane, int_row_space_pivots
 from polysum.hull import (
     PointSet,
     _Prepared,
-    _side_scan,
     _spanning,
     convex_hull,
     is_face,
@@ -26,7 +26,7 @@ from polysum.hull import (
     verify_supporting,
 )
 
-from helpers import facets_exhaustive, fraction_sums, spanning_counts_by_parts
+from helpers import _side_scan, facets_exhaustive, fraction_sums, spanning_counts_by_parts
 
 
 def scale_translate(ps: PointSet, scale: Fraction, shift) -> PointSet:
@@ -53,6 +53,15 @@ def test_square_lattice():
     assert lat.f_vector == (4, 4)
     assert lat.vertex_indices == (0, 1, 2, 3)
     assert verify_supporting(lat, square())
+
+
+def test_verify_supporting_rejects_wrong_facets():
+    """A facet whose hyperplane has points on both sides (the square's
+    diagonal), or whose points span more than a hyperplane, fails."""
+    vertices, top = frozenset({1, 2, 4, 8}), frozenset({15})
+    assert verify_supporting(hull.FaceLattice(2, 4, (vertices, frozenset({3, 6, 12, 9}), top)), square())
+    for facets in ({3, 6, 12, 5}, {3, 6, 12, 11}):
+        assert not verify_supporting(hull.FaceLattice(2, 4, (vertices, frozenset(facets), top)), square())
 
 
 def test_simplex_lattice():
@@ -469,12 +478,11 @@ def test_first_facet_is_a_facet(monkeypatch):
     for rows, turns in cases:
         prep = _Prepared(PointSet.from_rows(rows))
         rotations.clear()
-        facet, functional = hull._first_facet(prep.reduced, prep.rank)
-        assert facet in facets_exhaustive(prep.reduced, prep.rank)
-        assert turns is None or len(rotations) == turns
-        values = hull._values(functional, prep.reduced)
+        functional, values = hull._first_facet(prep.reduced, prep.rank)
+        assert values == hull._values(functional, prep.reduced)
         assert min(values) == 0
-        assert {i for i, x in enumerate(values) if not x} == facet
+        assert frozenset(i for i, x in enumerate(values) if not x) in facets_exhaustive(prep.reduced, prep.rank)
+        assert turns is None or len(rotations) == turns
 
 
 def test_wrap_handles_tiny_coordinates():
@@ -515,6 +523,16 @@ def test_duplicated_points_share_faces():
     assert lat.f_vector == (3, 3)
     # both copies of (1,0) appear in the shared vertex
     assert (1, 3) in lat.levels[0]
+
+
+def test_masks_hold_every_copy_of_a_vertex():
+    """The lattice is its masks alone, and a face's mask holds every input
+    index on its vertices: both copies of the repeated vertex (2, 0), at 1
+    and 5, and never the interior point (1, 1), at 2."""
+    lattice = convex_hull(PointSet.from_rows([[0, 0], [2, 0], [1, 1], [2, 2], [0, 2], [2, 0]]))
+    assert tuple(f.name for f in dataclasses.fields(lattice)) == ("ambient_dim", "n_points", "masks")
+    assert lattice.masks[0] == {1 << 0, 1 << 1 | 1 << 5, 1 << 3, 1 << 4}
+    assert lattice.masks[1] == {1 << 0 | 1 << 1 | 1 << 5, 1 << 1 | 1 << 5 | 1 << 3, 1 << 3 | 1 << 4, 1 << 4 | 1 << 0}
 
 
 def functional_cases() -> list[list[list[int]]]:
@@ -567,7 +585,7 @@ def test_carried_functionals_are_primitive_and_support_their_face(monkeypatch):
         firsts.clear()
         facets = set(wrap(prep))
         pts = prep.reduced
-        [(_, (_, first))] = firsts
+        [(_, (first, _))] = firsts
         turns = top_rotations(rotations, prep)
         for u in [first] + [out[0] for _, out in turns]:
             values = hull._values(u, pts)
@@ -611,7 +629,7 @@ def test_carried_columns_are_the_difference_row_pivots(monkeypatch):
         rotations.clear()
         firsts.clear()
         masks, _ = hull._wrap(prep.reduced, [1 << m[0] for m in prep.members], prep.rank)
-        [(_, (_, first))] = firsts
+        [(_, (first, _))] = firsts
         functionals = [first] + [out[0] for _, out in top_rotations(rotations, prep)]
         assert len(functionals) == len(masks)
         for mask, u in zip(masks, functionals):
