@@ -6,9 +6,10 @@ a plain sequence of rows whose entries are ints, Fractions or "p/q" strings.
 One fraction-free (Bareiss 1968) row echelon pass on integer rows, after
 clearing denominators, gives the determinant, the rank with its leftmost
 pivot columns, by back substitution the k+1 cofactors of a hyperplane
-through k integer points, and on [B | I] the n extreme rays of the
-simplicial cone of an n x n matrix B.  The independent determinant
-oracles live in the tests.  No floating point anywhere.
+through k integer points, and on [R^T | I] for m >= n rows R of length n
+both a basis B among the rows and the n extreme rays of B's
+simplicial cone.  The independent determinant oracles live in the tests.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -139,42 +140,48 @@ def hyperplane(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     return tuple(c)
 
 
-def cone_rays(rows: Sequence[Sequence[int]]) -> Optional[list[tuple[int, ...]]]:
-    """Extreme rays of the simplicial cone {h : row . h >= 0 for every row}
-    of n integer rows of length n, by one elimination.
+def cone_rays(rows: Sequence[Sequence[int]]) -> Optional[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """A basis among m >= n integer rows of length n, and the extreme rays
+    of its simplicial cone {h : row . h >= 0 for every basis row}, by one
+    elimination.
 
-    Ray i vanishes on every row but row i and is positive there: column i
-    of adj(B), for B the matrix of the rows, times the sign of det B, made
-    primitive.  Returns None when the rows are linearly dependent.
+    The basis is the leftmost n independent rows, the pivot columns of the
+    rows' transpose; for rows (1, p) it is an affine basis of the points.
+    Ray i vanishes on every basis row but the i-th and is positive there:
+    column i of adj(B), for B the matrix of the basis rows, times the sign
+    of det B, made primitive.  Returns (basis, rays), or None when the rows
+    have rank below n.
 
-    The echelon pass on [B | I] gives [U | M] with U = M B upper
-    triangular, and B is nonsingular exactly when its pivots are the first
-    n columns; the last one is D = +-det B.  Then X = D B^-1 solves
-    U X = D M, and back substitution from the last row up divides exactly,
-    because X = +-adj(B) is an integer matrix.
+    The echelon pass on the n x (m + n) matrix [R^T | I] gives [E | M] with
+    E = M R^T.  Its pivot columns in E are the basis, and there they form
+    U = M B^T, upper triangular, whose last pivot is D = +-det B.  Then
+    X = D (B^T)^-1 solves U X = D M, and back substitution from the last
+    row up divides exactly, because X = +-adj(B)^T is an integer matrix.
+    Row i of X is ray i.
     """
-    n = len(rows)
-    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    n = len(rows[0]) if rows else 0
+    m = len(rows)
+    a = [[*column, *(int(i == j) for j in range(n))] for i, column in enumerate(zip(*rows))]
     pivots, _ = _echelon(a)
-    if pivots != list(range(n)):
+    if pivots and pivots[-1] >= m:  # [R^T | I] has rank n, so a pivot past R means rank R < n
         return None
-    d = a[-1][n - 1] if n else 1
+    d = a[-1][pivots[-1]] if n else 1
     x = [None] * n
     for i in range(n - 1, -1, -1):
         ai = a[i]
-        row = [d * m for m in ai[n:]]
+        row = [d * c for c in ai[m:]]
         for j in range(i + 1, n):
-            f = ai[j]
+            f = ai[pivots[j]]
             if f:
                 row = [y - f * z for y, z in zip(row, x[j])]
-        x[i] = [y // ai[i] for y in row]
+        x[i] = [y // ai[pivots[i]] for y in row]
     rays = []
-    for column in zip(*x):
-        g = math.gcd(*column)
+    for row in x:
+        g = math.gcd(*row)
         if d < 0:
             g = -g
-        rays.append(tuple(c // g for c in column))
-    return rays
+        rays.append(tuple(c // g for c in row))
+    return tuple(pivots), rays
 
 
 def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:

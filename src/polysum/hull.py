@@ -220,19 +220,14 @@ def _spanning(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [points[i] for i in pivots]
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, each as an int of its own, ascending."""
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low)
+        out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _indices(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    return [low.bit_length() - 1 for low in _bits(mask)]
 
 
 def _last_nonzero(g) -> int:
@@ -251,71 +246,77 @@ def _oriented(h, row) -> tuple[int, ...]:
     return tuple(c // d for c in h)
 
 
-def _double_description(rows) -> list[tuple[tuple[int, ...], int]]:
+def _double_description(rows, marks) -> list[tuple[tuple[int, ...], int, int]]:
     """Facets of full-rank points, by the double description method.
 
-    ``rows`` are the points' rows (1, p).  The functionals nonnegative on
-    every row form a pointed cone whose extreme rays are the facets'
-    functionals (Motzkin et al. 1953; Fukuda & Prodon 1996).  The cone of
-    an affine basis of the points, the pivots of their columns, is
-    simplicial: each ray is the hyperplane through all basis points but
-    one, positive on that one, and one ``cone_rays`` elimination gives them
-    all.  ``_cut`` then adds the other points one at a time.  Returns each
-    facet's primitive functional, positive on the rows off it, and its zero
-    mask over the rows' positions.
+    ``rows`` are the points' rows (1, p) and ``marks[m]`` is row m's bit in
+    the polytope's masks.  The functionals nonnegative on every row form a
+    pointed cone whose extreme rays are the facets' functionals (Motzkin et
+    al. 1953; Fukuda & Prodon 1996).  The cone of an affine basis of the
+    points is simplicial: each ray is the hyperplane through all basis
+    points but one, positive on that one.  One ``cone_rays`` elimination
+    gives the basis and all those rays, and ``_cut`` then adds the other
+    points one at a time.  Returns each facet's primitive functional,
+    positive on the rows off it, its zero mask over the rows' positions and
+    the same zero set as a mask of ``marks``.
     """
-    _, basis = int_row_space_pivots(list(zip(*rows)))
-    everyone = sum(1 << b for b in basis)
-    rays = [(h, everyone ^ 1 << b) for h, b in zip(cone_rays([rows[b] for b in basis]), basis)]
+    start = cone_rays(rows)
+    if start is None:
+        raise AssertionError("facet rows are not full rank")
+    basis, functionals = start
+    local = sum(1 << b for b in basis)
+    marked = sum(marks[b] for b in basis)
+    rays = [(h, local ^ 1 << b, marked ^ marks[b]) for h, b in zip(functionals, basis)]
     size = len(rows) // 8 + 1  # bytes of a zero mask with a spare top bit
     for m, row in enumerate(rows):
         if m not in basis:
-            rays = _cut(rays, row, 1 << m, len(basis) - 2, size)
+            rays = _cut(rays, row, 1 << m, marks[m], len(basis) - 2, size)
     return rays
 
 
-def _cut(rays, row, bit: int, need: int, size: int) -> list[tuple[tuple[int, ...], int]]:
+def _cut(rays, row, bit: int, mark: int, need: int, size: int) -> list[tuple[tuple[int, ...], int, int]]:
     """The extreme rays of a pointed cone cut by one more constraint.
 
     ``rays`` are (primitive functional, zero mask over the constraints so
-    far); the new constraint is the point ``row``, its bit ``bit``.  A ray
-    positive there stays, one zero there stays with the bit added, and one
-    negative there goes.  Each adjacent pair of a positive and a negative
-    ray gives the new ray of their plane that vanishes at ``row``.
-    Adjacency is combinatorial: the pair's common zero mask holds at least
-    ``need`` (the cone's dimension less two) constraints and no third ray's
-    zero mask contains it, so the smallest face holding both rays is
-    2-dimensional.  That test reads every ray's mask at once: each is a
-    field of ``size`` bytes in one int, whose top bit is a guard.
+    far, the same zero set in the polytope's bits); the new constraint is
+    the point ``row``, its bits ``bit`` and ``mark``.  A ray positive there
+    stays, one zero there stays with the bits added, and one negative there
+    goes.  Each adjacent pair of a positive and a negative ray gives the
+    new ray of their plane that vanishes at ``row``.  Adjacency is
+    combinatorial: the pair's common zero mask holds at least ``need`` (the
+    cone's dimension less two) constraints and no third ray's zero mask
+    contains it, so the smallest face holding both rays is 2-dimensional.
+    That test reads every ray's local mask at once: each is a field of
+    ``size`` bytes in one int, whose top bit is a guard.
     """
     kept, pos, neg = [], [], []
-    for h, z in rays:
+    for h, z, w in rays:
         v = sum(map(operator.mul, h, row))
         if v > 0:
-            kept.append((h, z))
-            pos.append((h, z, v))
+            kept.append((h, z, w))
+            pos.append((h, z, w, v))
         elif v < 0:
-            neg.append((h, z, v))
+            neg.append((h, z, w, v))
         else:
-            kept.append((h, z | bit))
+            kept.append((h, z | bit, w | mark))
     fields = None
     guard = 8 * size - 1
-    for hp, zp, vp in pos:
-        for hn, zn, vn in neg:
+    for hp, zp, wp, vp in pos:
+        for hn, zn, wn, vn in neg:
             z = zp & zn
             if z.bit_count() < need:
                 continue
             if fields is None:  # each field the complement of its ray's mask
                 ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(rays), "little")
                 low = ones * ((1 << guard) - 1)
-                fields = low ^ int.from_bytes(b"".join([y.to_bytes(size, "little") for _, y in rays]), "little")
+                fields = low ^ int.from_bytes(b"".join([y.to_bytes(size, "little") for _, y, _ in rays]), "little")
             # a field of z & fields is zero just where its ray's mask holds z;
             # adding ``low`` carries into every other field's guard bit
             if len(rays) - ((z * ones & fields) + low >> guard & ones).bit_count() != 2:
                 continue
             g = [vp * b - vn * a for a, b in zip(hp, hn)]
             d = math.gcd(*g)
-            kept.append((tuple(c // d for c in g), z | bit))
+            kept.append((tuple(c // d for c in g), z | bit, wp & wn | mark))
     return kept
 
 
@@ -326,32 +327,34 @@ def _wrap(pts, bits, k: int) -> tuple[list[int], dict[int, list[int]]]:
     Point m is the bit ``bits[m]`` of a face's mask.  ``_first_facet``
     finds one facet, and each facet counts its ridges, its own facets, as
     soon as it is found.  A simplex's clear one bit each; any other facet's
-    come from ``_double_description`` over its points in its pivot
-    columns, which are the polytope's minus the one at the last position t
-    where its functional u is nonzero: in the polytope's columns its
-    direction space is {u = 0}, whose one circuit is u's support.  A ridge
-    that one found facet holds is crossed with one ``_rotate`` in the pencil
-    of that facet's functional and the ridge's, taken over the polytope's
-    columns with a 0 inserted at t, so a wrap of m facets makes m - 1
-    rotations.  A simplex facet makes a ridge's functional only when a
-    rotation crosses it, with one ``hyperplane``.  Once the walk has crossed
-    all of a facet's ridges its values are dropped.  Every ridge must end
-    in exactly two facets, which certifies completeness.  Returns the
-    facets in the order found and each non-simplex facet's facets.
+    come, already in the polytope's bits, from ``_double_description`` over
+    its points in its pivot columns, which are the polytope's minus the one
+    at the last position t where its functional u is nonzero: in the
+    polytope's columns its direction space is {u = 0}, whose one circuit
+    is u's support.  A ridge that one found facet holds is crossed with one
+    ``_rotate`` in the pencil of that facet's functional and the ridge's,
+    taken over the polytope's columns with a 0 inserted at t, so a wrap of
+    m facets makes m - 1 rotations.  A simplex facet makes a ridge's
+    functional only when a rotation crosses it, with one ``hyperplane``.
+    Once the walk has crossed all of a facet's ridges its values are
+    dropped.  Every ridge must end in exactly two facets, which certifies
+    completeness.  Returns the facets in the order found and each
+    non-simplex facet's facets.
     """
     degree, below, walk = {}, {}, []
 
     def found(u, values):
         on = [m for m, x in enumerate(values) if not x]
         t = _last_nonzero(u)
-        facet = sum(bits[m] for m in on)
+        marks = [bits[m] for m in on]
+        facet = sum(marks)
         rows = [(1, *p[: t - 1], *p[t:]) for p in map(pts.__getitem__, on)]
         if len(on) == k:
-            ridges, functionals = [facet ^ bits[m] for m in on], [None] * k
+            ridges, functionals = [facet ^ b for b in marks], [None] * k
         else:
             ridges, functionals = [], []
-            for h, zero in _double_description(rows):
-                ridges.append(sum(bits[on[n]] for n in _indices(zero)))
+            for h, _, ridge in _double_description(rows, marks):
+                ridges.append(ridge)
                 functionals.append(h)
             below[facet] = ridges
         for ridge in ridges:
@@ -428,11 +431,12 @@ def convex_hull(points: PointSet) -> FaceLattice:
     from the polytope down, with the facet lists of the non-simplex faces
     of two levels at a time.  The polytope's facets come from ``_wrap``,
     which also hands over each non-simplex facet's own facets from
-    ``_double_description``; a lower non-simplex face's come from
-    ``_intersected``, and a simplex's clear one bit each.  Each mask then
-    keeps only its vertices' bits, so points that are no vertex of the hull
-    never appear in a face, and each repeated vertex gains the bits of its
-    other copies.  That last step is the one place copies are handled.
+    ``_double_description`` as masks of the same bits; a lower non-simplex
+    face's come from ``_intersected``, and a simplex's clear one bit each,
+    taken lowest first from the mask itself.  Each mask then keeps only its
+    vertices' bits, so points that are no vertex of the hull never appear
+    in a face, and each repeated vertex gains the bits of its other copies.
+    That last step is the one place copies are handled.
     """
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
@@ -447,7 +451,14 @@ def convex_hull(points: PointSet) -> FaceLattice:
     for j in range(k, 0, -1):
         level = set()
         for g in levels[-1]:
-            level.update(children.get(g) or [g ^ b for b in _bits(g)])
+            if g in children:
+                level.update(children[g])
+                continue
+            x = g  # a simplex: one facet per vertex, each without that vertex's bit
+            while x:
+                b = x & -x
+                level.add(g ^ b)
+                x ^= b
         levels.append(level)
         children = below
         below = _intersected(children, j - 1)

@@ -188,13 +188,17 @@ def _adjugate_rays(rows):
 
 
 def test_cone_rays_match_the_adjugate():
-    """Each ray of the simplicial cone vanishes on all rows but one, is
-    positive there and is primitive: the adjugate's column from cofactor
-    determinants.  The larger matrices are sparser, so that the oracle's
-    expansion stays small."""
+    """The basis is the leftmost independent rows, the pivot columns of the
+    rows' transpose, and each ray of its simplicial cone vanishes on every
+    basis row but one, is positive there and is primitive: the adjugate's
+    column from cofactor determinants.  Spare rows sit before, between and
+    after the basis rows; rows of rank below their length give None.  The
+    larger matrices are sparser, so that the oracle's expansion stays small."""
     rng = random.Random(1968)
+    extra_rng = random.Random(1970)  # spare rows lie in the span, so the rank is the core's
     singular = swapped = 0
     checked = [0] * 10
+    spare = {"before": 0, "between": 0, "after": 0}
     for n in range(1, 10):
         density = {6: 0.7, 7: 0.55, 8: 0.45, 9: 0.35}.get(n, 0.9)
         for _ in range({7: 20, 8: 12, 9: 12}.get(n, 40)):
@@ -209,16 +213,41 @@ def test_cone_rays_match_the_adjugate():
                 i = rng.randrange(n)
                 coefs = [rng.randint(-3, 3) * (j != i) for j in range(n)]
                 rows[i] = [sum(c * row[j] for c, row in zip(coefs, rows)) for j in range(n)]
-            expected = _adjugate_rays(rows)
+            for _ in range(extra_rng.randint(0, 3)):
+                at = extra_rng.randint(0, len(rows))
+                kind = extra_rng.randrange(4)
+                if kind == 0:  # a zero row is spare, even at the front
+                    at, extra = 0, [0] * n
+                elif kind == 1 and at:  # a multiple of an earlier row is spare
+                    c, row = extra_rng.choice((-3, -1, 2)), extra_rng.choice(rows[:at])
+                    extra = [c * x for x in row]
+                elif kind == 2 and at < len(rows):  # a multiple of a later row takes its place
+                    c, row = extra_rng.choice((-2, 1, 3)), extra_rng.choice(rows[at:])
+                    extra = [c * x for x in row]
+                else:  # a combination of the rows, at the end: spare
+                    at = len(rows)
+                    coefs = [extra_rng.randint(-3, 3) for _ in rows]
+                    extra = [sum(c * row[j] for c, row in zip(coefs, rows)) for j in range(n)]
+                rows.insert(at, extra)
+            rank, pivots = int_row_space_pivots(list(zip(*rows)))
+            expected = (pivots, _adjugate_rays([rows[b] for b in pivots])) if rank == n else None
             got = cone_rays(rows)
             assert got == expected, rows
             singular += got is None
-            swapped += got is not None and rows[0][0] == 0
-            checked[n] += got is not None
-            for i, h in enumerate(got or ()):
-                values = [sum(map(operator.mul, row, h)) for row in rows]
+            if got is None:
+                continue
+            basis, rays = got
+            swapped += rows[basis[0]][0] == 0
+            checked[n] += 1
+            spare["before"] += basis[0] > 0
+            spare["between"] += basis[-1] - basis[0] >= n
+            spare["after"] += basis[-1] < len(rows) - 1
+            for i, h in enumerate(rays):
+                values = [sum(map(operator.mul, rows[b], h)) for b in basis]
                 assert values[i] > 0 and not any(values[:i] + values[i + 1 :])
     assert min(checked[1:]) >= 5 and singular > 60 and swapped > 40
+    assert min(spare.values()) > 40, spare
+    assert cone_rays([[1, 2], [2, 4], [3, 6]]) is None and cone_rays([[0, 0, 0]] * 4) is None
 
 
 def test_int_row_space_pivots_matches_fraction_elimination():

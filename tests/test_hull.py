@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysum.exact as exact
 import polysum.hull as hull
 from polysum.cayley import PartitionedPointSet, cayley_lattice, minksum_direct_lattice, spanning_face_counts
 from polysum.cli import run_command
@@ -380,8 +381,10 @@ def dd_cases() -> list[list[list[int]]]:
 def test_double_description_matches_exhaustive():
     """A double description pass over full-rank points gives the exhaustive
     facets, each with its primitive functional, zero exactly on the facet
-    and positive on every other point, and the whole lattice is the
-    exhaustive facets closed under intersection."""
+    and positive on every other point, and its zero set both as a mask of
+    the rows' positions and as the mask of the rows' marks, which here skip
+    bits and reach past bit 70.  The whole lattice is the exhaustive facets
+    closed under intersection."""
     checked = degenerate = 0
     for rows in dd_cases():
         ps = PointSet.from_rows(rows)
@@ -389,8 +392,10 @@ def test_double_description_matches_exhaustive():
         if prep.rank == 0:
             continue
         lifted = [(1, *p) for p in prep.reduced]
+        marks = [1 << 2 * n + 1 for n in range(len(lifted) - 1)] + [1 << 73]
         facets = {}
-        for h, zero in hull._double_description(lifted):
+        for h, zero, marked in hull._double_description(lifted, marks):
+            assert marked == sum(marks[n] for n in hull._indices(zero))
             assert math.gcd(*h) == 1
             values = [sum(map(operator.mul, h, row)) for row in lifted]
             assert all(x > 0 for n, x in enumerate(values) if not zero >> n & 1)
@@ -406,13 +411,23 @@ def test_double_description_matches_exhaustive():
     assert degenerate > 300
 
 
+def test_double_description_refuses_dependent_rows():
+    """Rows of rank below their length have no simplicial start cone: the
+    pass stops with its own message, not a TypeError further on."""
+    square = [(1, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2)]
+    for rows in ([(1, x, 2 * x) for x in range(4)], [(1, *p, 0) for _, *p in square], square[:2]):
+        with pytest.raises(AssertionError, match="facet rows are not full rank"):
+            hull._double_description(rows, [1 << n for n in range(len(rows))])
+    assert len(hull._double_description(square, [1, 2, 4, 8])) == 4
+
+
 def test_dropped_ray_breaks_the_ridge_count(monkeypatch):
     """A facet's double description that lost one of its facets leaves a
     ridge of the wrap outside exactly two facets."""
     double_description = hull._double_description
 
-    def dropped(rows):
-        return double_description(rows)[1:]
+    def dropped(rows, marks):
+        return double_description(rows, marks)[1:]
 
     monkeypatch.setattr(hull, "_double_description", dropped)
     for rows in ([list(p) for p in itertools.product([0, 1], repeat=3)], list(itertools.product(range(3), repeat=2))):
@@ -694,15 +709,17 @@ def test_pencil_rotation_matches_candidate_rotation(monkeypatch):
 
 
 def test_wrap_work_counts(monkeypatch):
-    counts = {"hyperplane": 0, "cone_rays": 0, "_rotate": 0, "int_row_space_pivots": 0, "_spanning": 0, "_double_description": 0}
+    names = ("hyperplane", "cone_rays", "_rotate", "int_row_space_pivots", "_spanning", "_double_description", "_indices", "_echelon")
+    counts = dict.fromkeys(names, 0)
     for name in counts:
-        original = getattr(hull, name)
+        module = exact if name == "_echelon" else hull
+        original = getattr(module, name)
 
         def counted(*args, original=original, name=name):
             counts[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(hull, name, counted)
+        monkeypatch.setattr(module, name, counted)
     first_facet, cut = hull._first_facet, hull._cut
     first_turns, pairs = [], []
 
@@ -713,7 +730,7 @@ def test_wrap_work_counts(monkeypatch):
         return out
 
     def cut_counted(rays, row, *args):
-        signs = [sum(map(operator.mul, h, row)) for h, _ in rays]
+        signs = [sum(map(operator.mul, h, row)) for h, *_ in rays]
         pairs.append(sum(x > 0 for x in signs) * sum(x < 0 for x in signs))
         return cut(rays, row, *args)
 
@@ -728,11 +745,15 @@ def test_wrap_work_counts(monkeypatch):
         lattice = convex_hull(PointSet.from_rows(rows))
         # every rotation of the wrap past its first facet finds a new facet
         assert counts["_rotate"] - sum(first_turns) == lattice.f_vector[-1] - 1
-        # one elimination for the rank, one per shadow step of the first
-        # facet and one per double description pass, for its affine basis
-        assert counts["int_row_space_pivots"] == 1 + counts["_spanning"] + counts["_double_description"]
-        # and one more per pass for all the rays of its simplex cone
+        # one elimination for the rank and one per shadow step of the first
+        # facet; a double description pass takes none of these
+        assert counts["int_row_space_pivots"] == 1 + counts["_spanning"]
+        # but one for both its affine basis and all the rays of that basis's
+        # simplex cone
         assert counts["cone_rays"] == counts["_double_description"]
+        assert counts["_echelon"] == counts["int_row_space_pivots"] + counts["cone_rays"] + counts["hyperplane"]
+        # a pass hands over its ridges in the polytope's bits, with no remap
+        assert counts["_indices"] == 0
         return (
             lattice.f_vector,
             counts["hyperplane"],
@@ -813,7 +834,7 @@ def test_corank_one_faces_match_the_oracle(monkeypatch):
             assert wrapped == oracle, name
             k = _Prepared(variant).rank
             assert len(passes) == 2 * sum(len(f) > k for f in oracle), name
-            for (lifted,), _ in passes:
+            for (lifted, _), _ in passes:
                 assert len(difference_pivots([row[1:] for row in lifted])) == len(lifted[0]) - 1 == k - 1, name
 
     lattice = convex_hull(PointSet.from_rows(corank_one_cases()["square pyramid"]))
