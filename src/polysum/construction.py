@@ -317,13 +317,11 @@ class PartCheck:
     polytope_dim: int
     expected_dim: int
     neighborliness: int
-    required: int
-    dim_ok: bool
     neighborly_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.dim_ok and self.neighborly_ok
+        return self.polytope_dim == self.expected_dim and self.neighborly_ok
 
 
 def verify_neighborly(params: ConstructionParams) -> list[PartCheck]:
@@ -331,8 +329,8 @@ def verify_neighborly(params: ConstructionParams) -> list[PartCheck]:
 
     A part with n_i >= d+1 points must be a d-polytope; with fewer points it
     is a simplex on n_i vertices (dimension n_i - 1), which is vacuously
-    neighborly.  Every vertex subset of size <= min(floor(d/2), n_i) must be
-    a face.
+    neighborly.  Every vertex subset of size <= min(floor(d/2), n_i - 1)
+    must be a face.
     """
     if params.zeta <= 0:
         raise ValueError("neighborliness check needs zeta > 0")
@@ -341,18 +339,14 @@ def verify_neighborly(params: ConstructionParams) -> list[PartCheck]:
     for idx, part in enumerate(family.parts):
         lat = convex_hull(part)
         ni = len(part)
-        expected_dim = min(params.d, ni - 1)
-        required = min(params.d // 2, ni)
         k = neighborliness(lat)
         out.append(
             PartCheck(
                 part=idx + 1,
                 polytope_dim=lat.polytope_dim,
-                expected_dim=expected_dim,
+                expected_dim=min(params.d, ni - 1),
                 neighborliness=k,
-                required=required,
-                dim_ok=lat.polytope_dim == expected_dim,
-                neighborly_ok=k >= min(required, ni - 1),
+                neighborly_ok=k >= min(params.d // 2, ni - 1),
             )
         )
     return out

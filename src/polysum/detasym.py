@@ -5,13 +5,17 @@ holding kappa_i columns with abscissas x_i.  With 0-based rows, the column
 of abscissa x in block i has 1 in indicator row i, x * tau^beta_i in linear
 row n + i, and x^p * tau^(p * beta_i) in power row 2n + p - 2 for
 p = 2..K-2n+1; every other entry is 0.  As tau -> 0+ the determinant is
-dominated by a single product of generalized Vandermonde determinants with
-a known exponent, so it is strictly positive for all small tau.  This module
-evaluates the family exactly, finds the first halving threshold tau0 at
-which Delta(tau0) and Delta(tau0/2) are both positive, computes the predicted
-leading term, and cross-checks everything against brute-force expansions
-that know nothing about the block structure.  That Delta > 0 on all of
-(0, tau0] is not proved here (``certify_positivity``).
+tau^theta times a single product of generalized Vandermonde determinants
+(GVDs), so it is strictly positive for all small tau.  Block i takes
+indicator row i, linear row n + i and the next kappa_i - 2 power rows, so
+its GVD has exponents mu_i = (0, 1, s_i + 2, ..., s_i + kappa_i - 1), with
+s_i = sum_{j<i} (kappa_j - 2) the power rows of the blocks before it, and
+theta = sum_i beta_i * sum(mu_i).  This module evaluates the family
+exactly, finds the first halving threshold tau0 at which Delta(tau0) and
+Delta(tau0/2) are both positive, computes that leading term, and
+cross-checks everything against brute-force expansions that know nothing
+about the block structure.  That Delta > 0 on all of (0, tau0] is not
+proved here (``certify_positivity``).
 
 Delta(tau) is evaluated by block elimination.  With y = x tau^beta_i, in
 block i subtract column 0 from the others, expand along indicator row i and
@@ -93,13 +97,6 @@ class DeltaSpec:
     def power_row_count(self) -> int:
         return self.K - 2 * self.n
 
-    def partial_sums(self) -> tuple[int, ...]:
-        """K_0 = 0, K_i = kappa_1 + ... + kappa_i."""
-        out = [0]
-        for k in self.kappa:
-            out.append(out[-1] + k)
-        return tuple(out)
-
 
 def gvd(x: Sequence[Fraction], mu: Sequence[int]) -> Fraction:
     """Generalized Vandermonde determinant det[x_j^{mu_i}]."""
@@ -112,24 +109,11 @@ def gvd(x: Sequence[Fraction], mu: Sequence[int]) -> Fraction:
     return Fraction(int_det([[c**m for c in X] for m in mu]), L ** sum(mu))
 
 
-@dataclass(frozen=True)
-class LaplaceTerm:
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    sign: int
-    minor: Fraction
-    complement_minor: Fraction
-
-    @property
-    def value(self) -> Fraction:
-        return self.sign * self.minor * self.complement_minor
-
-
-def laplace_expand(m: Sequence[Sequence], column_block: Sequence[int]) -> list[LaplaceTerm]:
+def laplace_expand(m: Sequence[Sequence], column_block: Sequence[int]) -> list[Fraction]:
     """Expansion of det(m) along a block of columns of the square rows m.
 
-    Sums, over all row subsets of matching size, the signed products of the
-    selected minor and its complementary minor; the total recovers det(m).
+    One term per row subset of the block's size: its sign times the selected
+    minor times the complementary minor.  The terms sum to det(m).
     """
     size = len(m)
     if any(len(row) != size for row in m):
@@ -144,9 +128,7 @@ def laplace_expand(m: Sequence[Sequence], column_block: Sequence[int]) -> list[L
         sub = [[m[r][c] for c in cols] for r in rows]
         comp = [[m[r][c] for c in other_cols] for r in other_rows]
         sign = -1 if (sum(rows) + sum(cols)) % 2 else 1
-        terms.append(
-            LaplaceTerm(tuple(rows), cols, sign, determinant(sub), determinant(comp))
-        )
+        terms.append(sign * determinant(sub) * determinant(comp))
     return terms
 
 
@@ -242,37 +224,22 @@ def delta_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:
 
 @dataclass(frozen=True)
 class LeadingTerm:
-    """Predicted lowest-degree term of the signed determinant in tau."""
+    """Lowest-degree term coefficient * tau^theta of the signed determinant."""
 
-    rho: tuple[tuple[int, ...], ...]
-    alpha_offsets: tuple[tuple[int, ...], ...]
     theta: int
     coefficient: Fraction
 
 
 def leading_term(spec: DeltaSpec) -> LeadingTerm:
-    """Minimal tau-exponent row assignment and its (positive) coefficient."""
-    n = spec.n
-    ps = spec.partial_sums()
-    rho = []
-    alpha = []
-    for i in range(1, n + 1):
-        tail = tuple(
-            2 * (n - i) + ps[i - 1] + 2 + t for t in range(1, spec.kappa[i - 1] - 1)
-        )
-        rho.append((i, n + i) + tail)
-        alpha.append((i, n + i - 1) + (2 * n - 1,) * (spec.kappa[i - 1] - 2))
-    flat = sorted(itertools.chain.from_iterable(rho))
-    if flat != list(range(1, spec.K + 1)):
-        raise AssertionError(f"row cover broken: {rho}")
-    theta = sum(
-        spec.beta[i] * (sum(rho[i]) - sum(alpha[i])) for i in range(n)
-    )
-    coeff = Fraction(1)
-    for i in range(n):
-        mu = tuple(r - a for r, a in zip(rho[i], alpha[i]))
-        coeff *= gvd(spec.x[i], mu)
-    return LeadingTerm(tuple(rho), tuple(alpha), theta, coeff)
+    """theta = sum_i beta_i * sum(mu_i) and the (positive) coefficient
+    prod_i gvd(x_i, mu_i), with mu_i from the block layout (module docstring)."""
+    theta, coefficient, s = 0, Fraction(1), 0
+    for xs, b in zip(spec.x, spec.beta):
+        mu = (0, 1, *range(s + 2, s + len(xs)))
+        theta += b * sum(mu)
+        coefficient *= gvd(xs, mu)
+        s += len(xs) - 2
+    return LeadingTerm(theta, coefficient)
 
 
 @dataclass

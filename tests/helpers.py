@@ -1,13 +1,13 @@
 """Test-only builders and oracles: zonotope vertex candidates, random delta
-specs, the transcribed sign exponent of the minimal Delta term, Delta's
-Leibniz polynomial and its K x K Fraction matrix, the Vandermonde product,
-a recursive cofactor determinant and a plain Fraction elimination that
-share no code with the exact kernel's elimination, the Fraction lifted
-curve (``curve_parameter``, ``moment_curve_point``) that checks
-``construction._curve_rows``, the one program builder of that curve, the
-full Fraction witness matrix that checks the integer sweep, the exhaustive
-facet scan that checks the hull, and the Fraction Minkowski sums that check
-the direct oracle's integer ones."""
+specs, the paper's row assignment behind Delta's leading term and the
+transcribed sign exponent of that term, Delta's Leibniz polynomial and its
+K x K Fraction matrix, the Vandermonde product, a recursive cofactor
+determinant and a plain Fraction elimination that share no code with the
+exact kernel's elimination, the Fraction lifted curve (``curve_parameter``,
+``moment_curve_point``) that checks ``construction._curve_rows``, the one
+program builder of that curve, the full Fraction witness matrix that checks
+the integer sweep, the exhaustive facet scan that checks the hull, and the
+Fraction Minkowski sums that check the direct oracle's integer ones."""
 
 import itertools
 import math
@@ -44,6 +44,22 @@ def sigma_closed_form(spec: DeltaSpec) -> int:
         total += sum(range(1, k_i + 1))
         total += 1 + (n + 2 - i) + sum(2 * (n + 1 - i) + j for j in range(1, k_i - 1))
     return total
+
+
+def row_assignment(spec: DeltaSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The paper's minimal row assignment rho and column offsets alpha, with
+    1-based rows: block i takes rows rho_i, and its leading GVD has exponents
+    rho_i - alpha_i.  Raises AssertionError unless rho covers rows 1..K once."""
+    n = spec.n
+    ps = list(itertools.accumulate(spec.kappa, initial=0))
+    rho, alpha = [], []
+    for i in range(1, n + 1):
+        k = spec.kappa[i - 1]
+        rho.append((i, n + i) + tuple(2 * (n - i) + ps[i - 1] + 2 + t for t in range(1, k - 1)))
+        alpha.append((i, n + i - 1) + (2 * n - 1,) * (k - 2))
+    if sorted(itertools.chain.from_iterable(rho)) != list(range(1, spec.K + 1)):
+        raise AssertionError(f"row cover broken: {rho}")
+    return tuple(rho), tuple(alpha)
 
 
 def leibniz_polynomial(spec: DeltaSpec) -> dict[int, Fraction]:

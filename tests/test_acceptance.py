@@ -192,7 +192,7 @@ def test_criterion_7_laplace_equals_determinant():
         size = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
         block = sorted(rng.sample(range(size), rng.randint(1, size)))
-        total = sum(t.value for t in laplace_expand(m, block))
+        total = sum(laplace_expand(m, block))
         if total != determinant(m):
             failures.append(f"matrix {idx}: expansion {total} != det")
     emit(7, not failures, "Laplace expansion equals determinant on 100 random matrices")

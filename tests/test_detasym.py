@@ -20,7 +20,14 @@ from polysum.detasym import (
 )
 from polysum.exact import determinant, int_det
 
-from helpers import build_delta, leibniz_polynomial, random_delta_spec, sigma_closed_form, vandermonde
+from helpers import (
+    build_delta,
+    leibniz_polynomial,
+    random_delta_spec,
+    row_assignment,
+    sigma_closed_form,
+    vandermonde,
+)
 
 
 def hand_spec():
@@ -97,15 +104,15 @@ def test_laplace_expansion_identities():
         m = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
         block = sorted(rng.sample(range(size), rng.randint(1, size)))
         terms = laplace_expand(m, block)
-        assert sum(t.value for t in terms) == determinant(m)
+        assert sum(terms) == determinant(m)
     # single-column block degenerates to a cofactor expansion
     m = [[1, 2], [3, 4]]
     terms = laplace_expand(m, [0])
-    assert sum(t.value for t in terms) == -2
+    assert sum(terms) == -2
     assert len(terms) == 2
     # block = all columns: one term equal to the determinant
     terms = laplace_expand(m, [0, 1])
-    assert len(terms) == 1 and terms[0].value == -2
+    assert terms == [-2]
 
 
 def test_build_delta_shape_and_hand_value():
@@ -264,17 +271,22 @@ def test_leading_term_hand_case():
     lt = leading_term(hand_spec())
     assert lt.theta == 1
     assert lt.coefficient == (2 - 1) * (5 - 3)
-    assert lt.rho == ((1, 3), (2, 4))
+    assert row_assignment(hand_spec())[0] == ((1, 3), (2, 4))
 
 
 def test_leading_term_rho_partitions_rows():
+    # row_assignment raises unless rho partitions rows 1..K; the wide specs
+    # reach K = 18, past the K <= 8 brute-force polynomial
     rng = random.Random(7)
-    for _ in range(20):
-        spec = random_delta_spec(rng)
+    specs = [random_delta_spec(rng) for _ in range(20)]
+    specs += [wide_delta_spec(rng, K) for K in range(4, 19) for _ in range(3)]
+    assert max(spec.K for spec in specs) == 18
+    for spec in specs:
+        rho, alpha = row_assignment(spec)
+        mus = [tuple(r - a for r, a in zip(rs, al)) for rs, al in zip(rho, alpha)]
         lt = leading_term(spec)
-        flat = sorted(i for block in lt.rho for i in block)
-        assert flat == list(range(1, spec.K + 1))
-        assert lt.coefficient > 0
+        assert lt.theta == sum(b * sum(mu) for b, mu in zip(spec.beta, mus)), spec
+        assert lt.coefficient == math.prod(gvd(xs, mu) for xs, mu in zip(spec.x, mus)) > 0, spec
 
 
 def test_zero_tail_exponent_contributes_nothing():
@@ -282,8 +294,8 @@ def test_zero_tail_exponent_contributes_nothing():
         (2, 2), (3, 0), ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
     )
     lt = leading_term(spec)
-    # the last block scales by tau^0, so theta comes from block 1 alone
-    assert lt.theta == 3 * (sum(lt.rho[0]) - sum(lt.alpha_offsets[0]))
+    # the last block scales by tau^0, so theta comes from block 1, mu_1 = (0, 1), alone
+    assert lt.theta == 3 * sum((0, 1)) == 3
 
 
 def test_brute_force_polynomial_matches_leading_term():
@@ -354,7 +366,7 @@ def test_build_delta_block_structure():
     specs += [wide_delta_spec(rng, K) for K in range(4, 19) for _ in range(2)]
     assert max(spec.K for spec in specs) == 18
     for spec in specs:
-        n, ps = spec.n, spec.partial_sums()
+        n, ps = spec.n, list(itertools.accumulate(spec.kappa, initial=0))
         for tau in (Fraction(1), Fraction(3, 7)):
             mat = build_delta(spec, tau)
             for i in range(n):
