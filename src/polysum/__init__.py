@@ -20,6 +20,7 @@ from .cayley import (
     PartitionedPointSet,
     cayley_embed,
     minksum_direct,
+    minksum_lattices,
     minksum_via_cayley,
     spanning_face_counts,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "leading_term",
     "many_summand_f0_bounds",
     "minksum_direct",
+    "minksum_lattices",
     "minksum_via_cayley",
     "neighborliness",
     "phi",

@@ -1,4 +1,4 @@
-"""Minkowski sums via the Cayley embedding, plus a direct summation oracle.
+"""Minkowski sums via the Cayley embedding: face counts and face lattices.
 
 The r summand vertex sets are lifted into R^{r-1} x R^d, each part prefixed
 by its own affine-basis point (the zero vector for part 1, standard basis
@@ -8,9 +8,12 @@ sum: a spanning (k-1)-face corresponds to a (k-r)-face of the sum.  Face
 counts therefore transfer with an index shift and never require slicing the
 lifted polytope by a flat.
 
-The direct oracle ignores all of this and simply hulls the set of all sums
-of one input point per part; the two routes are compared in the tests and
-the CLI.
+The sum's own face lattice, over all sums of one input point per part,
+takes its facets from the same hull: each spanning facet of the Cayley
+polytope proposes one, which is proved a facet of the sums, and the list
+complete, from the parts' points alone (``_sum_facets``).  So a wrong
+Cayley hull cannot make the two routes agree; they are compared in the CLI,
+and the tests compare both with the hull of the sums themselves.
 """
 
 from __future__ import annotations
@@ -21,7 +24,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .hull import FaceLattice, PointSet, convex_hull
+from .exact import int_row_space_pivots
+from .hull import (
+    FaceLattice,
+    PointSet,
+    _double_description,
+    _facets,
+    _indices,
+    _last_nonzero,
+    _lattice,
+    _Prepared,
+    convex_hull,
+)
 
 
 @dataclass(frozen=True)
@@ -83,11 +97,7 @@ def spanning_face_counts(lattice: FaceLattice, pps: PartitionedPointSet) -> tupl
         raise ValueError(
             f"lattice over {lattice.n_points} points, partition has {pps.total_points}"
         )
-    parts, start = [], 0
-    for part in pps.parts:
-        parts.append((1 << len(part)) - 1 << start)
-        start += len(part)
-    counts = []
+    parts, counts = _part_masks(pps), []
     for level in lattice.masks[:-1]:
         for part in parts:  # keep the faces with a vertex in this part
             level = [face for face in level if face & part]
@@ -95,26 +105,134 @@ def spanning_face_counts(lattice: FaceLattice, pps: PartitionedPointSet) -> tupl
     return tuple(counts)
 
 
-def minksum_direct_lattice(pps: PartitionedPointSet) -> FaceLattice:
-    """Hull of all sums of one input point per part, vertices or not: the
-    independent Minkowski-sum oracle.
-
-    Each coordinate is scaled by the lcm of its denominators over every
-    part, a positive linear map that keeps the face lattice, so the sums are
-    formed and deduplicated as integer tuples, in the order of the parts'
-    points.
-    """
-    d = pps.ambient_dim
-    scales = [math.lcm(*(p[c].denominator for part in pps.parts for p in part.points)) for c in range(d)]
-    stack = [(0,) * d]
+def _part_masks(pps: PartitionedPointSet) -> list[int]:
+    """Each part's run of bits in a mask over the Cayley points."""
+    masks, start = [], 0
     for part in pps.parts:
-        rows = [tuple(x.numerator * (l // x.denominator) for x, l in zip(p, scales)) for p in part.points]
-        stack = [tuple(map(operator.add, acc, q)) for acc in stack for q in rows]
-    return convex_hull(PointSet(d, tuple(dict.fromkeys(stack))))
+        masks.append((1 << len(part)) - 1 << start)
+        start += len(part)
+    return masks
+
+
+def minksum_lattices(pps: PartitionedPointSet) -> tuple[FaceLattice, FaceLattice]:
+    """Face lattices of the Cayley polytope and of the Minkowski sum, from
+    one hull of the Cayley polytope.
+
+    The Cayley facets whose masks meet every part propose the sum's facets,
+    and ``_sum_facets`` proves each one on the parts' own points.
+    """
+    lifted = cayley_embed(pps)
+    prep = _Prepared(lifted)
+    facets, below = _facets(prep)
+    parts = _part_masks(pps)
+    stage = _sum_facets(pps, prep, [u for facet, u in facets.items() if all(facet & part for part in parts)])
+    # what only a facet stage reads goes before levels are built: the Cayley
+    # functionals before the sum's, the sum's facet stage before the Cayley's
+    facets = list(facets)
+    direct = _lattice(pps.ambient_dim, *stage)
+    del stage
+    return _lattice(lifted.ambient_dim, prep.members, prep.rank, facets, below), direct
+
+
+def _sum_facets(pps: PartitionedPointSet, prep: _Prepared, proposals) -> tuple[list[list[int]], int, set[int], dict[int, list[int]]]:
+    """The facet stage of the hull of all sums of one input point per
+    part, from ``proposals``: functionals (c0, l_1..l_{r-1}, c) of the
+    Cayley polytope's spanning facets in ``prep``'s reduced coordinates.
+    Returns what ``_lattice`` takes after the ambient dimension: each
+    distinct sum as its own member list, the sums' rank k, the facets and
+    each non-simplex facet's facets, as masks over the distinct sums.
+
+    The Cayley reduction keeps every prefix column, its other pivot columns
+    are those of the sums and its rank is theirs plus r - 1: the prefixes
+    are independent, and the rest of the difference rows' span is the span
+    of the parts' own differences, which is the sums'.  So c is a
+    functional of the sums in their reduced coordinates, and the sums are
+    formed there, in the order of the parts' points.  Each proposal is then
+    proved a facet on the parts alone:
+
+    (a) A_i, the points of part i that minimize c, make the face of the
+        sums that c supports: every sum over A_1 x ... x A_r.
+    (b) The differences within each A_i have rank k - 1, for the sums'
+        rank k, so that face is a facet.
+    (c) If those are k - 1 rows, the facet is a product of simplices, and
+        its ridges each drop one point of a factor with two or more; any
+        other facet that is not a simplex gets its ridges from one double
+        description pass over its points in its pivot columns, the sums'
+        minus the last one c uses.
+    (d) Some facet is proposed, none twice, and every ridge lies in
+        exactly two facets.  The facet-ridge graph of a polytope is
+        connected, so the facets are all there are.
+
+    A proposal that is not a facet, or a missing one, fails (b) or (d).
+    """
+    r, k = pps.r, prep.rank - (pps.r - 1)
+    parts, start = [], 0
+    for part in pps.parts:  # each part's distinct points, reduced
+        parts.append([prep.reduced[i][r - 1 :] for i in dict.fromkeys(prep.rep_of[start : start + len(part)])])
+        start += len(part)
+    sums = [(0,) * k]
+    for pts in parts:
+        sums = [tuple(map(operator.add, s, p)) for s in sums for p in pts]
+    index = {}
+    where = [index.setdefault(s, len(index)) for s in sums]  # each pick's distinct sum
+    sums = list(index)
+    strides = [math.prod(map(len, parts[i + 1 :])) for i in range(r)]
+
+    def mask(picks) -> int:
+        """The sums over the product of ``picks``, each a part's positions."""
+        flat = [0]
+        for pick, stride in zip(picks, strides):
+            flat = [x + a * stride for x in flat for a in pick]
+        return sum(1 << b for b in {where[x] for x in flat})
+
+    members = [[i] for i in range(len(sums))]
+    facets, below, degree = set(), {}, {}
+    if len(sums) <= k + 1:  # a simplex: the level stage clears its bits
+        return members, k, facets, below
+    for u in proposals:
+        c, picks = u[r:], []
+        for pts in parts:
+            values = [sum(map(operator.mul, c, p)) for p in pts]
+            m = min(values)
+            picks.append([a for a, x in enumerate(values) if x == m])
+        differences = [tuple(map(operator.sub, pts[a], pts[pick[0]])) for pts, pick in zip(parts, picks) for a in pick[1:]]
+        if int_row_space_pivots(differences)[0] != k - 1:
+            raise AssertionError("a proposed facet of the sum is not a facet")
+        facet = mask(picks)
+        if facet in facets:
+            raise AssertionError("a facet of the sum was proposed twice")
+        facets.add(facet)
+        if facet.bit_count() == k:  # a simplex
+            ridges = [facet ^ 1 << m for m in _indices(facet)]
+        elif len(differences) == k - 1:  # a product of simplices
+            ridges = below[facet] = [facet ^ mask(picks[:i] + [[a]] + picks[i + 1 :]) for i, pick in enumerate(picks) if len(pick) > 1 for a in pick]
+        else:
+            t = _last_nonzero(c)
+            on = _indices(facet)
+            rows = [(1, *p[:t], *p[t + 1 :]) for p in map(sums.__getitem__, on)]
+            ridges = below[facet] = [ridge for _, _, ridge in _double_description(rows, [1 << m for m in on])]
+        for ridge in ridges:
+            degree[ridge] = degree.get(ridge, 0) + 1
+    if not facets:
+        raise AssertionError("no facet of the sum was proposed")
+    if any(n != 2 for n in degree.values()):
+        raise AssertionError("the sum's facets leave a ridge outside exactly two facets")
+    return members, k, facets, below
+
+
+def minksum_direct_lattice(pps: PartitionedPointSet) -> FaceLattice:
+    """Hull of all sums of one input point per part, vertices or not,
+    indexed by the distinct sums in the order of the parts' points.
+
+    Its facets are the Cayley hull's proposals, each proved a facet of the
+    sums from the parts' own points, and proved complete; see
+    ``_sum_facets``.
+    """
+    return minksum_lattices(pps)[1]
 
 
 def minksum_direct(pps: PartitionedPointSet) -> tuple[int, ...]:
-    """f-vector of the Minkowski sum from the direct summation oracle."""
+    """f-vector of the Minkowski sum from its own certified lattice."""
     return minksum_direct_lattice(pps).f_vector
 
 

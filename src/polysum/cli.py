@@ -23,7 +23,14 @@ from typing import Optional, Sequence
 
 from . import bounds as bnd
 from . import detasym
-from .cayley import PartitionedPointSet, minksum_direct, minksum_via_cayley
+from .cayley import (
+    PartitionedPointSet,
+    minksum_direct,
+    minksum_lattices,
+    minksum_via_cayley,
+    spanning_face_counts,
+    sum_f_vector,
+)
 from .construction import ConstructionParams, certify_family, generate_family, verify_tightness
 from .exact import SearchExhausted, determinant, rat, rat_to_str
 from .hull import PointSet, convex_hull, verify_supporting
@@ -179,12 +186,14 @@ def _cmd_hull(args, report: RunReport) -> None:
 def _cmd_minksum(args, report: RunReport) -> None:
     parts = tuple(load_pointset(path) for path in args.inputs)
     pps = PartitionedPointSet(parts)
-    if args.method in ("cayley", "both"):
-        fc = minksum_via_cayley(pps)
-        report.outputs["f_cayley"] = list(fc)
-    if args.method in ("direct", "both"):
-        fd = minksum_direct(pps)
-        report.outputs["f_direct"] = list(fd)
+    if args.method == "cayley":
+        report.outputs["f_cayley"] = list(minksum_via_cayley(pps))
+    else:  # the sum's facets are proposed by the Cayley hull, so both come from one
+        lifted, direct = minksum_lattices(pps)
+        if args.method == "both":
+            g = spanning_face_counts(lifted, pps)
+            report.outputs["f_cayley"] = list(sum_f_vector(g, lifted.polytope_dim, pps.r))
+        report.outputs["f_direct"] = list(direct.f_vector)
     if args.method == "both":
         report.check("oracle_equality", report.outputs["f_cayley"], report.outputs["f_direct"])
         report.outputs["f_vector"] = report.outputs["f_cayley"]
@@ -332,7 +341,9 @@ def _cmd_selftest(args, report: RunReport) -> None:
             pts = {tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(ni)}
             parts.append([list(p) for p in sorted(pts)])
         pps = PartitionedPointSet.from_rows(parts)
-        if minksum_via_cayley(pps) != minksum_direct(pps):
+        # the raw sums' own hull reads nothing of the Cayley polytope
+        sums = PointSet.from_rows([list(map(sum, zip(*pick))) for pick in itertools.product(*parts)])
+        if not minksum_via_cayley(pps) == minksum_direct(pps) == convex_hull(sums).f_vector:
             oracle_ok = False
     report.check_that("minksum_oracle_equivalence", oracle_ok)
 

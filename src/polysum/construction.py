@@ -38,13 +38,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .bounds import phi
-from .cayley import (
-    PartitionedPointSet,
-    cayley_lattice,
-    minksum_direct,
-    spanning_face_counts,
-    sum_f_vector,
-)
+from .cayley import PartitionedPointSet, minksum_lattices, spanning_face_counts, sum_f_vector
 # SearchExhausted is also importable from here, where the searches raise it
 from .exact import SearchExhausted, hyperplane, rat_to_str
 from .hull import PointSet, convex_hull, is_face, neighborliness
@@ -353,18 +347,21 @@ def verify_neighborly(params: ConstructionParams) -> list[PartCheck]:
 
 
 def verify_tightness(d: int, r: int, n: Sequence[int], max_halvings: int = 64) -> RunReport:
-    """Full pipeline: certify tau and zeta, build the family, compare both
-    Minkowski oracles, assert f_k = phi(k+r) on the tight range and
-    f_k <= phi(k+r) above it."""
+    """Full pipeline: certify tau and zeta, build the family, hull its
+    Cayley polytope once, and compare the sum's f-vector read off the
+    spanning faces with the one of the sum's own lattice, whose facets the
+    Cayley hull proposes and the parts' points prove (``minksum_lattices``);
+    then assert f_k = phi(k+r) on the tight range and f_k <= phi(k+r)
+    above it."""
     params, tau_cert, zeta_cert = certify_family(
         ConstructionParams.defaults(d, r, n), max_halvings
     )
 
     family = generate_family(params)
-    lifted_lat = cayley_lattice(family)
+    lifted_lat, sum_lat = minksum_lattices(family)
     g = spanning_face_counts(lifted_lat, family)
     f_cayley = sum_f_vector(g, lifted_lat.polytope_dim, r)
-    f_direct = minksum_direct(family)
+    f_direct = sum_lat.f_vector
 
     n = [int(x) for x in n]
     report = RunReport(

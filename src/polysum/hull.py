@@ -6,14 +6,19 @@ which is an invertible linear map and so preserves the face lattice).
 
 The face lattice is its levels: one set of faces per dimension, each face
 the int bitmask of the points on it.  While the lattice is built, each
-distinct point is the bit of its first index in the input.  Three steps
-find every face's facets, each the
-one that fits its size.  The polytope alone is gift-wrapped: a first facet
-by induction on coordinate shadows, then one rotation per further facet,
-each in the pencil of a found facet's primitive integer functional and a
-ridge's, at one dot product per point.  Every ridge must end in exactly
-two facets, which certifies completeness, and a facet's values at the
-points are dropped once the wrap has crossed all its ridges.  A facet that
+distinct point is the bit of its first index in the input.  A hull runs in
+two stages: the facet stage finds the polytope's facets, and the level
+stage the faces below them.  Three steps find every face's facets, each
+the one that fits its size.  The polytope alone is gift-wrapped: a first
+facet by induction on coordinate shadows, then one rotation per further
+facet, each in the pencil of a found facet's primitive integer functional
+and a ridge's, at one dot product per point.  Every ridge must end in
+exactly two facets, which certifies completeness, and a facet's values at
+the points are dropped once the wrap has crossed all its ridges.  Its
+functional is kept, keyed by its mask, in the integer rank-reduced
+coordinates the wrap ran in (a simplex's come from the rays of its cone),
+so a caller can read the facets' inequalities: the Cayley polytope's
+propose the facets of a Minkowski sum (``cayley``).  A facet that
 is not a simplex gets its own facets, and their functionals, from one
 double-description pass over its points in its pivot columns, the
 polytope's minus the last one its functional uses.  Every lower face that
@@ -35,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import clear_denominators, cone_rays, hyperplane, int_row_space_pivots, rat
 
@@ -320,7 +325,7 @@ def _cut(rays, row, bit: int, mark: int, need: int, size: int) -> list[tuple[tup
     return kept
 
 
-def _wrap(pts, bits, k: int) -> tuple[list[int], dict[int, list[int]]]:
+def _wrap(pts, bits, k: int) -> tuple[dict[int, tuple[int, ...]], dict[int, list[int]]]:
     """Facets of the polytope of the full-rank points ``pts``, by one
     gift-wrap (Chand & Kapur 1970; Swart 1985).
 
@@ -338,10 +343,10 @@ def _wrap(pts, bits, k: int) -> tuple[list[int], dict[int, list[int]]]:
     functional only when a rotation crosses it, with one ``hyperplane``.
     Once the walk has crossed all of a facet's ridges its values are
     dropped.  Every ridge must end in exactly two facets, which certifies
-    completeness.  Returns the facets in the order found and each
-    non-simplex facet's facets.
+    completeness.  Returns each facet's primitive functional, keyed by its
+    mask in the order found, and each non-simplex facet's facets.
     """
-    degree, below, walk = {}, {}, []
+    facets, degree, below, walk = {}, {}, {}, []
 
     def found(u, values):
         on = [m for m, x in enumerate(values) if not x]
@@ -359,19 +364,20 @@ def _wrap(pts, bits, k: int) -> tuple[list[int], dict[int, list[int]]]:
             below[facet] = ridges
         for ridge in ridges:
             degree[ridge] = degree.get(ridge, 0) + 1
-        walk.append((facet, u, values, t, ridges, functionals, rows))
+        facets[facet] = u
+        walk.append((u, values, t, ridges, functionals, rows))
 
     found(*_first_facet(pts, k))
-    for n, (facet, u, values, t, ridges, functionals, rows) in enumerate(walk):
+    for n, (u, values, t, ridges, functionals, rows) in enumerate(walk):
         for r, ridge in enumerate(ridges):
             if degree[ridge] > 1:  # its other facet is found already
                 continue
             w = functionals[r] or _oriented(hyperplane(rows[:r] + rows[r + 1 :]), rows[r])
             found(*_rotate(pts, values, u, w[:t] + (0,) + w[t:]))
-        walk[n] = facet  # every ridge it holds is closed now: drop its values
+        walk[n] = None  # every ridge it holds is closed now: drop its values
     if any(d != 2 for d in degree.values()):
         raise AssertionError("gift-wrap left a ridge outside exactly two facets")
-    return walk, below
+    return facets, below
 
 
 def _intersected(children: dict[int, list[int]], j: int) -> dict[int, list[int]]:
@@ -419,35 +425,55 @@ class _Prepared:
         int_pts = [tuple(c[i] for c in coords) for i in range(len(distinct))]
         # affine rank, and pivot columns that keep it: those of the difference rows
         diffs = [[x - b for x, b in zip(p, int_pts[0])] for p in int_pts[1:]]
-        self.rank, pivots = int_row_space_pivots(diffs)
-        self.reduced = [tuple(p[c] for c in pivots) for p in int_pts]
+        self.rank, self.pivots = int_row_space_pivots(diffs)
+        self.reduced = [tuple(p[c] for c in self.pivots) for p in int_pts]
 
 
 def convex_hull(points: PointSet) -> FaceLattice:
-    """Complete face lattice of the convex hull of a rational point set.
-
-    While the levels are built a face is the bitmask of its points, each
-    distinct point the bit of its first index in the input.  They are built
-    from the polytope down, with the facet lists of the non-simplex faces
-    of two levels at a time.  The polytope's facets come from ``_wrap``,
-    which also hands over each non-simplex facet's own facets from
-    ``_double_description`` as masks of the same bits; a lower non-simplex
-    face's come from ``_intersected``, and a simplex's clear one bit each,
-    taken lowest first from the mask itself.  Each mask then keeps only its
-    vertices' bits, so points that are no vertex of the hull never appear
-    in a face, and each repeated vertex gains the bits of its other copies.
-    That last step is the one place copies are handled.
-    """
+    """Complete face lattice of the convex hull of a rational point set:
+    the facet stage ``_facets``, then the level stage ``_lattice``."""
     if len(points) == 0:
         raise ValueError("convex hull of an empty point set")
     prep = _Prepared(points)
-    k = prep.rank
+    facets, below = _facets(prep)
+    facets = list(facets)  # the level stage reads masks alone: the functionals go first
+    return _lattice(points.ambient_dim, prep.members, prep.rank, facets, below)
+
+
+def _facets(prep: _Prepared) -> tuple[dict[int, tuple[int, ...]], dict[int, list[int]]]:
+    """The facet stage: each facet's primitive functional in ``prep``'s
+    reduced coordinates, positive off the facet and keyed by its mask, and
+    each non-simplex facet's facets.  Here a face's mask holds the bit of
+    the first input index of each distinct point on it.  A simplex, rank + 1
+    distinct points, takes its functionals from the rays of its own cone
+    (``cone_rays``), and anything else from ``_wrap``.
+    """
     bits = [1 << m[0] for m in prep.members]
-    top = sum(bits)
-    levels, children, below = [{top}], {}, {}
-    if len(bits) > k + 1:
-        facets, below = _wrap(prep.reduced, bits, k)
-        children = {top: facets}
+    if len(bits) > prep.rank + 1:
+        return _wrap(prep.reduced, bits, prep.rank)
+    if not prep.rank:
+        return {}, {}
+    basis, rays = cone_rays([(1, *p) for p in prep.reduced])
+    return {sum(bits) ^ bits[b]: h for b, h in zip(basis, rays)}, {}
+
+
+def _lattice(ambient_dim: int, members: list[list[int]], k: int, facets: Iterable[int], below: dict[int, list[int]]) -> FaceLattice:
+    """The level stage: the face lattice of a k-polytope from its facets.
+
+    ``members`` lists each distinct point's input indices, and ``facets``
+    and ``below`` are masks of the bits of their first indices, as
+    ``_facets`` gives them; no facets means a simplex.  The levels are
+    built from the polytope down, with the facet lists of the
+    non-simplex faces of two levels at a time: ``below`` gives the facets'
+    own facets, ``_intersected`` a lower non-simplex face's, and a simplex's
+    clear one bit each, taken lowest first from the mask itself.  Each mask
+    then keeps only its vertices' bits, so points that are no vertex of the
+    hull never appear in a face, and each repeated vertex gains the bits of
+    its other copies.  That last step is the one place copies are handled.
+    """
+    top = sum(1 << m[0] for m in members)
+    levels = [{top}]
+    children = {top: facets} if facets else {}
     for j in range(k, 0, -1):
         level = set()
         for g in levels[-1]:
@@ -466,14 +492,14 @@ def convex_hull(points: PointSet) -> FaceLattice:
     vertices = sum(levels[-1])
     if vertices != top:  # drop the points that are no vertex
         levels = [{face & vertices for face in level} for level in levels]
-    for m in prep.members:  # give each repeated vertex its other copies
+    for m in members:  # give each repeated vertex its other copies
         if len(m) > 1 and vertices >> m[0] & 1:
             first, rest = 1 << m[0], sum(1 << i for i in m[1:])
             levels = [{face | rest if face & first else face for face in level} for level in levels]
     masks = tuple(map(frozenset, reversed(levels)))
     if len(frozenset().union(*masks)) != n_faces:
         raise AssertionError("two faces share a vertex set")
-    return FaceLattice(points.ambient_dim, len(points), masks)
+    return FaceLattice(ambient_dim, sum(map(len, members)), masks)
 
 
 def verify_supporting(lattice: FaceLattice, points: PointSet) -> bool:

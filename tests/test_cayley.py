@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,14 +11,19 @@ import pytest
 from polysum.bounds import VertexProfile, trivial_upper_bound
 from polysum.cayley import (
     PartitionedPointSet,
+    _part_masks,
+    _sum_facets,
     cayley_embed,
     cayley_lattice,
     minksum_direct,
     minksum_direct_lattice,
+    minksum_lattices,
     minksum_via_cayley,
     spanning_face_counts,
 )
-from polysum.hull import PointSet, convex_hull, verify_supporting
+from polysum.construction import ConstructionParams, certify_family, generate_family
+from polysum.exact import affine_rank
+from polysum.hull import PointSet, _facets, _Prepared, convex_hull, verify_supporting
 
 from helpers import fraction_sums
 
@@ -219,3 +225,143 @@ def test_trivial_upper_bound_property():
         profile = VertexProfile(hull_sizes, max(pps.ambient_dim, len(fv), 1))
         for k, fk in enumerate(fv):
             assert fk <= trivial_upper_bound(k, profile)
+
+
+def certified_cases() -> list[PartitionedPointSet]:
+    """240 seeded summand sets: d = 2..4 and r = 2..3, parts of one to
+    d + 3 points in [-2, 2]^d, with duplicate points and midpoints inside a
+    part.  Every third set lies in a common sublattice of lower dimension,
+    each part with its own offset, so parts and sums are lower-dimensional."""
+    rng = random.Random(36)
+    cases = []
+    for n in range(240):
+        d, r = n % 3 + 2, n // 3 % 2 + 2
+        parts = []
+        for _ in range(r):
+            pts = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, d + 3))]
+            if rng.random() < 0.3:
+                pts.append(rng.choice(pts))
+            if len(pts) > 1 and rng.random() < 0.3:
+                a, b = rng.sample(pts, 2)
+                pts.append([Fraction(x + y, 2) for x, y in zip(a, b)])
+            parts.append(pts)
+        if n % 3 == 0:
+            basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, d - 1))]
+            parts = [
+                [[o + sum(x * v[c] for x, v in zip(p, basis)) for c, o in enumerate(offset)] for p in part]
+                for part, offset in zip(parts, [[rng.randint(-3, 3) for _ in range(d)] for _ in parts])
+            ]
+        cases.append(PartitionedPointSet.from_rows(parts))
+    return cases
+
+
+def sums_hull(pps: PartitionedPointSet):
+    """The hull of the distinct sums themselves (test oracle)."""
+    return convex_hull(PointSet.from_rows(fraction_sums(pps), ambient_dim=pps.ambient_dim))
+
+
+def test_cayley_reduction_is_the_sums_reduction():
+    """The Cayley points' reduction keeps every prefix column, its other
+    pivot columns are the sums' own and its rank is theirs plus r - 1, so a
+    Cayley functional's last entries are a functional of the sums."""
+    lower = 0
+    for pps in certified_cases():
+        r = pps.r
+        lifted = _Prepared(cayley_embed(pps))
+        sums = _Prepared(PointSet.from_rows(fraction_sums(pps), ambient_dim=pps.ambient_dim))
+        assert lifted.pivots[: r - 1] == tuple(range(r - 1))
+        assert tuple(c - (r - 1) for c in lifted.pivots[r - 1 :]) == sums.pivots
+        assert lifted.rank == sums.rank + r - 1
+        lower += sums.rank < pps.ambient_dim
+    assert lower > 80
+
+
+def test_certified_sum_lattice_is_the_sums_hull():
+    """The lattice from the Cayley hull's certified proposals is the whole
+    lattice of the sums' own hull, masks included."""
+    lower = 0
+    for pps in certified_cases():
+        cayley, direct = minksum_lattices(pps)
+        assert direct == sums_hull(pps)
+        assert cayley == cayley_lattice(pps)
+        lower += direct.polytope_dim < pps.ambient_dim
+    assert lower > 80
+
+
+@pytest.mark.parametrize("d, r, n", [(3, 2, (4, 4)), (4, 3, (5, 5, 5)), (5, 2, (6, 6)), (5, 4, (6, 6, 6, 6))])
+def test_certified_sum_lattice_of_tight_families(d, r, n):
+    params, _, _ = certify_family(ConstructionParams.defaults(d, r, n))
+    family = generate_family(params)
+    assert minksum_direct_lattice(family) == sums_hull(family)
+
+
+def proposed(pps: PartitionedPointSet):
+    """The Cayley reduction and the functionals of the Cayley facets that
+    meet every part, as ``minksum_lattices`` proposes them."""
+    prep = _Prepared(cayley_embed(pps))
+    facets, _ = _facets(prep)
+    return prep, [u for facet, u in facets.items() if all(facet & part for part in _part_masks(pps))]
+
+
+def rejection_cases() -> list[PartitionedPointSet]:
+    """The first 20 of ``certified_cases`` whose sums are no simplex, so
+    that their facets are certified: full- and lower-dimensional, r = 2
+    and 3."""
+    cases = []
+    for pps in certified_cases():
+        sums = fraction_sums(pps)
+        if len(sums) > affine_rank(sums) + 1:
+            cases.append(pps)
+    cases = cases[:20]
+    assert {pps.r for pps in cases} == {2, 3}
+    assert any(sums_hull(pps).polytope_dim < pps.ambient_dim for pps in cases)
+    return cases
+
+
+def test_a_dropped_proposal_fails_the_ridge_count():
+    for pps in rejection_cases():
+        prep, proposals = proposed(pps)
+        for i in range(len(proposals)):
+            with pytest.raises(AssertionError, match="ridge outside exactly two facets"):
+                _sum_facets(pps, prep, proposals[:i] + proposals[i + 1 :])
+        with pytest.raises(AssertionError, match="no facet of the sum was proposed"):
+            _sum_facets(pps, prep, [])
+
+
+def test_a_repeated_proposal_fails():
+    for pps in rejection_cases():
+        prep, proposals = proposed(pps)
+        for u in proposals:
+            with pytest.raises(AssertionError, match="proposed twice"):
+                _sum_facets(pps, prep, proposals + [u])
+
+
+def test_a_corrupted_proposal_fails():
+    """One entry of one proposal's c, plus 1, makes the face c supports
+    either no facet, which fails the dimension check, or another facet,
+    which is then proposed twice.  Which one is read off the sums
+    themselves; a c turned into a multiple of itself is skipped.  Each of
+    the first 20 proposals of a case is corrupted at each entry in turn."""
+    kinds = {"not a facet": 0, "proposed twice": 0}
+    for pps in rejection_cases():
+        prep, proposals = proposed(pps)
+        r = pps.r
+        parts, start = [], 0
+        for part in pps.parts:
+            parts.append([prep.reduced[prep.rep_of[j]][r - 1 :] for j in range(start, start + len(part))])
+            start += len(part)
+        sums = [tuple(map(sum, zip(*pick))) for pick in itertools.product(*parts)]
+        k = affine_rank(sums)
+        for i, u in enumerate(proposals[:20]):
+            for j in range(r, len(u)):
+                bad = u[:j] + (u[j] + 1,) + u[j + 1 :]
+                c = bad[r:]
+                if any(c) and all(c[s] * u[r + t] == c[t] * u[r + s] for s in range(len(c)) for t in range(s)):
+                    continue  # c was a unit vector and is now twice itself: the same facet
+                values = [sum(map(operator.mul, c, p)) for p in sums]
+                face = [p for p, x in zip(sums, values) if x == min(values)]
+                kind = "proposed twice" if affine_rank(face) == k - 1 else "not a facet"
+                kinds[kind] += 1
+                with pytest.raises(AssertionError, match=kind):
+                    _sum_facets(pps, prep, proposals[:i] + [bad] + proposals[i + 1 :])
+    assert kinds["not a facet"] > 400 and kinds["proposed twice"] > 8

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysum.cayley as cayley
 import polysum.exact as exact
 import polysum.hull as hull
 from polysum.cayley import PartitionedPointSet, cayley_lattice, minksum_direct_lattice, spanning_face_counts
@@ -215,17 +216,17 @@ def wrap(prep: _Prepared) -> list[frozenset]:
     return [members(prep, f) for f in facets]
 
 
-def record(monkeypatch, name: str) -> list:
-    """Each call of ``hull.<name>`` from here on, as (args, result)."""
+def record(monkeypatch, name: str, module=hull) -> list:
+    """Each call of ``<module>.<name>`` from here on, as (args, result)."""
     calls = []
-    original = getattr(hull, name)
+    original = getattr(module, name)
 
     def recorded(*args):
         out = original(*args)
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr(hull, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -465,14 +466,16 @@ def sum_cases() -> dict[str, list[list[list[int]]]]:
 
 def test_lattices_match_the_oracle_on_minkowski_sums(monkeypatch):
     """Faces of Minkowski sums, whose facets are prisms, cubes and faces of
-    degenerate summands, still give the exhaustive lattice."""
-    passes = record(monkeypatch, "_double_description")
+    degenerate summands, still give the exhaustive lattice.  Prisms and
+    cubes are products of simplices; a degenerate summand's facets that are
+    not take a double description pass over the sum's own points."""
+    passes = record(monkeypatch, "_double_description", cayley)
     for name, parts in sum_cases().items():
         pps = PartitionedPointSet.from_rows(parts)
         lattice = minksum_direct_lattice(pps)
         faces = {(dim, f) for dim, level in enumerate(lattice.levels) for f in level}
         assert faces | {(-1, ())} == lattice_oracle(PointSet.from_rows(fraction_sums(pps))), name
-    assert len(passes) > 40
+    assert len(passes) > 10
 
 
 def test_first_facet_is_a_facet(monkeypatch):
