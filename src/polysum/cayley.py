@@ -20,15 +20,17 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .exact import int_row_space_pivots
+from .exact import cone_rays, int_row_space_pivots
 from .hull import (
     FaceLattice,
     PointSet,
-    _double_description,
+    _closed,
+    _facet_ridges,
     _facets,
     _indices,
     _last_nonzero,
@@ -124,14 +126,26 @@ def minksum_lattices(pps: PartitionedPointSet) -> tuple[FaceLattice, FaceLattice
     lifted = cayley_embed(pps)
     prep = _Prepared(lifted)
     facets, below = _facets(prep)
-    parts = _part_masks(pps)
-    stage = _sum_facets(pps, prep, [u for facet, u in facets.items() if all(facet & part for part in parts)])
+    stage = _sum_facets(pps, prep, _proposals(pps, prep, facets))
     # what only a facet stage reads goes before levels are built: the Cayley
     # functionals before the sum's, the sum's facet stage before the Cayley's
     facets = list(facets)
     direct = _lattice(pps.ambient_dim, *stage)
     del stage
     return _lattice(lifted.ambient_dim, prep.members, prep.rank, facets, below), direct
+
+
+def _proposals(pps: PartitionedPointSet, prep: _Prepared, facets: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The functionals of the Cayley polytope's facets that meet every
+    part, from its facet stage ``facets`` over ``prep``.  A simplex has no
+    facet stage, so its functionals are read off the rays of its own cone.
+    """
+    if not facets:  # a simplex, of rank r - 1 or more, as its r prefixes are distinct
+        bits = [1 << m[0] for m in prep.members]
+        basis, rays = cone_rays([(1, *p) for p in prep.reduced])
+        facets = {sum(bits) ^ bits[b]: h for b, h in zip(basis, rays)}
+    parts = _part_masks(pps)
+    return [u for facet, u in facets.items() if all(facet & part for part in parts)]
 
 
 def _sum_facets(pps: PartitionedPointSet, prep: _Prepared, proposals) -> tuple[list[list[int]], int, set[int], dict[int, list[int]]]:
@@ -154,14 +168,13 @@ def _sum_facets(pps: PartitionedPointSet, prep: _Prepared, proposals) -> tuple[l
         sums that c supports: every sum over A_1 x ... x A_r.
     (b) The differences within each A_i have rank k - 1, for the sums'
         rank k, so that face is a facet.
-    (c) If those are k - 1 rows, the facet is a product of simplices, and
-        its ridges each drop one point of a factor with two or more; any
-        other facet that is not a simplex gets its ridges from one double
-        description pass over its points in its pivot columns, the sums'
+    (c) If the facet is no simplex and those are k - 1 rows, it is a
+        product of simplices, and its ridges each drop one point of a
+        factor with two or more; any other facet gets its ridges from the
+        hull's own step (``_facet_ridges``), in the sums' pivot columns
         minus the last one c uses.
     (d) Some facet is proposed, none twice, and every ridge lies in
-        exactly two facets.  The facet-ridge graph of a polytope is
-        connected, so the facets are all there are.
+        exactly two facets (``_closed``, as in the hull's wrap).
 
     A proposal that is not a facet, or a missing one, fails (b) or (d).
     """
@@ -186,7 +199,7 @@ def _sum_facets(pps: PartitionedPointSet, prep: _Prepared, proposals) -> tuple[l
         return sum(1 << b for b in {where[x] for x in flat})
 
     members = [[i] for i in range(len(sums))]
-    facets, below, degree = set(), {}, {}
+    facets, below, degree = set(), {}, Counter()
     if len(sums) <= k + 1:  # a simplex: the level stage clears its bits
         return members, k, facets, below
     for u in proposals:
@@ -202,21 +215,17 @@ def _sum_facets(pps: PartitionedPointSet, prep: _Prepared, proposals) -> tuple[l
         if facet in facets:
             raise AssertionError("a facet of the sum was proposed twice")
         facets.add(facet)
-        if facet.bit_count() == k:  # a simplex
-            ridges = [facet ^ 1 << m for m in _indices(facet)]
-        elif len(differences) == k - 1:  # a product of simplices
+        if facet.bit_count() > k and len(differences) == k - 1:  # a product of simplices
             ridges = below[facet] = [facet ^ mask(picks[:i] + [[a]] + picks[i + 1 :]) for i, pick in enumerate(picks) if len(pick) > 1 for a in pick]
         else:
-            t = _last_nonzero(c)
             on = _indices(facet)
-            rows = [(1, *p[:t], *p[t + 1 :]) for p in map(sums.__getitem__, on)]
-            ridges = below[facet] = [ridge for _, _, ridge in _double_description(rows, [1 << m for m in on])]
-        for ridge in ridges:
-            degree[ridge] = degree.get(ridge, 0) + 1
+            _, ridges, functionals = _facet_ridges([sums[m] for m in on], [1 << m for m in on], _last_nonzero(c))
+            if functionals is not None:
+                below[facet] = ridges
+        degree.update(ridges)
     if not facets:
         raise AssertionError("no facet of the sum was proposed")
-    if any(n != 2 for n in degree.values()):
-        raise AssertionError("the sum's facets leave a ridge outside exactly two facets")
+    _closed(degree, "the sum's facets")
     return members, k, facets, below
 
 
@@ -247,9 +256,11 @@ def sum_f_vector(g: Sequence[int], lifted_dim: int, r: int) -> tuple[int, ...]:
     return tuple(g[r - 1 + j] for j in range(sum_dim))
 
 
-def minksum_via_cayley(pps: PartitionedPointSet) -> tuple[int, ...]:
-    """f-vector of the Minkowski sum read off the lifted hull's spanning faces."""
-    lattice = cayley_lattice(pps)
+def minksum_via_cayley(pps: PartitionedPointSet, lattice: Optional[FaceLattice] = None) -> tuple[int, ...]:
+    """f-vector of the Minkowski sum read off the lifted hull's spanning
+    faces; ``lattice`` is that hull's face lattice if it is built already."""
+    if lattice is None:
+        lattice = cayley_lattice(pps)
     return sum_f_vector(spanning_face_counts(lattice, pps), lattice.polytope_dim, pps.r)
 
 

@@ -23,14 +23,7 @@ from typing import Optional, Sequence
 
 from . import bounds as bnd
 from . import detasym
-from .cayley import (
-    PartitionedPointSet,
-    minksum_direct,
-    minksum_lattices,
-    minksum_via_cayley,
-    spanning_face_counts,
-    sum_f_vector,
-)
+from .cayley import PartitionedPointSet, minksum_direct, minksum_lattices, minksum_via_cayley
 from .construction import ConstructionParams, certify_family, generate_family, verify_tightness
 from .exact import SearchExhausted, determinant, rat, rat_to_str
 from .hull import PointSet, convex_hull, verify_supporting
@@ -191,8 +184,7 @@ def _cmd_minksum(args, report: RunReport) -> None:
     else:  # the sum's facets are proposed by the Cayley hull, so both come from one
         lifted, direct = minksum_lattices(pps)
         if args.method == "both":
-            g = spanning_face_counts(lifted, pps)
-            report.outputs["f_cayley"] = list(sum_f_vector(g, lifted.polytope_dim, pps.r))
+            report.outputs["f_cayley"] = list(minksum_via_cayley(pps, lifted))
         report.outputs["f_direct"] = list(direct.f_vector)
     if args.method == "both":
         report.check("oracle_equality", report.outputs["f_cayley"], report.outputs["f_direct"])

@@ -16,14 +16,15 @@ and a ridge's, at one dot product per point.  Every ridge must end in
 exactly two facets, which certifies completeness, and a facet's values at
 the points are dropped once the wrap has crossed all its ridges.  Its
 functional is kept, keyed by its mask, in the integer rank-reduced
-coordinates the wrap ran in (a simplex's come from the rays of its cone),
-so a caller can read the facets' inequalities: the Cayley polytope's
-propose the facets of a Minkowski sum (``cayley``).  A facet that
-is not a simplex gets its own facets, and their functionals, from one
-double-description pass over its points in its pivot columns, the
-polytope's minus the last one its functional uses.  Every lower face that
-is not a simplex takes as its facets the inclusion-maximal intersections
-with the other facets of a face it is a facet of.  A simplex's facets
+coordinates the wrap ran in, so a caller can read the facets'
+inequalities: the Cayley polytope's propose the facets of a Minkowski sum
+(``cayley``), which certifies them with the same ridge step and ridge
+count.  A facet that is not a simplex gets its own facets, and their
+functionals, from one double-description pass over its points in its
+pivot columns, the polytope's minus the last one its functional uses.
+Every lower face that is not a simplex takes as its facets the
+inclusion-maximal intersections with the other facets of a face it is a
+facet of.  A simplex's facets
 clear one bit each.  Only two levels of facet lists are kept at a time.
 At the end each mask keeps its vertices' bits and gains the other copies
 of a repeated vertex, so the lattice keeps each face as the mask of every
@@ -37,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -331,39 +333,30 @@ def _wrap(pts, bits, k: int) -> tuple[dict[int, tuple[int, ...]], dict[int, list
 
     Point m is the bit ``bits[m]`` of a face's mask.  ``_first_facet``
     finds one facet, and each facet counts its ridges, its own facets, as
-    soon as it is found.  A simplex's clear one bit each; any other facet's
-    come, already in the polytope's bits, from ``_double_description`` over
-    its points in its pivot columns, which are the polytope's minus the one
-    at the last position t where its functional u is nonzero: in the
-    polytope's columns its direction space is {u = 0}, whose one circuit
-    is u's support.  A ridge that one found facet holds is crossed with one
+    soon as it is found, from ``_facet_ridges`` in its pivot columns: the
+    polytope's minus the one at the last position t where its functional u
+    is nonzero.  A ridge that one found facet holds is crossed with one
     ``_rotate`` in the pencil of that facet's functional and the ridge's,
     taken over the polytope's columns with a 0 inserted at t, so a wrap of
     m facets makes m - 1 rotations.  A simplex facet makes a ridge's
     functional only when a rotation crosses it, with one ``hyperplane``.
     Once the walk has crossed all of a facet's ridges its values are
     dropped.  Every ridge must end in exactly two facets, which certifies
-    completeness.  Returns each facet's primitive functional, keyed by its
-    mask in the order found, and each non-simplex facet's facets.
+    completeness (``_closed``).  Returns each facet's primitive functional,
+    keyed by its mask in the order found, and each non-simplex facet's
+    facets.
     """
-    facets, degree, below, walk = {}, {}, {}, []
+    facets, degree, below, walk = {}, Counter(), {}, []
 
     def found(u, values):
         on = [m for m, x in enumerate(values) if not x]
         t = _last_nonzero(u)
         marks = [bits[m] for m in on]
         facet = sum(marks)
-        rows = [(1, *p[: t - 1], *p[t:]) for p in map(pts.__getitem__, on)]
-        if len(on) == k:
-            ridges, functionals = [facet ^ b for b in marks], [None] * k
-        else:
-            ridges, functionals = [], []
-            for h, _, ridge in _double_description(rows, marks):
-                ridges.append(ridge)
-                functionals.append(h)
+        rows, ridges, functionals = _facet_ridges([pts[m] for m in on], marks, t - 1)
+        if functionals is not None:
             below[facet] = ridges
-        for ridge in ridges:
-            degree[ridge] = degree.get(ridge, 0) + 1
+        degree.update(ridges)
         facets[facet] = u
         walk.append((u, values, t, ridges, functionals, rows))
 
@@ -372,12 +365,44 @@ def _wrap(pts, bits, k: int) -> tuple[dict[int, tuple[int, ...]], dict[int, list
         for r, ridge in enumerate(ridges):
             if degree[ridge] > 1:  # its other facet is found already
                 continue
-            w = functionals[r] or _oriented(hyperplane(rows[:r] + rows[r + 1 :]), rows[r])
+            w = functionals[r] if functionals else _oriented(hyperplane(rows[:r] + rows[r + 1 :]), rows[r])
             found(*_rotate(pts, values, u, w[:t] + (0,) + w[t:]))
         walk[n] = None  # every ridge it holds is closed now: drop its values
-    if any(d != 2 for d in degree.values()):
-        raise AssertionError("gift-wrap left a ridge outside exactly two facets")
+    _closed(degree, "gift-wrap")
     return facets, below
+
+
+def _facet_ridges(pts, marks, t: int) -> tuple[list[tuple[int, ...]], list[int], Optional[list[tuple[int, ...]]]]:
+    """A facet's rows, its ridges and, unless it is a simplex, the ridges'
+    functionals.
+
+    ``pts`` are the facet's points in the k columns of a k-polytope,
+    ``marks`` their bits in the polytope's masks, and t a column where the
+    facet's functional u is nonzero.  The rows are the points (1, p)
+    without column t, the facet's pivot columns: in the polytope's columns
+    its direction space is {u = 0}, whose one circuit is u's support.  A
+    simplex, k points, has one ridge per point, its mask without that
+    point's bit.  Any other facet's ridges, as masks of ``marks``, and
+    their functionals, in the rows' coordinates, come from one
+    ``_double_description`` pass.
+    """
+    rows = [(1, *p[:t], *p[t + 1 :]) for p in pts]
+    if len(rows) == len(pts[0]):
+        facet = sum(marks)
+        return rows, [facet ^ b for b in marks], None
+    rays = _double_description(rows, marks)
+    return rows, [ridge for _, _, ridge in rays], [h for h, _, _ in rays]
+
+
+def _closed(degree: Counter, stage: str) -> None:
+    """Completeness of a facet stage whose facets are facets of the
+    polytope: ``degree`` counts the found facets at each of their ridges,
+    and each must be two.  The facet-ridge graph of a polytope is
+    connected, so facets that close every ridge they hold are all there
+    are.
+    """
+    if any(n != 2 for n in degree.values()):
+        raise AssertionError(f"{stage} left a ridge outside exactly two facets")
 
 
 def _intersected(children: dict[int, list[int]], j: int) -> dict[int, list[int]]:
@@ -443,18 +468,14 @@ def convex_hull(points: PointSet) -> FaceLattice:
 def _facets(prep: _Prepared) -> tuple[dict[int, tuple[int, ...]], dict[int, list[int]]]:
     """The facet stage: each facet's primitive functional in ``prep``'s
     reduced coordinates, positive off the facet and keyed by its mask, and
-    each non-simplex facet's facets.  Here a face's mask holds the bit of
-    the first input index of each distinct point on it.  A simplex, rank + 1
-    distinct points, takes its functionals from the rays of its own cone
-    (``cone_rays``), and anything else from ``_wrap``.
+    each non-simplex facet's facets, from ``_wrap``.  Here a face's mask
+    holds the bit of the first input index of each distinct point on it.
+    A simplex, rank + 1 distinct points, gives no facets: the level stage
+    clears its bits.
     """
-    bits = [1 << m[0] for m in prep.members]
-    if len(bits) > prep.rank + 1:
-        return _wrap(prep.reduced, bits, prep.rank)
-    if not prep.rank:
-        return {}, {}
-    basis, rays = cone_rays([(1, *p) for p in prep.reduced])
-    return {sum(bits) ^ bits[b]: h for b, h in zip(basis, rays)}, {}
+    if len(prep.members) > prep.rank + 1:
+        return _wrap(prep.reduced, [1 << m[0] for m in prep.members], prep.rank)
+    return {}, {}
 
 
 def _lattice(ambient_dim: int, members: list[list[int]], k: int, facets: Iterable[int], below: dict[int, list[int]]) -> FaceLattice:

@@ -11,7 +11,7 @@ import pytest
 from polysum.bounds import VertexProfile, trivial_upper_bound
 from polysum.cayley import (
     PartitionedPointSet,
-    _part_masks,
+    _proposals,
     _sum_facets,
     cayley_embed,
     cayley_lattice,
@@ -279,13 +279,16 @@ def test_cayley_reduction_is_the_sums_reduction():
 def test_certified_sum_lattice_is_the_sums_hull():
     """The lattice from the Cayley hull's certified proposals is the whole
     lattice of the sums' own hull, masks included."""
-    lower = 0
+    lower = simplices = 0
     for pps in certified_cases():
         cayley, direct = minksum_lattices(pps)
         assert direct == sums_hull(pps)
         assert cayley == cayley_lattice(pps)
+        assert minksum_via_cayley(pps, cayley) == direct.f_vector
         lower += direct.polytope_dim < pps.ambient_dim
-    assert lower > 80
+        prep = _Prepared(cayley_embed(pps))
+        simplices += len(prep.members) == prep.rank + 1  # proposals from its cone's rays
+    assert lower > 80 and simplices > 20
 
 
 @pytest.mark.parametrize("d, r, n", [(3, 2, (4, 4)), (4, 3, (5, 5, 5)), (5, 2, (6, 6)), (5, 4, (6, 6, 6, 6))])
@@ -299,8 +302,7 @@ def proposed(pps: PartitionedPointSet):
     """The Cayley reduction and the functionals of the Cayley facets that
     meet every part, as ``minksum_lattices`` proposes them."""
     prep = _Prepared(cayley_embed(pps))
-    facets, _ = _facets(prep)
-    return prep, [u for facet, u in facets.items() if all(facet & part for part in _part_masks(pps))]
+    return prep, _proposals(pps, prep, _facets(prep)[0])
 
 
 def rejection_cases() -> list[PartitionedPointSet]:

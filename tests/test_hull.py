@@ -466,16 +466,34 @@ def sum_cases() -> dict[str, list[list[list[int]]]]:
 
 def test_lattices_match_the_oracle_on_minkowski_sums(monkeypatch):
     """Faces of Minkowski sums, whose facets are prisms, cubes and faces of
-    degenerate summands, still give the exhaustive lattice.  Prisms and
-    cubes are products of simplices; a degenerate summand's facets that are
-    not take a double description pass over the sum's own points."""
-    passes = record(monkeypatch, "_double_description", cayley)
+    degenerate summands, give the exhaustive lattice, both from the hull of
+    the sums and from the Cayley hull's certified proposals.  Both take
+    many double description passes: the hull one per non-simplex facet, the
+    certificate one per facet that is neither a simplex nor a product of
+    simplices, as a degenerate summand's may be."""
+    passes = record(monkeypatch, "_double_description")
+    certified, sum_facets = [], cayley._sum_facets
+
+    def counted(*args):
+        before = len(passes)
+        out = sum_facets(*args)
+        certified.append(len(passes) - before)
+        return out
+
+    monkeypatch.setattr(cayley, "_sum_facets", counted)
+    wrapped = 0
     for name, parts in sum_cases().items():
         pps = PartitionedPointSet.from_rows(parts)
-        lattice = minksum_direct_lattice(pps)
-        faces = {(dim, f) for dim, level in enumerate(lattice.levels) for f in level}
-        assert faces | {(-1, ())} == lattice_oracle(PointSet.from_rows(fraction_sums(pps))), name
-    assert len(passes) > 10
+        sums = PointSet.from_rows(fraction_sums(pps))
+        oracle = lattice_oracle(sums)
+        before = len(passes)
+        hulled = convex_hull(sums)
+        wrapped += len(passes) - before
+        for lattice in (hulled, minksum_direct_lattice(pps)):
+            faces = {(dim, f) for dim, level in enumerate(lattice.levels) for f in level}
+            assert faces | {(-1, ())} == oracle, name
+    assert wrapped > 40
+    assert sum(certified) > 10
 
 
 def test_first_facet_is_a_facet(monkeypatch):
