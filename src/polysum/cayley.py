@@ -13,12 +13,15 @@ takes its facets from the same hull: each spanning facet of the Cayley
 polytope proposes one, which is proved a facet of the sums, and the list
 complete, from the parts' points alone (``_sum_facets``).  So a wrong
 Cayley hull cannot make the two routes agree; they are compared in the CLI,
-and the tests compare both with the hull of the sums themselves.
+and the tests compare both with the hull of the sums themselves.  A face of
+the sum is the sum of the parts' faces, so each facet's mask, and each
+ridge of a facet that is a product of simplices, is a few bit operations
+on per-point slabs: the sums with some pick through one point of one part.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -169,14 +172,25 @@ def _sum_facets(pps: PartitionedPointSet, prep: _Prepared, proposals) -> tuple[l
     (b) The differences within each A_i have rank k - 1, for the sums'
         rank k, so that face is a facet.
     (c) If the facet is no simplex and those are k - 1 rows, it is a
-        product of simplices, and its ridges each drop one point of a
-        factor with two or more; any other facet gets its ridges from the
-        hull's own step (``_facet_ridges``), in the sums' pivot columns
-        minus the last one c uses.
+        product of simplices, and its ridges each drop the slab of one
+        point of a factor with two or more (below); any other facet gets
+        its ridges from the hull's own step (``_facet_ridges``), in the
+        sums' pivot columns minus the last one c uses.
     (d) Some facet is proposed, none twice, and every ridge lies in
         exactly two facets (``_closed``, as in the hull's wrap).
 
     A proposal that is not a facet, or a missing one, fails (b) or (d).
+
+    The masks come from one slab per point of each part: the sums with a
+    pick, one point per part, whose part-i point is a.  Every pick of a sum
+    on the face is in A_1 x ... x A_r, as the least value of c is the sum
+    of each part's least; every pick of a sum off it has a point outside.
+    So the facet is every sum outside the slabs of the points not in the
+    A_i.  (The sums in some slab of each A_i are not the facet: with
+    P_1 = P_2 = {0, 1} and c = +1, 1 = 0 + 1 = 1 + 0 is in both, off the
+    facet {0}.)  In a product of simplices the k - 1 differences are
+    independent, so each sum on the facet has exactly one pick, and the
+    ridge that drops a is the facet minus a's slab.
     """
     r, k = pps.r, prep.rank - (pps.r - 1)
     parts, start = [], 0
@@ -189,34 +203,36 @@ def _sum_facets(pps: PartitionedPointSet, prep: _Prepared, proposals) -> tuple[l
     index = {}
     where = [index.setdefault(s, len(index)) for s in sums]  # each pick's distinct sum
     sums = list(index)
-    strides = [math.prod(map(len, parts[i + 1 :])) for i in range(r)]
-
-    def mask(picks) -> int:
-        """The sums over the product of ``picks``, each a part's positions."""
-        flat = [0]
-        for pick, stride in zip(picks, strides):
-            flat = [x + a * stride for x in flat for a in pick]
-        return sum(1 << b for b in {where[x] for x in flat})
-
     members = [[i] for i in range(len(sums))]
     facets, below, degree = set(), {}, Counter()
     if len(sums) <= k + 1:  # a simplex: the level stage clears its bits
         return members, k, facets, below
+    slabs = [[0] * len(pts) for pts in parts]  # slabs[i][a]: sums with a pick through part i's point a
+    for pick, w in zip(itertools.product(*(range(len(pts)) for pts in parts)), where):
+        bit = 1 << w
+        for slab, a in zip(slabs, pick):
+            slab[a] |= bit
+    everything = (1 << len(sums)) - 1
     for u in proposals:
-        c, picks = u[r:], []
-        for pts in parts:
+        c, picks, off = u[r:], [], 0
+        for pts, slab in zip(parts, slabs):
             values = [sum(map(operator.mul, c, p)) for p in pts]
-            m = min(values)
-            picks.append([a for a, x in enumerate(values) if x == m])
+            m, pick = min(values), []
+            for a, x in enumerate(values):
+                if x == m:
+                    pick.append(a)
+                else:
+                    off |= slab[a]
+            picks.append(pick)
         differences = [tuple(map(operator.sub, pts[a], pts[pick[0]])) for pts, pick in zip(parts, picks) for a in pick[1:]]
         if int_row_space_pivots(differences)[0] != k - 1:
             raise AssertionError("a proposed facet of the sum is not a facet")
-        facet = mask(picks)
+        facet = everything ^ off
         if facet in facets:
             raise AssertionError("a facet of the sum was proposed twice")
         facets.add(facet)
         if facet.bit_count() > k and len(differences) == k - 1:  # a product of simplices
-            ridges = below[facet] = [facet ^ mask(picks[:i] + [[a]] + picks[i + 1 :]) for i, pick in enumerate(picks) if len(pick) > 1 for a in pick]
+            ridges = below[facet] = [facet & ~slab[a] for slab, pick in zip(slabs, picks) if len(pick) > 1 for a in pick]
         else:
             on = _indices(facet)
             _, ridges, functionals = _facet_ridges([sums[m] for m in on], [1 << m for m in on], _last_nonzero(c))

@@ -6,8 +6,10 @@ determinant and a plain Fraction elimination that share no code with the
 exact kernel's elimination, the Fraction lifted curve (``curve_parameter``,
 ``moment_curve_point``) that checks ``construction._curve_rows``, the one
 program builder of that curve, the full Fraction witness matrix that checks
-the integer sweep, the exhaustive facet scan that checks the hull, and the
-Fraction Minkowski sums that check the direct oracle's integer ones."""
+the integer sweep, the exhaustive facet scan that checks the hull, the
+Fraction Minkowski sums that check the direct oracle's integer ones, and the
+walk over the product of the parts' minimizers that checks the slab masks
+of the sum's certified facets."""
 
 import itertools
 import math
@@ -332,3 +334,52 @@ def spanning_counts_by_parts(lattice, pps) -> tuple[int, ...]:
     tuple mapped to the set of its points' parts, which must hold all r."""
     part_of = [i for i, part in enumerate(pps.parts) for _ in part.points]
     return tuple(sum(len({part_of[i] for i in face}) == pps.r for face in level) for level in lattice.levels[:-1])
+
+
+def product_walk_facets(pps, prep, proposals) -> dict[int, Optional[list[int]]]:
+    """Each proposal's face of the sums and, for a product of simplices,
+    its ridges, found by walking the product of the picks (test oracle
+    for ``cayley._sum_facets``'s slab masks).
+
+    ``prep`` is the Cayley reduction and ``proposals`` are its spanning
+    facets' functionals (c0, l_1..l_{r-1}, c).  A_i are the points of part
+    i that minimize c; the face is the set of sums over A_1 x ... x A_r, as
+    a mask over the distinct sums in the order of the parts' points.  It
+    maps to its ridges, each the face without the sums over the product
+    with one point a of a factor with two or more, if the face has more
+    than k points and its within-part differences are k - 1 rows, for the
+    sums' rank k, and to None otherwise.  Sums that form a simplex give no
+    faces, as ``_sum_facets`` certifies none.
+    """
+    r, k = pps.r, prep.rank - (pps.r - 1)
+    parts, start = [], 0
+    for part in pps.parts:
+        parts.append([prep.reduced[i][r - 1 :] for i in dict.fromkeys(prep.rep_of[start : start + len(part)])])
+        start += len(part)
+    picks_of = list(itertools.product(*(range(len(pts)) for pts in parts)))
+    sums = [tuple(map(sum, zip(*(pts[a] for pts, a in zip(parts, pick))))) for pick in picks_of]
+    index = {}
+    where = [index.setdefault(s, len(index)) for s in sums]
+    if len(index) <= k + 1:
+        return {}
+    strides = [math.prod(map(len, parts[i + 1 :])) for i in range(r)]
+
+    def mask(picks) -> int:
+        flat = [0]
+        for pick, stride in zip(picks, strides):
+            flat = [x + a * stride for x in flat for a in pick]
+        return sum(1 << b for b in {where[x] for x in flat})
+
+    out = {}
+    for u in proposals:
+        c, picks = u[r:], []
+        for pts in parts:
+            values = [sum(map(operator.mul, c, p)) for p in pts]
+            m = min(values)
+            picks.append([a for a, x in enumerate(values) if x == m])
+        facet = mask(picks)
+        if facet.bit_count() > k and sum(len(pick) - 1 for pick in picks) == k - 1:
+            out[facet] = [facet ^ mask(picks[:i] + [[a]] + picks[i + 1 :]) for i, pick in enumerate(picks) if len(pick) > 1 for a in pick]
+        else:
+            out[facet] = None
+    return out

@@ -1,13 +1,16 @@
 """Tests for the Cayley-embedding route and the direct Minkowski oracle."""
 
+import functools
 import itertools
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from polysum import cayley
 from polysum.bounds import VertexProfile, trivial_upper_bound
 from polysum.cayley import (
     PartitionedPointSet,
@@ -23,9 +26,9 @@ from polysum.cayley import (
 )
 from polysum.construction import ConstructionParams, certify_family, generate_family
 from polysum.exact import affine_rank
-from polysum.hull import PointSet, _facets, _Prepared, convex_hull, verify_supporting
+from polysum.hull import PointSet, _facet_ridges, _facets, _Prepared, convex_hull, verify_supporting
 
-from helpers import fraction_sums
+from helpers import fraction_sums, product_walk_facets
 
 
 def test_cayley_embed_definition():
@@ -291,10 +294,18 @@ def test_certified_sum_lattice_is_the_sums_hull():
     assert lower > 80 and simplices > 20
 
 
-@pytest.mark.parametrize("d, r, n", [(3, 2, (4, 4)), (4, 3, (5, 5, 5)), (5, 2, (6, 6)), (5, 4, (6, 6, 6, 6))])
-def test_certified_sum_lattice_of_tight_families(d, r, n):
+TIGHT_FAMILIES = [(3, 2, (4, 4)), (4, 3, (5, 5, 5)), (5, 2, (6, 6)), (5, 4, (6, 6, 6, 6))]
+
+
+@functools.lru_cache(maxsize=None)
+def tight_family(d: int, r: int, n: tuple[int, ...]) -> PartitionedPointSet:
     params, _, _ = certify_family(ConstructionParams.defaults(d, r, n))
-    family = generate_family(params)
+    return generate_family(params)
+
+
+@pytest.mark.parametrize("d, r, n", TIGHT_FAMILIES)
+def test_certified_sum_lattice_of_tight_families(d, r, n):
+    family = tight_family(d, r, n)
     assert minksum_direct_lattice(family) == sums_hull(family)
 
 
@@ -367,3 +378,71 @@ def test_a_corrupted_proposal_fails():
                 with pytest.raises(AssertionError, match=kind):
                     _sum_facets(pps, prep, proposals[:i] + [bad] + proposals[i + 1 :])
     assert kinds["not a facet"] > 400 and kinds["proposed twice"] > 8
+
+
+def coinciding_cases() -> list[PartitionedPointSet]:
+    """Two or three parts in d = 1..3, each the segment [0, e_1], [0, 2e_1]
+    or [0, e_d], the standard simplex or the unit cube, in every
+    combination.  Sums then coincide across picks, and one sum can have
+    picks on both sides of a facet: with P_1 = P_2 = {0, 1} and c = +1, the
+    sum 1 = 0 + 1 = 1 + 0 is off the facet {0} though each part's minimizer
+    0 is in one of its picks."""
+    cases = []
+    for d in (1, 2, 3):
+        unit = [[int(i == j) for j in range(d)] for i in range(d)]
+        segments = [[0] * d, unit[0]], [[0] * d, [2 * x for x in unit[0]]], [[0] * d, unit[-1]]
+        shapes = (*segments, [[0] * d, *unit], [list(p) for p in itertools.product((0, 1), repeat=d)])
+        for r in (2, 3):
+            cases.extend(PartitionedPointSet.from_rows(parts) for parts in itertools.combinations_with_replacement(shapes, r))
+    return cases
+
+
+def tight_families() -> list[PartitionedPointSet]:
+    return [tight_family(*args) for args in TIGHT_FAMILIES]
+
+
+@pytest.mark.parametrize(
+    "cases, products",
+    [(certified_cases, 1900), (tight_families, 1700), (coinciding_cases, 12)],
+    ids=["certified", "tight", "coinciding"],
+)
+def test_slab_masks_are_the_product_walk(cases, products):
+    """Each certified facet's mask, and each product facet's ridges, are
+    the ones the walk over the product of the parts' minimizers finds."""
+    seen = 0
+    for pps in cases():
+        prep, proposals = proposed(pps)
+        _, _, facets, below = _sum_facets(pps, prep, proposals)
+        oracle = product_walk_facets(pps, prep, proposals)
+        assert facets == set(oracle)
+        for facet, ridges in oracle.items():
+            if ridges is not None:
+                assert below[facet] == ridges
+                seen += 1
+    assert seen > products
+
+
+def test_coinciding_cases_repeat_sums():
+    """134 of the 150 cases have fewer distinct sums than picks."""
+    cases = coinciding_cases()
+    repeated = sum(len(fraction_sums(pps)) < math.prod(map(len, pps.parts)) for pps in cases)
+    assert (len(cases), repeated) == (150, 134)
+
+
+def test_branch_split_of_the_sum_facets(monkeypatch):
+    """(5,4,(6,6,6,6)) has 1,684 facets: 1,522 are products of simplices
+    and take the slab ridges, 24 are simplices and 138 take a double
+    description pass."""
+    calls = Counter()
+
+    def counted(*args):
+        out = _facet_ridges(*args)
+        calls["simplex" if out[2] is None else "double description"] += 1
+        return out
+
+    monkeypatch.setattr(cayley, "_facet_ridges", counted)
+    family = tight_family(5, 4, (6, 6, 6, 6))
+    prep, proposals = proposed(family)
+    _, _, facets, _ = _sum_facets(family, prep, proposals)
+    products = len(facets) - calls.total()
+    assert (len(facets), products, calls["simplex"], calls["double description"]) == (1684, 1522, 24, 138)
